@@ -23,9 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+
+import numpy as np
 
 from .errors import ConfigError
-from .isa import Instruction, Mem, Opcode, Program, Register
+from .isa import KIND_JMP, KIND_JNS, KIND_SBB, MEM_DST, MEM_NONE, MEM_SRC, Instruction, Program
 
 __all__ = [
     "SANDBOX_SIZE",
@@ -50,6 +53,7 @@ __all__ = [
 
 SANDBOX_SIZE = 4096
 MASK64 = (1 << 64) - 1
+_ADDR_MASK = (SANDBOX_SIZE - 1) & ~7
 DEFAULT_STEP_BUDGET = 10_000
 
 # Contract observation tags. A trace is a tuple of
@@ -175,14 +179,6 @@ class ArchState:
         )
 
 
-def _signed(x: int) -> int:
-    return x - (1 << 64) if x >= (1 << 63) else x
-
-
-def _effective_address(state: ArchState, index: Register) -> int:
-    return (state.regs[index] % SANDBOX_SIZE) & ~7
-
-
 def step_instruction(state, instr, n, undo_log=None):
     """Execute one instruction in place and return its observations.
 
@@ -190,59 +186,60 @@ def step_instruction(state, instr, n, undo_log=None):
     `undo_log` is given, memory writes append (addr, old bytes) so a caller
     can roll the store back.
     """
-    op = instr.opcode
-    obs = ()
-    if op is Opcode.JNS or op is Opcode.JMP:
-        taken = 1 if (op is Opcode.JMP or state.sf == 0) else 0
-        raw_target = state.pc + instr.disp
-        obs = ((OBS_PC, raw_target, taken),)
+    kind, dst, src, mem_operand, disp = instr.decoded
+    if kind <= KIND_JNS:
+        taken = 1 if (kind == KIND_JMP or state.sf == 0) else 0
+        raw_target = state.pc + disp
         if taken:
             state.pc = min(max(raw_target, 0), n)
         else:
             state.pc += 1
-        return obs
+        return ((OBS_PC, raw_target, taken),)
 
-    # ALU: resolve operands
+    # ALU: resolve operands. Registers are non-negative 64-bit values, so
+    # `& _ADDR_MASK` is `(reg mod SANDBOX_SIZE) & ~7`.
+    regs = state.regs
     mem = state.mem
-    src = instr.src
-    if isinstance(src, Mem):
-        addr = _effective_address(state, src.index)
+    if mem_operand == MEM_SRC:
+        addr = regs[src] & _ADDR_MASK
         s = int.from_bytes(mem[addr : addr + 8], "little")
-        obs = ((OBS_LOAD, addr),)
-    else:
-        s = state.regs[src]
-
-    dst = instr.dst
-    if isinstance(dst, Mem):
-        addr = _effective_address(state, dst.index)
+        d = regs[dst]
+    elif mem_operand == MEM_DST:
+        addr = regs[dst] & _ADDR_MASK
         d = int.from_bytes(mem[addr : addr + 8], "little")
-        obs = ((OBS_LOAD, addr),)
+        s = regs[src]
     else:
-        d = state.regs[dst]
+        s = regs[src]
+        d = regs[dst]
 
-    if op is Opcode.SBB:
+    if kind == KIND_SBB:
         borrow = s + state.cf
         res = (d - borrow) & MASK64
         cf = 1 if borrow > d else 0
-    else:  # IMUL
-        prod = _signed(d) * _signed(s)
+    else:  # IMUL on the signed values
+        if d >> 63:
+            d -= 1 << 64
+        if s >> 63:
+            s -= 1 << 64
+        prod = d * s
         res = prod & MASK64
         cf = 0 if -(1 << 63) <= prod < (1 << 63) else 1
 
     state.cf = cf
     state.sf = res >> 63
     state.zf = 1 if res == 0 else 0
-
-    if isinstance(dst, Mem):
-        if undo_log is not None:
-            undo_log.append((addr, bytes(mem[addr : addr + 8])))
-        mem[addr : addr + 8] = res.to_bytes(8, "little")
-        obs = obs + ((OBS_STORE, addr),)
-    else:
-        state.regs[dst] = res
-
     state.pc += 1
-    return obs
+
+    if mem_operand == MEM_NONE:
+        regs[dst] = res
+        return ()
+    if mem_operand == MEM_SRC:
+        regs[dst] = res
+        return ((OBS_LOAD, addr),)
+    if undo_log is not None:
+        undo_log.append((addr, bytes(mem[addr : addr + 8])))
+    mem[addr : addr + 8] = res.to_bytes(8, "little")
+    return ((OBS_LOAD, addr), (OBS_STORE, addr))
 
 
 def arch_step(state: ArchState, instr: Instruction, program_length: int):
@@ -266,7 +263,8 @@ def contract_trace(
     out before the program falls off the end."""
     if step_budget < 1:
         raise ConfigError("step_budget must be >= 1")
-    n = len(p)
+    instrs = p.instrs
+    n = len(instrs)
     state = ArchState.from_input(inp)
     trace: list = []
     explore = contract.mode is ContractMode.CT_COND
@@ -274,19 +272,19 @@ def contract_trace(
     while state.pc < n:
         if steps >= step_budget:
             return NON_TERMINATING
-        instr = p[state.pc]
+        instr = instrs[state.pc]
         branch_pc = state.pc
         obs = step_instruction(state, instr, n)
         trace.extend(obs)
-        if explore and instr.is_conditional:
+        if explore and instr.decoded[0] == KIND_JNS:
             taken = obs[0][2]
             other = branch_pc + 1 if taken else min(max(branch_pc + instr.disp, 0), n)
-            _explore_other_path(p, state, other, contract.spec_depth, n, trace)
+            _explore_other_path(instrs, state, other, contract.spec_depth, n, trace)
         steps += 1
     return tuple(trace)
 
 
-def _explore_other_path(p, state, start_pc, depth, n, trace):
+def _explore_other_path(instrs, state, start_pc, depth, n, trace):
     """Run up to `depth` instructions down the unexecuted branch direction,
     appending their observations, then restore the architectural state."""
     saved = (state.regs[:], state.sf, state.cf, state.zf, state.pc)
@@ -295,7 +293,7 @@ def _explore_other_path(p, state, start_pc, depth, n, trace):
     for _ in range(depth):
         if state.pc >= n:
             break
-        trace.extend(step_instruction(state, p[state.pc], n, undo))
+        trace.extend(step_instruction(state, instrs[state.pc], n, undo))
     for addr, old in reversed(undo):
         state.mem[addr : addr + 8] = old
     state.regs, state.sf, state.cf, state.zf, state.pc = saved
@@ -322,6 +320,36 @@ def stream_seed(master: int, index: int) -> int:
     return mix64((master & MASK64) ^ mix64(((index + 1) * _GOLDEN) & MASK64))
 
 
+_XS_MULT = 0x2545F4914F6CDD1D
+# Longest expansion served by the jump table: one sandbox of 64-bit words.
+_JUMP_WORDS = SANDBOX_SIZE // 8
+_NIBBLE_POS = np.arange(16)
+
+
+def _xorshift_step(x):
+    """The xorshift64 state transition, on an int or a uint64 array."""
+    x = x ^ (x >> 12)
+    x = x ^ ((x << 25) & MASK64)
+    return x ^ (x >> 27)
+
+
+@cache
+def _jump_table() -> np.ndarray:
+    """table[i, v, k] = state after k+1 steps from the state (v << 4i).
+
+    The state transition is linear over GF(2), so the state k+1 steps after
+    any x is the XOR over its 16 nibbles of table[i, nibble_i(x), k].
+    """
+    start = np.arange(16, dtype=np.uint64)[None, :] << (4 * np.arange(16, dtype=np.uint64))[:, None]
+    table = np.empty((16, 16, _JUMP_WORDS), dtype=np.uint64)
+    x = start
+    for k in range(_JUMP_WORDS):
+        x = _xorshift_step(x)
+        table[:, :, k] = x
+    table.flags.writeable = False
+    return table
+
+
 class Xorshift64Star:
     """xorshift64* generator: x ^= x>>12; x ^= x<<25; x ^= x>>27;
     output = x * 0x2545F4914F6CDD1D. State is seeded through mix64 so any
@@ -335,20 +363,27 @@ class Xorshift64Star:
         self.state = state if state != 0 else _GOLDEN
 
     def next_u64(self) -> int:
-        x = self.state
-        x ^= x >> 12
-        x ^= (x << 25) & MASK64
-        x ^= x >> 27
+        x = _xorshift_step(self.state)
         self.state = x
-        return (x * 0x2545F4914F6CDD1D) & MASK64
+        return (x * _XS_MULT) & MASK64
 
     def next_bytes(self, count: int) -> bytes:
+        """The next count/8 outputs as little-endian bytes, leaving the state
+        where as many next_u64 calls would. Up to one sandbox of words comes
+        from the jump table at once."""
         if count % 8:
             raise ValueError("count must be a multiple of 8")
-        out = bytearray()
-        for _ in range(count // 8):
-            out += self.next_u64().to_bytes(8, "little")
-        return bytes(out)
+        words = count // 8
+        if not 0 < words <= _JUMP_WORDS:
+            out = bytearray()
+            for _ in range(words):
+                out += self.next_u64().to_bytes(8, "little")
+            return bytes(out)
+        x = self.state
+        nibbles = [(x >> shift) & 15 for shift in range(0, 64, 4)]
+        states = np.bitwise_xor.reduce(_jump_table()[_NIBBLE_POS, nibbles, :words], axis=0)
+        self.state = int(states[-1])
+        return (states * np.uint64(_XS_MULT)).astype("<u8").tobytes()
 
 
 def input_from_seed(seed: int) -> Input:

@@ -139,6 +139,7 @@ def boost_input(
     contract: ContractSpec,
     rng: Xorshift64Star,
     budget: int = DEFAULT_STEP_BUDGET,
+    base_trace: tuple | None = None,
 ) -> Input | None:
     """Derive a contract-equivalent sibling of `base` for `p`.
 
@@ -147,8 +148,12 @@ def boost_input(
     loads, until the sibling's contract trace equals the base's (verified by
     re-simulation). Returns None if that fixpoint is not reached within
     BOOST_ROUNDS rounds.
+
+    `base_trace`, when given, must be `contract_trace(p, base, contract,
+    budget)`; it saves recomputing that trace.
     """
-    base_trace = contract_trace(p, base, contract, budget)
+    if base_trace is None:
+        base_trace = contract_trace(p, base, contract, budget)
     if base_trace is NON_TERMINATING:
         raise ValueError("boost_input requires a terminating base input")
     mem = bytearray(rng.next_bytes(SANDBOX_SIZE))
@@ -244,6 +249,10 @@ def detect_violation(
     Returns a ViolationReport, None, or REJECTED if `p` exhausts a simulator
     budget on any base input.
 
+    `observations`, when given, must be what `observe(p, inputs, contract,
+    cfg, budget)` returns: boosting takes the base inputs' contract traces
+    from it.
+
     The default mode gates on observability: a program with no observable
     transient cache footprint cannot produce in-class divergence (committed
     accesses are fixed by the contract trace), so boosting is skipped and
@@ -292,7 +301,7 @@ def detect_violation(
         members = classes[base_obs.ctrace]
         for j in range(1, boosts_per_input + 1):
             rng = Xorshift64Star(stream_seed(seed, (i << 8) | j))
-            sibling = boost_input(p, base, contract, rng, budget)
+            sibling = boost_input(p, base, contract, rng, budget, base_obs.ctrace)
             if sibling is None:
                 continue
             hw = hw_run(p, sibling, cfg, budget, reset_state())

@@ -82,6 +82,10 @@ class EnvConfig:
             raise ConfigError("max_len must be >= 1")
         if self.num_inputs < 2:
             raise ConfigError("num_inputs must be >= 2")
+        if self.step_budget < 1:
+            raise ConfigError("step_budget must be >= 1")
+        if self.boosts_per_input < 1:
+            raise ConfigError("boosts_per_input must be >= 1")
 
 
 # Sentinel for "no action taken yet" in Observation.last_action.

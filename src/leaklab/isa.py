@@ -8,7 +8,7 @@ mnemonics are case-insensitive, branch targets are relative displacements
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Iterator, Union
 
@@ -49,6 +49,19 @@ class Opcode(Enum):
 
 BRANCH_OPCODES = frozenset({Opcode.JNS, Opcode.JMP})
 
+# Decoded opcode kinds, the first element of `Instruction.decoded`. Branch
+# kinds sort below ALU kinds.
+KIND_JMP = 0
+KIND_JNS = 1
+KIND_SBB = 2
+KIND_IMUL = 3
+_KIND = {Opcode.JMP: KIND_JMP, Opcode.JNS: KIND_JNS, Opcode.SBB: KIND_SBB, Opcode.IMUL: KIND_IMUL}
+
+# Which ALU operand, if any, is the memory operand (`Instruction.decoded[3]`).
+MEM_NONE = 0
+MEM_SRC = 1
+MEM_DST = 2
+
 
 @dataclass(frozen=True)
 class Mem:
@@ -73,6 +86,10 @@ class Instruction:
     dst: Operand | None = None
     src: Operand | None = None
     disp: int | None = None
+    # Flat form read by the simulators: (kind, dst register, src register,
+    # memory operand, disp) with plain ints; a memory operand contributes its
+    # index register. Branches decode as (kind, 0, 0, MEM_NONE, disp).
+    decoded: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.opcode in BRANCH_OPCODES:
@@ -91,14 +108,22 @@ class Instruction:
                 raise ValueError("at most one operand may be a memory operand")
             if self.dst == Register.BASE:
                 raise ValueError("BASE is read-only")
+        object.__setattr__(self, "decoded", self._decode())
+
+    def _decode(self) -> tuple:
+        kind = _KIND[self.opcode]
+        if kind <= KIND_JNS:
+            return (kind, 0, 0, MEM_NONE, self.disp)
+        dst, src = self.dst, self.src
+        if isinstance(src, Mem):
+            return (kind, int(dst), int(src.index), MEM_SRC, 0)
+        if isinstance(dst, Mem):
+            return (kind, int(dst.index), int(src), MEM_DST, 0)
+        return (kind, int(dst), int(src), MEM_NONE, 0)
 
     @property
     def is_branch(self) -> bool:
         return self.opcode in BRANCH_OPCODES
-
-    @property
-    def is_conditional(self) -> bool:
-        return self.opcode is Opcode.JNS
 
     def __str__(self) -> str:
         if self.is_branch:

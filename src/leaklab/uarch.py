@@ -36,7 +36,7 @@ from .arch import (
     step_instruction,
 )
 from .errors import ConfigError
-from .isa import Program
+from .isa import KIND_JNS, Program
 
 __all__ = [
     "PHT_SIZE",
@@ -197,7 +197,8 @@ def hw_run(
     micro = reset_state() if micro is None else micro
     pht = micro.pht
     window = cfg.window
-    n = len(p)
+    instrs = p.instrs
+    n = len(instrs)
     state = ArchState.from_input(inp)
     counters = PerfCounters()
     victim = micro.victim_bits
@@ -207,7 +208,7 @@ def hw_run(
 
     while True:
         if frame is not None:
-            if frame.pending >= window or state.pc >= n or p[state.pc].is_conditional:
+            if frame.pending >= window or state.pc >= n or instrs[state.pc].decoded[0] == KIND_JNS:
                 # resolve the open branch
                 idx = frame.branch_idx % PHT_SIZE
                 if frame.actual_taken:
@@ -230,7 +231,7 @@ def hw_run(
                 frame = None
                 continue
             # issue transiently into the shadow state
-            instr = p[state.pc]
+            instr = instrs[state.pc]
             counters.uops_issued += 1
             frame.pending += 1
             obs = step_instruction(state, instr, n, frame.undo)
@@ -243,8 +244,8 @@ def hw_run(
             break
         if committed >= budget:
             return NON_TERMINATING
-        instr = p[state.pc]
-        if instr.is_conditional:
+        instr = instrs[state.pc]
+        if instr.decoded[0] == KIND_JNS:
             counters.uops_issued += 1
             counters.uops_retired += 1
             committed += 1

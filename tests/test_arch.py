@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaklab.arch import (
     NON_TERMINATING,
@@ -17,6 +20,7 @@ from leaklab.arch import (
     input_from_seed,
     load_input,
     mix64,
+    step_instruction,
     stream_seed,
 )
 from leaklab.errors import ConfigError
@@ -234,6 +238,36 @@ def test_input_expansion_frozen_values():
     assert inp.r1 == 0xEF618471E40B1792
     assert inp.r2 == 0xBB97623FE2FB5D19
     assert inp.mem[:8] == (0x3499EFDE712FDC19).to_bytes(8, "little")
+    assert hashlib.sha256(inp.mem).hexdigest() == (
+        "d7ebf7a3431c0bdf28fa2f2e60183f70e5d78c20a90ae84c7e65d4ecbec4de22"
+    )
+
+
+def _generator_at(state: int) -> Xorshift64Star:
+    rng = Xorshift64Star(0)
+    rng.state = state
+    return rng
+
+
+def _check_next_bytes_against_loop(state: int, words: int):
+    fast, slow = _generator_at(state), _generator_at(state)
+    expected = b"".join(slow.next_u64().to_bytes(8, "little") for _ in range(words))
+    assert fast.next_bytes(8 * words) == expected
+    assert fast.state == slow.state
+    assert fast.next_u64() == slow.next_u64()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, M64), st.integers(1, SANDBOX_SIZE // 8))
+def test_next_bytes_matches_next_u64_loop(state, words):
+    _check_next_bytes_against_loop(state, words)
+
+
+@pytest.mark.parametrize("words", [0, SANDBOX_SIZE // 8 + 1, 1500])
+def test_next_bytes_long_and_empty_counts(words):
+    _check_next_bytes_against_loop(0x0123456789ABCDEF, words)
+    with pytest.raises(ValueError):
+        _generator_at(1).next_bytes(12)
 
 
 def test_input_dump_load_round_trip():
@@ -252,3 +286,92 @@ def test_trace_is_pure():
     t1 = contract_trace(p, inp, CT_SEQ)
     t2 = contract_trace(p, inp, CT_SEQ)
     assert t1 == t2
+
+
+# --- step_instruction against the documented semantics ---------------------
+
+ALL_REGS = (R0, R1, R2, Register.BASE)
+
+
+def _valid(opcode, dst=None, src=None, disp=None):
+    try:
+        return [Instruction(opcode, dst=dst, src=src, disp=disp)]
+    except ValueError:
+        return []
+
+
+ALL_INSTRUCTIONS = tuple(
+    [i for op in (Opcode.JNS, Opcode.JMP) for d in (-3, -2, -1, 1, 2, 3) for i in _valid(op, disp=d)]
+    + [
+        i
+        for op in (Opcode.SBB, Opcode.IMUL)
+        for d in ALL_REGS
+        for s in ALL_REGS
+        for dst, src in ((d, s), (d, Mem(s)), (Mem(d), s))
+        for i in _valid(op, dst, src)
+    ]
+)
+
+WORDS = st.one_of(
+    st.integers(0, M64),
+    st.sampled_from([0, 1, 7, 8, 4095, 4096, 4100, (1 << 63) - 1, 1 << 63, M64]),
+)
+
+
+def _reference_step(regs, flags, pc, mem, instr, n):
+    """One step written from the module docstring, on copies of the state."""
+    regs, mem = list(regs), bytearray(mem)
+    sf, cf, zf = flags
+    if instr.opcode in (Opcode.JNS, Opcode.JMP):
+        taken = int(instr.opcode is Opcode.JMP or sf == 0)
+        target = pc + instr.disp
+        new_pc = min(max(target, 0), n) if taken else pc + 1
+        return regs, flags, new_pc, mem, (("P", target, taken),)
+
+    def operand(op):
+        if isinstance(op, Mem):
+            addr = (regs[op.index] % SANDBOX_SIZE) & ~7
+            return int.from_bytes(mem[addr : addr + 8], "little"), addr
+        return regs[op], None
+
+    s, src_addr = operand(instr.src)
+    d, dst_addr = operand(instr.dst)
+    if instr.opcode is Opcode.SBB:
+        full = d - s - cf
+        res, cf = full % (1 << 64), int(full < 0)  # CF = borrow out
+    else:
+        signed = lambda x: x - (1 << 64) if x >> 63 else x  # noqa: E731
+        prod = signed(d) * signed(s)
+        res, cf = prod % (1 << 64), int(not -(1 << 63) <= prod < (1 << 63))
+    flags = (res >> 63, cf, int(res == 0))
+    if dst_addr is None:
+        regs[instr.dst] = res
+        obs = (("L", src_addr),) if src_addr is not None else ()
+    else:
+        mem[dst_addr : dst_addr + 8] = res.to_bytes(8, "little")
+        obs = (("L", dst_addr), ("S", dst_addr))
+    return regs, flags, pc + 1, mem, obs
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(ALL_INSTRUCTIONS),
+    st.tuples(WORDS, WORDS, WORDS),
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+    st.integers(1, 12),
+    st.data(),
+)
+def test_step_instruction_matches_reference(instr, r, flags, n, data):
+    pc = data.draw(st.integers(0, n - 1))
+    mem = bytearray(random.Random(data.draw(st.integers(0, 1 << 32))).randbytes(SANDBOX_SIZE))
+    regs = [*r, 0]
+    want_regs, want_flags, want_pc, want_mem, want_obs = _reference_step(regs, flags, pc, mem, instr, n)
+
+    state = ArchState(regs[:], *flags, pc, bytearray(mem))
+    undo: list = []
+    obs = step_instruction(state, instr, n, undo)
+    assert obs == want_obs
+    assert (state.regs, (state.sf, state.cf, state.zf), state.pc) == (want_regs, want_flags, want_pc)
+    assert state.mem == want_mem
+    stores = [o[1] for o in obs if o[0] == "S"]
+    assert undo == [(a, bytes(mem[a : a + 8])) for a in stores]

@@ -103,6 +103,20 @@ def test_bad_config_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key", ["boosts_per_input", "step_budget"])
+def test_nonpositive_budget_rejected_before_run(key, tiny_config, tmp_path, capsys, monkeypatch):
+    def campaign_started(cfg):
+        raise AssertionError("the campaign started on an invalid config")
+
+    monkeypatch.setattr("leaklab.cli.fuzz_campaign", campaign_started)
+    cfg = json.loads(Path(tiny_config).read_text())
+    cfg["env"][key] = 0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["fuzz", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert key in capsys.readouterr().err
+
+
 def test_train_writes_outputs(tiny_config, tmp_path, capsys):
     out = tmp_path / "run1"
     code = run_cli(["train", "--config", tiny_config, "--out", str(out)])

@@ -18,7 +18,7 @@ from leaklab.detect import (
     detect_violation,
     speculation_filter,
 )
-from leaklab.isa import Program, build_action_space, parse_program
+from leaklab.isa import Program, build_action_space, parse_program, render_program
 from leaklab.uarch import REJECTED, SpecConfig
 
 from conftest import make_input
@@ -70,6 +70,29 @@ def test_boost_requires_terminating_base():
         boost_input(parse_program("JMP -2"), make_input(), CT_SEQ, Xorshift64Star(0))
 
 
+def _terminating_programs(rng, space, contract, count, max_len=10, budget=300):
+    """(program, base input, base trace) triples with a terminating base."""
+    out = []
+    while len(out) < count:
+        p = Program(tuple(space[rng.randrange(space.size)] for _ in range(rng.randrange(1, max_len + 1))))
+        base = input_from_seed(rng.randrange(1 << 32))
+        trace = contract_trace(p, base, contract, budget)
+        if trace is not NON_TERMINATING:
+            out.append((p, base, trace))
+    return out
+
+
+@pytest.mark.parametrize(
+    "contract", [CT_SEQ, ContractSpec(ContractMode.CT_COND, spec_depth=8)], ids=lambda c: c.name
+)
+def test_boost_with_base_trace_matches_rederived(contract):
+    rng = random.Random(17)
+    for k, (p, base, trace) in enumerate(_terminating_programs(rng, build_action_space(), contract, 80)):
+        rederived = boost_input(p, base, contract, Xorshift64Star(k), 300)
+        given = boost_input(p, base, contract, Xorshift64Star(k), 300, base_trace=trace)
+        assert given == rederived
+
+
 def test_detect_empty_program(inputs20):
     assert detect_violation(Program(), inputs20) is None
 
@@ -107,6 +130,27 @@ def test_exhaustive_agrees_with_short_circuit(inputs20):
     full = detect_violation(PLANTED, inputs20, seed=1, exhaustive=True)
     assert fast is not None and full is not None
     assert fast.witness == full.witness
+
+
+def test_gated_detection_equals_exhaustive(inputs20):
+    # On random programs and inputs the observability gate changes no
+    # result: the gated call must equal the exhaustive oracle's.
+    rng = random.Random(4821)
+    space = build_action_space()
+    outcomes = {"gated": 0, "boosted": 0, "reported": 0}
+    checked = 0
+    while checked < 300:
+        p = Program(tuple(space[rng.randrange(space.size)] for _ in range(rng.randrange(1, 13))))
+        fast = detect_violation(p, inputs20, budget=300, seed=checked)
+        if fast is REJECTED:
+            continue
+        full = detect_violation(p, inputs20, budget=300, seed=checked, exhaustive=True)
+        assert fast == full, render_program(p)
+        tier = speculation_filter(p, inputs20, budget=300)
+        outcomes["boosted" if tier == "observable" else "gated"] += 1
+        outcomes["reported"] += fast is not None
+        checked += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_filter_examples(inputs20):

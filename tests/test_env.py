@@ -214,6 +214,10 @@ def test_env_config_validation():
         EnvConfig(max_len=0)
     with pytest.raises(ConfigError):
         EnvConfig(num_inputs=1)
+    with pytest.raises(ConfigError):
+        EnvConfig(step_budget=0)
+    with pytest.raises(ConfigError):
+        EnvConfig(boosts_per_input=0)
 
 
 def test_out_of_range_action(env):

@@ -1,9 +1,17 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaklab.errors import ConfigError, ParseError
 from leaklab.isa import (
+    KIND_IMUL,
+    KIND_JNS,
+    KIND_SBB,
+    MEM_DST,
+    MEM_NONE,
+    MEM_SRC,
     ActionSpaceConfig,
     Instruction,
     Mem,
@@ -117,6 +125,33 @@ def test_instruction_validation():
         Instruction(Opcode.JNS, disp=0)
     with pytest.raises(ValueError):
         Instruction(Opcode.JMP, dst=R0, src=R1, disp=2)
+
+
+def test_decoded_form():
+    assert Instruction(Opcode.SBB, dst=R0, src=Mem(R2)).decoded == (KIND_SBB, 0, 2, MEM_SRC, 0)
+    assert Instruction(Opcode.IMUL, dst=Mem(R1), src=R0).decoded == (KIND_IMUL, 1, 0, MEM_DST, 0)
+    assert Instruction(Opcode.JNS, disp=-2).decoded == (KIND_JNS, 0, 0, MEM_NONE, -2)
+    changed = dataclasses.replace(Instruction(Opcode.SBB, dst=R0, src=R1), src=R2)
+    assert changed.decoded == (KIND_SBB, 0, 2, MEM_NONE, 0)
+    assert all(type(v) is int for v in changed.decoded)
+
+
+def test_decoded_field_is_invisible(default_space):
+    a = Instruction(Opcode.SBB, dst=R0, src=Mem(R1))
+    b = Instruction(Opcode.SBB, dst=R0, src=Mem(R1))
+    object.__setattr__(b, "decoded", None)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == (
+        "Instruction(opcode=<Opcode.SBB: 'SBB'>, dst=<Register.R0: 0>, "
+        "src=Mem(index=<Register.R1: 1>), disp=None)"
+    )
+    with pytest.raises(TypeError):
+        Instruction(Opcode.JMP, disp=2, decoded=())
+    with pytest.raises(ConfigError):
+        build_action_space(ActionSpaceConfig(explicit_actions=(a, b)))
+    for i, instr in enumerate(default_space.actions):
+        fresh = Instruction(instr.opcode, instr.dst, instr.src, instr.disp)
+        assert default_space.index_of(fresh) == i
 
 
 def test_append_action_examples(default_space):
