@@ -12,12 +12,11 @@ from .arch import (
     ContractSpec,
     Input,
     NON_TERMINATING,
-    arch_step,
     contract_trace,
     generate_inputs,
 )
 from .agent import TrainerConfig, TrainingLog, random_search, train
-from .detect import ViolationReport, boost_input, detect_violation, speculation_filter
+from .detect import ViolationReport, boost_input, detect_violation
 from .env import EnvConfig, LeakEnv, Observation, RewardSpec, StepResult, encode_observation
 from .errors import ConfigError, ParseError, TrainingFault
 from .harness import (

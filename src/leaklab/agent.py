@@ -18,7 +18,7 @@ import numpy as np
 
 from .detect import ViolationReport
 from .env import LeakEnv
-from .errors import TrainingFault
+from .errors import ConfigError, TrainingFault
 from .isa import render_program
 
 __all__ = [
@@ -62,9 +62,16 @@ class TrainerConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.gamma <= 1.0 and 0.0 <= self.gae_lambda <= 1.0):
-            raise ValueError("gamma and gae_lambda must lie in [0, 1]")
+            raise ConfigError("gamma and gae_lambda must lie in [0, 1]")
         if self.clip_eps <= 0:
-            raise ValueError("clip_eps must be positive")
+            raise ConfigError("clip_eps must be positive")
+        for name in ("epochs", "minibatch_size", "horizon"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.total_steps < 0:
+            raise ConfigError("total_steps must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -206,15 +213,8 @@ class Trajectory:
     obs: np.ndarray
     actions: np.ndarray
     log_probs: np.ndarray
-    rewards: np.ndarray
-    values: np.ndarray
-    terminated: np.ndarray
-    truncated: np.ndarray
     advantages: np.ndarray
     returns: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.actions)
 
 
 def loss_and_grads(params: PolicyParams, batch: dict, cfg: TrainerConfig):
@@ -271,17 +271,12 @@ def loss_and_grads(params: PolicyParams, batch: dict, cfg: TrainerConfig):
     return stats, policy_grads, value_grads
 
 
-def ppo_update(params: PolicyParams, batch: list[Trajectory], cfg: TrainerConfig, rng: np.random.Generator):
-    """Run the configured epochs of minibatch gradient descent and return the
-    updated parameters plus averaged loss statistics."""
-    if not batch:
-        raise ValueError("empty batch")
-    obs = np.concatenate([t.obs for t in batch])
-    actions = np.concatenate([t.actions for t in batch])
-    old_logp = np.concatenate([t.log_probs for t in batch])
-    adv = np.concatenate([t.advantages for t in batch])
-    rets = np.concatenate([t.returns for t in batch])
-    adv = (adv - adv.mean()) / max(adv.std(), 1e-8)
+def ppo_update(params: PolicyParams, traj: Trajectory, cfg: TrainerConfig, rng: np.random.Generator):
+    """Run the configured epochs of minibatch gradient descent over one
+    rollout and return the updated parameters plus averaged loss
+    statistics."""
+    obs, actions, old_logp, rets = traj.obs, traj.actions, traj.log_probs, traj.returns
+    adv = (traj.advantages - traj.advantages.mean()) / max(traj.advantages.std(), 1e-8)
 
     new = params.copy()
     n = len(actions)
@@ -444,10 +439,6 @@ class _Runner:
             obs=np.array(obs_l),
             actions=np.array(act_l),
             log_probs=np.array(logp_l),
-            rewards=np.array(rew_l),
-            values=np.array(val_l),
-            terminated=np.array(term_l),
-            truncated=np.array(trunc_l),
             advantages=adv,
             returns=rets,
         )
@@ -490,7 +481,7 @@ def train(env: LeakEnv, cfg: TrainerConfig) -> TrainingLog:
         if traj is None:
             break
         try:
-            params, stats = ppo_update(params, [traj], cfg, runner.rng)
+            params, stats = ppo_update(params, traj, cfg, runner.rng)
         except TrainingFault as exc:
             raise TrainingFault(f"iteration {iteration}: {exc}") from exc
         iteration += 1

@@ -28,7 +28,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigError
-from .isa import KIND_JMP, KIND_JNS, KIND_SBB, MEM_DST, MEM_NONE, MEM_SRC, Instruction, Program
+from .isa import KIND_JMP, KIND_JNS, KIND_SBB, MEM_DST, MEM_NONE, MEM_SRC, Program
 
 __all__ = [
     "SANDBOX_SIZE",
@@ -43,7 +43,6 @@ __all__ = [
     "Xorshift64Star",
     "mix64",
     "stream_seed",
-    "arch_step",
     "contract_trace",
     "generate_inputs",
     "input_from_seed",
@@ -91,7 +90,8 @@ class ContractMode(Enum):
 class ContractSpec:
     """Which observations the contract exposes. CT_SEQ sees the sequential
     path only; CT_COND also sees up to `spec_depth` instructions down the
-    not-taken direction of each conditional branch (no nesting)."""
+    not-taken direction of each conditional branch; branches on that
+    explored path are not explored in turn."""
 
     mode: ContractMode = ContractMode.CT_SEQ
     spec_depth: int = 8
@@ -105,6 +105,20 @@ class ContractSpec:
         if self.mode is ContractMode.CT_SEQ:
             return self.mode.value
         return f"{self.mode.value}:{self.spec_depth}"
+
+    @classmethod
+    def from_name(cls, name: str) -> "ContractSpec":
+        """Inverse of `name`: "ct-seq", "ct-cond" (default depth) or
+        "ct-cond:N" with N >= 1."""
+        mode, sep, depth = name.partition(":")
+        if mode == ContractMode.CT_SEQ.value and not sep:
+            return cls(ContractMode.CT_SEQ)
+        if mode == ContractMode.CT_COND.value:
+            if not sep:
+                return cls(ContractMode.CT_COND)
+            if depth.isascii() and depth.isdigit():
+                return cls(ContractMode.CT_COND, int(depth))
+        raise ConfigError(f"unknown contract {name!r}")
 
 
 @dataclass(frozen=True)
@@ -240,17 +254,6 @@ def step_instruction(state, instr, n, undo_log=None):
         undo_log.append((addr, bytes(mem[addr : addr + 8])))
     mem[addr : addr + 8] = res.to_bytes(8, "little")
     return ((OBS_LOAD, addr), (OBS_STORE, addr))
-
-
-def arch_step(state: ArchState, instr: Instruction, program_length: int):
-    """Pure single-step: returns (new state, observations, branch outcome).
-
-    The branch outcome is None for non-branches, else the taken bit.
-    """
-    new = state.copy()
-    obs = step_instruction(new, instr, program_length)
-    outcome = obs[0][2] if instr.is_branch else None
-    return new, obs, outcome
 
 
 def contract_trace(

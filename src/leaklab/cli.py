@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import traceback
+import types
+import typing
+from enum import Enum
 from pathlib import Path
 
-from .agent import TrainerConfig, train
-from .arch import ContractMode, ContractSpec, NON_TERMINATING, generate_inputs, load_input
+from .agent import train
+from .arch import ContractSpec, NON_TERMINATING, generate_inputs, load_input
 from .detect import ViolationReport, detect_violation
 from .env import EnvConfig, LeakEnv, RewardSpec
 from .errors import ConfigError, ParseError
@@ -41,26 +45,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _contract_from_json(value) -> ContractSpec:
-    if value is None:
-        return ContractSpec()
-    if isinstance(value, str):
-        if value == ContractMode.CT_SEQ.value:
-            return ContractSpec(ContractMode.CT_SEQ)
-        if value == ContractMode.CT_COND.value:
-            return ContractSpec(ContractMode.CT_COND)
-        raise ConfigError(f"unknown contract {value!r}")
-    if isinstance(value, dict):
-        mode = value.get("mode", ContractMode.CT_SEQ.value)
-        if mode == ContractMode.CT_COND.value:
-            return ContractSpec(ContractMode.CT_COND, int(value.get("spec_depth", 8)))
-        if mode == ContractMode.CT_SEQ.value:
-            return ContractSpec(ContractMode.CT_SEQ)
-        raise ConfigError(f"unknown contract mode {mode!r}")
-    raise ConfigError("contract must be a string or an object")
-
-
-def _actions_from_json(value) -> ActionSpaceConfig:
+def _actions_from_json(value, where: str) -> ActionSpaceConfig:
     if value is None or value == "default":
         return DEFAULT_ACTION_CONFIG
     if value == "fixture":
@@ -70,52 +55,90 @@ def _actions_from_json(value) -> ActionSpaceConfig:
     if isinstance(value, list):
         instrs = []
         for i, text in enumerate(value):
+            if not isinstance(text, str):
+                raise ConfigError(f"{where}[{i}] must be a string")
             try:
                 p = parse_program(text)
             except ParseError as exc:
-                raise ConfigError(f"actions[{i}]: {exc}") from None
+                raise ConfigError(f"{where}[{i}]: {exc}") from None
             if len(p) != 1:
-                raise ConfigError(f"actions[{i}] must be exactly one instruction")
+                raise ConfigError(f"{where}[{i}] must be exactly one instruction")
             instrs.append(p[0])
         return ActionSpaceConfig(explicit_actions=tuple(instrs))
-    raise ConfigError("actions must be 'default', 'fixture', 'scaling', or a list")
+    raise ConfigError(f"{where} must be 'default', 'fixture', 'scaling', or a list")
 
 
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
+def _typed(tp, value, where: str):
+    """`value` from JSON, checked against the annotated field type `tp`."""
+    if dataclasses.is_dataclass(tp):
+        return _build(tp, value, where)
+    origin = typing.get_origin(tp)
+    if origin is types.UnionType:  # only `X | None` occurs
+        if value is None:
+            return None
+        (tp,) = [t for t in typing.get_args(tp) if t is not type(None)]
+        return _typed(tp, value, where)
+    if origin is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        item = typing.get_args(tp)[0]
+        return tuple(_typed(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        names = [m.value for m in tp]
+        if value not in names:
+            raise ConfigError(f"{where} must be one of {names}")
+        return tp(value)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is int:
+        ok = number and isinstance(value, int)
+    elif tp is float:
+        ok = number and abs(value) <= sys.float_info.max  # finite, ints too
+    else:  # bool, str
+        ok = isinstance(value, tp)
+    if not ok:
+        raise ConfigError(f"{where} must be {'a finite number' if tp is float else tp.__name__}, got {value!r}")
+    return value
+
+
+def _build(cls, section, where: str):
+    """Construct the dataclass `cls` from the JSON object `section`.
+
+    Keys, types and defaults come from the fields of `cls`, except for the
+    keys `_JSON_KEYS` lists; an unknown key or a value of the wrong type
+    raises ConfigError, and an absent key keeps the field's default.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    keys = {f.name: (f.name, functools.partial(_typed, hints[f.name])) for f in dataclasses.fields(cls)}
+    for key, (name, parse) in _JSON_KEYS.get(cls, {}).items():
+        del keys[name]
+        keys[key] = (name, parse)
+    unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-def _env_from_json(section: dict) -> EnvConfig:
-    allowed = {
-        "max_len", "num_inputs", "input_seed", "contract", "window", "nesting",
-        "rewards", "actions", "step_budget", "boosts_per_input", "max_episode_steps",
-    }
-    _check_keys(section, allowed, "env")
-    reward = RewardSpec(**section.get("rewards", {})) if "rewards" in section else RewardSpec()
-    spec = SpecConfig(
-        window=int(section.get("window", 8)), nesting=int(section.get("nesting", 1))
-    )
     kwargs = {}
-    for key in ("max_len", "num_inputs", "input_seed", "step_budget", "boosts_per_input"):
-        if key in section:
-            kwargs[key] = int(section[key])
-    if "max_episode_steps" in section and section["max_episode_steps"] is not None:
-        kwargs["max_episode_steps"] = int(section["max_episode_steps"])
-    return EnvConfig(
-        contract=_contract_from_json(section.get("contract")),
-        spec_config=spec,
-        reward=reward,
-        action_config=_actions_from_json(section.get("actions")),
-        **kwargs,
-    )
+    for key, value in section.items():
+        name, parse = keys[key]
+        kwargs[name] = parse(value, f"{where}.{key}")
+    return cls(**kwargs)
 
 
-def _trainer_from_json(section: dict) -> TrainerConfig:
-    fields = {f.name for f in dataclasses.fields(TrainerConfig)}
-    _check_keys(section, fields, "trainer")
-    return TrainerConfig(**section)
+# Fields whose JSON key or form differs from the dataclass field, per class:
+# JSON key -> (field name, parser taking the value and its key path).
+_JSON_KEYS = {
+    EnvConfig: {
+        "contract": (
+            "contract",
+            lambda v, where: (
+                ContractSpec.from_name(v) if isinstance(v, str) else _build(ContractSpec, v, where)
+            ),
+        ),
+        "window": ("spec_config", lambda v, where: SpecConfig(_typed(int, v, where))),
+        "rewards": ("reward", functools.partial(_build, RewardSpec)),
+        "actions": ("action_config", _actions_from_json),
+    },
+}
 
 
 def load_experiment_config(path: str | None, seed: int | None, out: str | None) -> ExperimentConfig:
@@ -125,23 +148,13 @@ def load_experiment_config(path: str | None, seed: int | None, out: str | None) 
             data = json.loads(Path(path).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, over-long ints, too-deep JSON
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-    allowed = {
-        "env", "trainer", "seed", "program_sizes", "trials_per_size",
-        "fuzz_budget", "rl_step_budget", "out_dir",
-    }
-    _check_keys(data, allowed, "config")
-    cfg = ExperimentConfig(
-        env=_env_from_json(data.get("env", {})),
-        trainer=_trainer_from_json(data.get("trainer", {})),
-        seed=int(data.get("seed", 0)),
-        program_sizes=tuple(int(n) for n in data.get("program_sizes", (4, 8, 16, 32))),
-        trials_per_size=int(data.get("trials_per_size", 5)),
-        fuzz_budget=int(data.get("fuzz_budget", 20_000)),
-        rl_step_budget=int(data.get("rl_step_budget", 200_000)),
-        out_dir=str(data.get("out_dir", "out")),
-    )
+    if isinstance(data, dict):
+        # without an env section the CLI runs EnvConfig(), not
+        # ExperimentConfig's planted-fixture default
+        data = {"env": {}, **data}
+    cfg = _build(ExperimentConfig, data, "config")
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed, env=dataclasses.replace(cfg.env, input_seed=seed))
     if out is not None:

@@ -38,23 +38,12 @@ from .uarch import (
 
 __all__ = [
     "BOOST_ROUNDS",
-    "InputClass",
     "ViolationReport",
     "boost_input",
-    "contract_classes",
     "detect_violation",
-    "speculation_filter",
 ]
 
 BOOST_ROUNDS = 10
-
-
-@dataclass(frozen=True)
-class InputClass:
-    """Inputs sharing one (verified) contract trace."""
-
-    members: tuple[Input, ...]
-    ctrace: tuple
 
 
 @dataclass(frozen=True)
@@ -111,21 +100,14 @@ class ViolationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "ViolationReport":
-        from .arch import ContractMode
-
         d = json.loads(text)
-        name = d["contract"]
-        if name.startswith(ContractMode.CT_COND.value):
-            contract = ContractSpec(ContractMode.CT_COND, int(name.split(":")[1]))
-        else:
-            contract = ContractSpec(ContractMode.CT_SEQ)
         witness = tuple(
             Input(r0=i["r0"], r1=i["r1"], r2=i["r2"], mem=bytes.fromhex(i["mem_hex"]), seed=i["seed"])
             for i in d["inputs"]
         )
         return cls(
             program=parse_program(d["program"]),
-            contract=contract,
+            contract=ContractSpec.from_name(d["contract"]),
             spec_config=SpecConfig(window=d["window"]),
             witness=witness,  # type: ignore[arg-type]
             htraces=tuple(int(h, 16) for h in d["htraces"]),  # type: ignore[arg-type]
@@ -178,54 +160,14 @@ def boost_input(
 
 
 def _filter_tier(observations: list[InputObservation]) -> str:
+    """Classify measured observations as "none" (no misspeculation at all),
+    "misspec", or "observable" (some transient access changed the probe
+    vector relative to a speculation-free run)."""
     if all(o.br_misses == 0 and o.tran_uops == 0 for o in observations):
         return "none"
     if any(o.htrace != o.committed_htrace for o in observations):
         return "observable"
     return "misspec"
-
-
-def speculation_filter(
-    p: Program,
-    inputs: list[Input],
-    cfg: SpecConfig = SpecConfig(),
-    budget: int = DEFAULT_STEP_BUDGET,
-) -> str:
-    """Classify `p` as "none" (no misspeculation at all), "misspec", or
-    "observable" (some transient access changed the probe vector relative to
-    a speculation-free run). `p` must terminate on every input."""
-    results = []
-    for inp in inputs:
-        hw = hw_run(p, inp, cfg, budget, reset_state())
-        if hw is NON_TERMINATING:
-            raise ValueError("speculation_filter requires terminating programs")
-        results.append(
-            InputObservation(
-                htrace=hw.htrace,
-                ctrace=(),
-                br_misses=hw.counters.br_misses,
-                tran_uops=hw.counters.tran_uops,
-                committed_htrace=hw.committed_htrace,
-            )
-        )
-    return _filter_tier(results)
-
-
-def contract_classes(
-    p: Program,
-    inputs: list[Input],
-    contract: ContractSpec = ContractSpec(),
-    budget: int = DEFAULT_STEP_BUDGET,
-):
-    """Group inputs into contract-equivalence classes (first-occurrence
-    order), or REJECTED if any input is non-terminating."""
-    buckets: dict[tuple, list[Input]] = {}
-    for inp in inputs:
-        tr = contract_trace(p, inp, contract, budget)
-        if tr is NON_TERMINATING:
-            return REJECTED
-        buckets.setdefault(tr, []).append(inp)
-    return [InputClass(members=tuple(v), ctrace=k) for k, v in buckets.items()]
 
 
 def detect_violation(
@@ -253,11 +195,15 @@ def detect_violation(
     cfg, budget)` returns: boosting takes the base inputs' contract traces
     from it.
 
-    The default mode gates on observability: a program with no observable
-    transient cache footprint cannot produce in-class divergence (committed
-    accesses are fixed by the contract trace), so boosting is skipped and
-    None returned. `exhaustive=True` disables that gate and always runs the
-    full class construction; it exists as a test oracle.
+    The default mode gates on observability: when no base input shows an
+    observable transient cache footprint, boosting is skipped and None
+    returned. Committed accesses are fixed by the contract trace, so only
+    transient accesses can diverge within a class; but the gate reads the
+    base inputs only, and a boosted sibling can take a different transient
+    path (a transient load reads a cell boosting never copies, and a later
+    transient load uses that value as its address). The gate can therefore
+    miss a violation. `exhaustive=True` disables that gate and always runs
+    the full class construction; it exists as a test oracle.
     """
     if not inputs:
         raise ConfigError("detect_violation needs at least one input")

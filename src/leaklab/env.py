@@ -42,24 +42,19 @@ __all__ = [
 @dataclass(frozen=True)
 class RewardSpec:
     """Reward tiers. Ordering is validated: a leak pays more than observable
-    misspeculation, which pays more than plain misspeculation; unobservable
+    misspeculation, which pays a positive reward; unobservable
     misspeculation is mildly negative and no misspeculation most negative."""
 
     r_leak: float = 100.0
     r_observable: float = 10.0
-    r_misspec: float = 5.0
     r_unobservable: float = -5.0
     r_none: float = -10.0
     r_step: float = -0.1
     r_reject: float = -1.0
 
     def __post_init__(self):
-        ok = (
-            self.r_leak > self.r_observable > self.r_misspec > 0
-            and 0 > self.r_unobservable >= self.r_none
-        )
-        if not ok:
-            raise ConfigError("reward tiers must satisfy leak > observable > misspec > 0 > unobservable >= none")
+        if not self.r_leak > self.r_observable > 0 > self.r_unobservable >= self.r_none:
+            raise ConfigError("reward tiers must satisfy leak > observable > 0 > unobservable >= none")
 
 
 @dataclass(frozen=True)
@@ -86,6 +81,8 @@ class EnvConfig:
             raise ConfigError("step_budget must be >= 1")
         if self.boosts_per_input < 1:
             raise ConfigError("boosts_per_input must be >= 1")
+        if self.max_episode_steps is not None and self.max_episode_steps < 1:
+            raise ConfigError("max_episode_steps must be None or >= 1")
 
 
 # Sentinel for "no action taken yet" in Observation.last_action.

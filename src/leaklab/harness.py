@@ -195,6 +195,14 @@ class ExperimentConfig:
     rl_step_budget: int = 200_000  # env steps per trial before censoring
     out_dir: str = "out"
 
+    def __post_init__(self):
+        sizes = self.program_sizes
+        if not (isinstance(sizes, tuple) and sizes and all(type(n) is int and n >= 1 for n in sizes)):
+            raise ConfigError("program_sizes must be a non-empty tuple of ints >= 1")
+        for name in ("trials_per_size", "fuzz_budget", "rl_step_budget"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+
 
 def _trial_rng(seed: int, n: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(mix64(seed ^ mix64((n << 20) | (trial + 1))))

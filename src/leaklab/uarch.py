@@ -82,17 +82,14 @@ REJECTED = Rejected()
 @dataclass(frozen=True)
 class SpecConfig:
     """Speculation parameters: `window` is the number of instructions issued
-    past an unresolved branch (0 disables speculation); `nesting` is the
-    number of in-flight branches (only 1 is modeled)."""
+    past an unresolved branch (0 disables speculation). One branch is in
+    flight at a time."""
 
     window: int = 8
-    nesting: int = 1
 
     def __post_init__(self):
         if self.window < 0:
             raise ConfigError("speculation window must be >= 0")
-        if self.nesting != 1:
-            raise ConfigError("only nesting=1 is modeled")
 
 
 @dataclass
@@ -254,16 +251,6 @@ def hw_run(
             target = min(max(branch_idx + instr.disp, 0), n)
             actual_next = target if actual_taken else branch_idx + 1
             predicted_taken = 1 if pht[branch_idx % PHT_SIZE] >= 2 else 0
-            if window == 0:
-                idx = branch_idx % PHT_SIZE
-                if actual_taken:
-                    pht[idx] = min(pht[idx] + 1, 3)
-                else:
-                    pht[idx] = max(pht[idx] - 1, 0)
-                if predicted_taken != actual_taken:
-                    counters.br_misses += 1
-                state.pc = actual_next
-                continue
             frame = _Frame(
                 saved_regs=state.regs[:],
                 saved_flags=(state.sf, state.cf, state.zf),

@@ -147,15 +147,11 @@ def test_ppo_update_runs_and_reports():
         obs=rng.normal(size=(n, 4)),
         actions=rng.integers(0, 3, size=n),
         log_probs=-np.abs(rng.normal(size=n)) - 0.2,
-        rewards=rng.normal(size=n),
-        values=rng.normal(size=n),
-        terminated=np.zeros(n, dtype=bool),
-        truncated=np.zeros(n, dtype=bool),
         advantages=rng.normal(size=n),
         returns=rng.normal(size=n),
     )
     cfg = TrainerConfig(minibatch_size=8, epochs=2, learning_rate=1e-3)
-    new, stats = ppo_update(params, [traj], cfg, rng)
+    new, stats = ppo_update(params, traj, cfg, rng)
     assert set(stats) == {"loss", "policy_loss", "value_loss", "entropy"}
     assert not np.allclose(new.to_vector(), params.to_vector())
     # the input params are untouched

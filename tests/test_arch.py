@@ -13,7 +13,6 @@ from leaklab.arch import (
     ContractSpec,
     Input,
     Xorshift64Star,
-    arch_step,
     contract_trace,
     dump_input,
     generate_inputs,
@@ -38,26 +37,30 @@ def _state(r0=0, r1=0, r2=0, sf=1, cf=0, zf=0, pc=0) -> ArchState:
     return ArchState([r0, r1, r2, 0], sf, cf, zf, pc, bytearray(SANDBOX_SIZE))
 
 
+def _step(state: ArchState, instr: Instruction, n: int):
+    """step_instruction on a copy of `state`: (new state, observations)."""
+    new = state.copy()
+    return new, step_instruction(new, instr, n)
+
+
 def test_sbb_self_is_zero():
     s = _state(r0=12345, cf=0)
-    new, obs, outcome = arch_step(s, Instruction(Opcode.SBB, dst=R0, src=R0), 1)
+    new, obs = _step(s, Instruction(Opcode.SBB, dst=R0, src=R0), 1)
     assert new.regs[0] == 0
     assert (new.zf, new.sf, new.cf) == (1, 0, 0)
-    assert obs == ()
-    assert outcome is None
-    assert s.regs[0] == 12345  # arch_step is pure
+    assert obs == ()  # no PC observation: not a branch
 
 
 def test_sbb_self_with_borrow():
     s = _state(r0=7, cf=1)
-    new, _, _ = arch_step(s, Instruction(Opcode.SBB, dst=R0, src=R0), 1)
+    new, _ = _step(s, Instruction(Opcode.SBB, dst=R0, src=R0), 1)
     assert new.regs[0] == M64
     assert (new.sf, new.cf, new.zf) == (1, 1, 0)
 
 
 def test_load_address_wraps_and_aligns():
     s = _state(r1=4100)
-    new, obs, _ = arch_step(s, Instruction(Opcode.SBB, dst=R0, src=Mem(R1)), 1)
+    new, obs = _step(s, Instruction(Opcode.SBB, dst=R0, src=Mem(R1)), 1)
     # 4100 mod 4096 = 4, aligned down to 8 = 0
     assert obs == (("L", 0),)
 
@@ -65,7 +68,7 @@ def test_load_address_wraps_and_aligns():
 def test_memory_destination_is_read_modify_write():
     s = _state(r0=1, r1=16)
     s.mem[16:24] = (100).to_bytes(8, "little")
-    new, obs, _ = arch_step(s, Instruction(Opcode.SBB, dst=Mem(R1), src=R0), 1)
+    new, obs = _step(s, Instruction(Opcode.SBB, dst=Mem(R1), src=R0), 1)
     assert obs == (("L", 16), ("S", 16))
     assert int.from_bytes(new.mem[16:24], "little") == 99
     assert s.mem[16:24] == (100).to_bytes(8, "little")
@@ -73,40 +76,40 @@ def test_memory_destination_is_read_modify_write():
 
 def test_imul_flags():
     s = _state(r0=3, r1=5)
-    new, _, _ = arch_step(s, Instruction(Opcode.IMUL, dst=R0, src=R1), 1)
+    new, _ = _step(s, Instruction(Opcode.IMUL, dst=R0, src=R1), 1)
     assert new.regs[0] == 15
     assert (new.sf, new.cf, new.zf) == (0, 0, 0)
 
     # -1 * -1 = 1 fits; (2^62) * 4 overflows signed 64
     s = _state(r0=M64, r1=M64)
-    new, _, _ = arch_step(s, Instruction(Opcode.IMUL, dst=R0, src=R1), 1)
+    new, _ = _step(s, Instruction(Opcode.IMUL, dst=R0, src=R1), 1)
     assert new.regs[0] == 1 and new.cf == 0
 
     s = _state(r0=1 << 62, r1=4)
-    new, _, _ = arch_step(s, Instruction(Opcode.IMUL, dst=R0, src=R1), 1)
+    new, _ = _step(s, Instruction(Opcode.IMUL, dst=R0, src=R1), 1)
     assert new.cf == 1
 
 
 def test_jns_taken_iff_sf_clear():
     s = _state(sf=0)
-    new, obs, outcome = arch_step(s, Instruction(Opcode.JNS, disp=2), 5)
+    new, obs = _step(s, Instruction(Opcode.JNS, disp=2), 5)
     assert obs == (("P", 2, 1),)
-    assert outcome == 1
+    assert obs[0][2] == 1  # the taken bit
     assert new.pc == 2
 
     s = _state(sf=1)
-    new, obs, outcome = arch_step(s, Instruction(Opcode.JNS, disp=2), 5)
+    new, obs = _step(s, Instruction(Opcode.JNS, disp=2), 5)
     assert obs == (("P", 2, 0),)
-    assert outcome == 0
+    assert obs[0][2] == 0
     assert new.pc == 1
 
 
 def test_jmp_always_taken_and_clamped():
     s = _state(pc=0)
-    new, obs, outcome = arch_step(s, Instruction(Opcode.JMP, disp=-2), 3)
+    new, obs = _step(s, Instruction(Opcode.JMP, disp=-2), 3)
     assert obs == (("P", -2, 1),)  # observation keeps the raw target
     assert new.pc == 0  # execution clamps into [0, n]
-    assert outcome == 1
+    assert obs[0][2] == 1
 
 
 def test_empty_program_trace_is_empty():
@@ -186,6 +189,22 @@ def test_sandbox_totality():
             if obs[0] in ("L", "S"):
                 assert 0 <= obs[1] < SANDBOX_SIZE
                 assert obs[1] % 8 == 0
+
+
+@pytest.mark.parametrize(
+    "contract",
+    [CT_SEQ] + [ContractSpec(ContractMode.CT_COND, spec_depth=d) for d in range(1, 17)],
+    ids=lambda c: c.name,
+)
+def test_contract_name_round_trip(contract):
+    assert ContractSpec.from_name(contract.name) == contract
+
+
+def test_contract_from_name_defaults_and_errors():
+    assert ContractSpec.from_name("ct-cond") == ContractSpec(ContractMode.CT_COND)
+    for bad in ("ct-cond:x", "ct-cond:0", "ct-foo", "ct-seq:1", "ct-cond:", "ct-cond:-1"):
+        with pytest.raises(ConfigError):
+            ContractSpec.from_name(bad)
 
 
 def test_generate_inputs_deterministic():

@@ -1,11 +1,34 @@
+import copy
 import json
+import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaklab.arch import dump_input, generate_inputs
-from leaklab.cli import run_cli
-from leaklab.harness import FIXTURE_PROGRAM_TEXT
+from leaklab.cli import load_experiment_config, run_cli
+from leaklab.env import EnvConfig
+from leaklab.errors import ConfigError
+from leaklab.harness import FIXTURE_PROGRAM_TEXT, ExperimentConfig
+
+TINY_CONFIG = {
+    "env": {
+        "max_len": 6,
+        "num_inputs": 4,
+        "input_seed": 42,
+        "actions": "fixture",
+        "step_budget": 500,
+    },
+    "trainer": {"total_steps": 48, "horizon": 16, "minibatch_size": 8, "seed": 1},
+    "seed": 1,
+    "program_sizes": [3],
+    "trials_per_size": 2,
+    "fuzz_budget": 1500,
+    "rl_step_budget": 300,
+}
 
 
 @pytest.fixture()
@@ -17,23 +40,8 @@ def fixture_asm(tmp_path):
 
 @pytest.fixture()
 def tiny_config(tmp_path):
-    cfg = {
-        "env": {
-            "max_len": 6,
-            "num_inputs": 4,
-            "input_seed": 42,
-            "actions": "fixture",
-            "step_budget": 500,
-        },
-        "trainer": {"total_steps": 48, "horizon": 16, "minibatch_size": 8, "seed": 1},
-        "seed": 1,
-        "program_sizes": [3],
-        "trials_per_size": 2,
-        "fuzz_budget": 1500,
-        "rl_step_budget": 300,
-    }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(TINY_CONFIG))
     return str(path)
 
 
@@ -115,6 +123,131 @@ def test_nonpositive_budget_rejected_before_run(key, tiny_config, tmp_path, caps
     path.write_text(json.dumps(cfg))
     assert run_cli(["fuzz", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert key in capsys.readouterr().err
+
+
+def _no_campaign(*args, **kwargs):
+    raise AssertionError("a campaign started on an invalid config")
+
+
+# (keys into TINY_CONFIG, value, text stderr must contain); no keys replaces
+# the whole document
+MALFORMED = [
+    (("trainer", "minibatch_size"), 0, "minibatch_size"),
+    (("trainer", "epochs"), -1, "epochs"),
+    (("trainer", "gamma"), 2, "gamma"),
+    (("trainer", "learning_rate"), "a", "learning_rate"),
+    (("env", "max_len"), "x", "max_len"),
+    (("env", "rewards"), {"r_bogus": 1.0}, "r_bogus"),
+    (("env", "contract"), {"mode": "ct-cond", "spec_depth": "x"}, "spec_depth"),
+    (("program_sizes",), 5, "program_sizes"),
+    ((), [], "config"),
+    (("trainer", "horizon"), 0, "horizon"),
+    (("trainer", "total_steps"), -1, "total_steps"),
+    (("trainer", "seed"), -1, "seed"),
+    (("trainer", "clip_eps"), float("nan"), "clip_eps"),
+    (("trainer", "stop_on_first_leak"), 1, "stop_on_first_leak"),
+    (("env", "max_episode_steps"), 0, "max_episode_steps"),
+    (("env", "window"), 1.5, "window"),
+    (("env", "contract"), "ct-cond:0", "spec_depth"),
+    (("program_sizes",), [], "program_sizes"),
+    (("program_sizes",), [3, 0], "program_sizes"),
+    (("trials_per_size",), 0, "trials_per_size"),
+    (("fuzz_budget",), 0, "fuzz_budget"),
+    (("rl_step_budget",), 0, "rl_step_budget"),
+]
+
+
+@pytest.mark.parametrize("keys,value,named", MALFORMED, ids=lambda x: str(x))
+def test_malformed_config_exits_1(keys, value, named, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("leaklab.cli.train", _no_campaign)
+    if keys:
+        doc = copy.deepcopy(TINY_CONFIG)
+        section = doc
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+    else:
+        doc = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_config_without_env_gives_default_env(tmp_path):
+    assert load_experiment_config(None, None, None).env == EnvConfig()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({k: v for k, v in TINY_CONFIG.items() if k != "env"}))
+    assert load_experiment_config(str(path), None, None).env == EnvConfig()
+
+
+def test_readme_config_block_gives_the_defaults(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.json"
+    path.write_text(re.sub(r"//.*", "", block))
+    assert load_experiment_config(str(path), None, None) == ExperimentConfig(env=EnvConfig())
+
+
+# Keys the loader knows, per section, so random edits reach past the
+# unknown-key check.
+_SECTION_KEYS = {
+    (): sorted(TINY_CONFIG) + ["out_dir"],
+    ("env",): sorted(TINY_CONFIG["env"]) + ["contract", "window", "rewards", "boosts_per_input",
+                                            "max_episode_steps"],
+    ("trainer",): sorted(TINY_CONFIG["trainer"]) + ["gamma", "gae_lambda", "clip_eps", "learning_rate",
+                                                    "epochs", "stop_on_first_leak"],
+}
+_KEYS = sorted({k for keys in _SECTION_KEYS.values() for k in keys}
+               | {"mode", "spec_depth", "r_leak", "r_observable", "r_unobservable", "r_none"})
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["ct-seq", "ct-cond", "ct-cond:3", "fixture", "scaling", "SBB R0, R0"])
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=6), kids, max_size=5),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _mutated_tiny_config(draw):
+    doc = copy.deepcopy(TINY_CONFIG)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(sorted(_SECTION_KEYS)))
+        section = doc
+        for key in path:
+            section = section.get(key) if isinstance(section, dict) else None
+        if not isinstance(section, dict):
+            continue
+        key = draw(st.sampled_from(_SECTION_KEYS[path]) | st.text(max_size=6))
+        if draw(st.booleans()):
+            section.pop(key, None)
+        else:
+            section[key] = draw(_JSON)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs") / "config.json"
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=_JSON | _mutated_tiny_config())
+def test_loader_returns_config_or_config_error(doc, config_file):
+    # Random JSON never ends in an internal fault, and loading runs nothing.
+    config_file.write_text(json.dumps(doc))
+    with mock.patch.multiple(
+        "leaklab.cli", train=_no_campaign, fuzz_campaign=_no_campaign, scaling_study=_no_campaign
+    ):
+        try:
+            cfg = load_experiment_config(str(config_file), None, None)
+        except ConfigError:
+            return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 def test_train_writes_outputs(tiny_config, tmp_path, capsys):

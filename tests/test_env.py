@@ -207,6 +207,10 @@ def test_reward_spec_ordering_enforced():
         RewardSpec(r_leak=1.0, r_observable=5.0)
     with pytest.raises(ConfigError):
         RewardSpec(r_unobservable=-20.0, r_none=-10.0)
+    with pytest.raises(ConfigError):
+        RewardSpec(r_observable=0.0)
+    with pytest.raises(ConfigError):
+        RewardSpec(r_unobservable=0.0)
 
 
 def test_env_config_validation():
@@ -218,6 +222,8 @@ def test_env_config_validation():
         EnvConfig(step_budget=0)
     with pytest.raises(ConfigError):
         EnvConfig(boosts_per_input=0)
+    with pytest.raises(ConfigError):
+        EnvConfig(max_episode_steps=0)
 
 
 def test_out_of_range_action(env):
