@@ -10,8 +10,11 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import ctypes
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -463,9 +466,49 @@ class _Runner:
         self.log.total_steps = self.steps
 
 
+@cache
+def _openblas():
+    """numpy's bundled OpenBLAS with its thread-count calls declared, or None
+    when numpy ships without it (another BLAS, or a different build)."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore the previous
+    count. PPO's matrices are small: threading them costs more in handoff
+    than it gains, and far more when another process holds a core."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(previous)
+
+
 def train(env: LeakEnv, cfg: TrainerConfig) -> TrainingLog:
     """Alternate rollout collection and PPO updates until the step budget is
-    spent. Fully reproducible from cfg.seed."""
+    spent. Fully reproducible from cfg.seed. OpenBLAS runs on one thread
+    for the duration."""
+    with _one_blas_thread():
+        return _train(env, cfg)
+
+
+def _train(env: LeakEnv, cfg: TrainerConfig) -> TrainingLog:
     runner = _Runner(env, cfg, method="ppo")
     params = init_params(len(runner.obs_vec), env.action_space.size, runner.rng)
 

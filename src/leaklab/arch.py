@@ -263,7 +263,20 @@ def contract_trace(
     step_budget: int = DEFAULT_STEP_BUDGET,
 ):
     """Contract trace of `p` on `inp`, or NON_TERMINATING if the budget runs
-    out before the program falls off the end."""
+    out before the program falls off the end.
+
+    A run that provably repeats returns NON_TERMINATING before the budget is
+    spent. The run is a deterministic function of the full architectural
+    state (pc, registers, flags, memory); CT_COND exploration restores that
+    state. So once the state at some step equals the state at an earlier
+    step, the run cycles between them forever and never halts, and running
+    on would exhaust any budget. Only a non-forward move (a taken branch
+    whose clamped target is at or before it) can revisit a pc, so states are
+    compared there alone, against one snapshot retaken after 1, 2, 4, ...
+    such moves (Brent's cycle detection): memory stays O(1), a forward step
+    costs one integer comparison, and a cycle is found within a small
+    multiple of its length plus the steps before it.
+    """
     if step_budget < 1:
         raise ConfigError("step_budget must be >= 1")
     instrs = p.instrs
@@ -272,6 +285,9 @@ def contract_trace(
     trace: list = []
     explore = contract.mode is ContractMode.CT_COND
     steps = 0
+    snapshot = None
+    moves = 0  # non-forward moves since the snapshot
+    period = 1  # the snapshot is retaken after this many; doubles each time
     while state.pc < n:
         if steps >= step_budget:
             return NON_TERMINATING
@@ -284,6 +300,14 @@ def contract_trace(
             other = branch_pc + 1 if taken else min(max(branch_pc + instr.disp, 0), n)
             _explore_other_path(instrs, state, other, contract.spec_depth, n, trace)
         steps += 1
+        if state.pc <= branch_pc:
+            if snapshot == (state.pc, state.regs, state.sf, state.cf, state.zf, state.mem):
+                return NON_TERMINATING
+            moves += 1
+            if moves == period:
+                snapshot = (state.pc, state.regs[:], state.sf, state.cf, state.zf, bytes(state.mem))
+                moves = 0
+                period *= 2
     return tuple(trace)
 
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: train, fuzz, scaling, detect <program.asm>, simulate
-<program.asm>. Exit codes: 0 success, 1 usage or config error, 2 leak found
-(detect), 3 internal fault.
+<program.asm>. Exit codes: 0 success, 1 usage or config error (diverged
+training included), 2 leak found (detect), 3 internal fault.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .agent import train
 from .arch import ContractSpec, NON_TERMINATING, generate_inputs, load_input
 from .detect import ViolationReport, detect_violation
 from .env import EnvConfig, LeakEnv, RewardSpec
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, TrainingFault
 from .harness import (
     ExperimentConfig,
     fixture_action_config,
@@ -313,6 +313,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except TrainingFault as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:  # internal fault: anything unexpected
         traceback.print_exc()

@@ -125,11 +125,20 @@ def boost_input(
 ) -> Input | None:
     """Derive a contract-equivalent sibling of `base` for `p`.
 
-    The sibling keeps the base's registers and gets fresh random memory; each
-    round copies the base's bytes at every address the sibling's own trace
-    loads, until the sibling's contract trace equals the base's (verified by
-    re-simulation). Returns None if that fixpoint is not reached within
-    BOOST_ROUNDS rounds.
+    The sibling keeps the base's registers and gets fresh random memory. Each
+    round first returns the sibling if its memory equals the base's at every
+    address `base_trace` loads; otherwise it simulates the sibling and copies
+    the base's bytes at every address the sibling's own trace loads. Returns
+    None if no round starts with that agreement within BOOST_ROUNDS rounds.
+
+    The agreement proves the sibling's contract trace equals the base's
+    without simulating it. Both runs start from the same registers, and
+    every memory read (CT_COND's explored paths included) emits a load
+    observation. By induction over steps, the runs read equal values at
+    equal addresses, since stores write equal values to equal addresses
+    and every other address read holds its initial value, on which the two
+    agree. So the runs take the same path, emit the same trace and
+    terminate alike.
 
     `base_trace`, when given, must be `contract_trace(p, base, contract,
     budget)`; it saves recomputing that trace.
@@ -138,24 +147,19 @@ def boost_input(
         base_trace = contract_trace(p, base, contract, budget)
     if base_trace is NON_TERMINATING:
         raise ValueError("boost_input requires a terminating base input")
+    cells = {obs[1]: base.mem[obs[1] : obs[1] + 8] for obs in base_trace if obs[0] == "L"}
     mem = bytearray(rng.next_bytes(SANDBOX_SIZE))
-    sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
     for _ in range(BOOST_ROUNDS):
+        sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
+        if all(mem[addr : addr + 8] == cell for addr, cell in cells.items()):
+            return sibling
         tr = contract_trace(p, sibling, contract, budget)
         # A non-terminating sibling yields no trace to guide the copy; pull
         # it toward the base's path using the base's own load set instead.
-        guide = base_trace if tr is NON_TERMINATING else tr
-        changed = False
-        for obs in guide:
+        for obs in base_trace if tr is NON_TERMINATING else tr:
             if obs[0] == "L":
                 addr = obs[1]
-                cell = base.mem[addr : addr + 8]
-                if mem[addr : addr + 8] != cell:
-                    mem[addr : addr + 8] = cell
-                    changed = True
-        if not changed and tr == base_trace:
-            return sibling
-        sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
+                mem[addr : addr + 8] = base.mem[addr : addr + 8]
     return None
 
 

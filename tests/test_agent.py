@@ -177,6 +177,35 @@ def test_train_reproducible():
     ]
 
 
+def test_train_runs_blas_on_one_thread(monkeypatch):
+    from leaklab import agent
+
+    lib = agent._openblas()
+    if lib is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    before = lib.scipy_openblas_get_num_threads64_()
+    seen = []
+    update = agent.ppo_update
+
+    def recording(*args):
+        seen.append(lib.scipy_openblas_get_num_threads64_())
+        return update(*args)
+
+    monkeypatch.setattr(agent, "ppo_update", recording)
+    train(_tiny_env(), TrainerConfig(total_steps=32, horizon=16, seed=7, minibatch_size=8))
+    assert seen and set(seen) == {1}
+    assert lib.scipy_openblas_get_num_threads64_() == before
+
+
+def test_train_without_openblas_is_unchanged(monkeypatch):
+    from leaklab import agent
+
+    cfg = TrainerConfig(total_steps=48, horizon=16, seed=7, minibatch_size=8)
+    pinned = train(_tiny_env(), cfg)
+    monkeypatch.setattr(agent, "_openblas", lambda: None)
+    assert train(_tiny_env(), cfg).to_jsonl() == pinned.to_jsonl()
+
+
 def test_train_leak_counts_monotone():
     cfg = TrainerConfig(total_steps=64, horizon=16, seed=3, minibatch_size=8)
     log = train(_tiny_env(), cfg)

@@ -23,7 +23,8 @@ from leaklab.arch import (
     stream_seed,
 )
 from leaklab.errors import ConfigError
-from leaklab.isa import Instruction, Mem, Opcode, Program, Register, parse_program
+from leaklab.harness import scaling_action_config
+from leaklab.isa import Instruction, Mem, Opcode, Program, Register, build_action_space, parse_program
 
 from conftest import make_input
 
@@ -152,6 +153,80 @@ def test_budget_soundness():
     big = contract_trace(p, inp, CT_SEQ, step_budget=50_000)
     if small is not NON_TERMINATING:
         assert small == big
+
+
+def _reference_trace(p: Program, inp: Input, contract: ContractSpec, budget: int):
+    """contract_trace with no loop detection: every run goes to the budget.
+    CT_COND's other direction runs on a discarded copy of the state."""
+    instrs = p.instrs
+    n = len(instrs)
+    state = ArchState.from_input(inp)
+    trace: list = []
+    steps = 0
+    while state.pc < n:
+        if steps >= budget:
+            return NON_TERMINATING
+        branch_pc = state.pc
+        instr = instrs[branch_pc]
+        obs = step_instruction(state, instr, n)
+        trace.extend(obs)
+        if contract.mode is ContractMode.CT_COND and instr.opcode is Opcode.JNS:
+            shadow = state.copy()
+            shadow.pc = branch_pc + 1 if obs[0][2] else min(max(branch_pc + instr.disp, 0), n)
+            for _ in range(contract.spec_depth):
+                if shadow.pc >= n:
+                    break
+                trace.extend(step_instruction(shadow, instrs[shadow.pc], n))
+        steps += 1
+    return tuple(trace)
+
+
+def test_store_between_repeats_is_not_a_loop():
+    # At each JNS the registers and flags repeat, but the store has changed
+    # memory, so the run is not periodic: it leaves the loop on the fourth
+    # pass. Comparing registers alone would report NON_TERMINATING.
+    p = parse_program("SBB [BASE+R2], R0\nJNS -2\nSBB R0, [BASE+R2]")
+    inp = input_from_seed(263010161)
+    trace = contract_trace(p, inp, CT_SEQ)
+    assert trace is not NON_TERMINATING
+    assert len(trace) == 13
+    assert trace == _reference_trace(p, inp, CT_SEQ, 300)
+
+
+SCALING_MENU = build_action_space(scaling_action_config())
+CONTRACTS = [CT_SEQ] + [ContractSpec(ContractMode.CT_COND, spec_depth=d) for d in range(1, 9)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    menu=st.sampled_from([build_action_space(), SCALING_MENU]),
+    picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=16),
+    contract=st.sampled_from(CONTRACTS),
+    budget=st.sampled_from([1, 7, 300, 10_000]),
+    seed=st.integers(0, M64),
+)
+def test_loop_exit_matches_reference(menu, picks, contract, budget, seed):
+    p = Program(tuple(menu[i % menu.size] for i in picks))
+    inp = input_from_seed(seed)
+    assert contract_trace(p, inp, contract, budget) == _reference_trace(p, inp, contract, budget)
+
+
+@pytest.mark.parametrize("text", ["SBB R2, R2\nJMP -1", "JMP -2"])
+def test_periodic_run_exits_early(text, monkeypatch):
+    # "JMP -2" at pc 0 clamps to pc 0: a loop with no backward move
+    from leaklab import arch
+
+    calls = 0
+    step = arch.step_instruction
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(arch, "step_instruction", counting)
+    assert contract_trace(parse_program(text), input_from_seed(1), CT_SEQ, 10**6) is NON_TERMINATING
+    assert calls <= 30
 
 
 def test_prefix_monotonicity_loop_free():

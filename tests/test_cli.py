@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +110,20 @@ def test_bad_config_exits_1(tmp_path, capsys):
     bad.write_text("not json")
     assert run_cli(["train", "--config", str(bad)]) == 1
     capsys.readouterr()
+
+
+def test_diverged_training_exits_1(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "trainer": {"learning_rate": 1e300, "total_steps": 8, "horizon": 4, "minibatch_size": 2},
+        "env": {"max_len": 3, "num_inputs": 2},
+    }))
+    with np.errstate(all="ignore"):
+        code = run_cli(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("key", ["boosts_per_input", "step_budget"])

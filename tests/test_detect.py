@@ -3,27 +3,40 @@ import random
 import pytest
 
 from leaklab.arch import (
+    SANDBOX_SIZE,
     ContractMode,
     ContractSpec,
+    Input,
     NON_TERMINATING,
     Xorshift64Star,
     contract_trace,
     generate_inputs,
     input_from_seed,
+    stream_seed,
 )
 from leaklab.detect import (
+    BOOST_ROUNDS,
     ViolationReport,
     _filter_tier,
     boost_input,
     detect_violation,
 )
-from leaklab.isa import Program, build_action_space, parse_program, render_program
+from leaklab.isa import (
+    ActionSpaceConfig,
+    Opcode,
+    Program,
+    build_action_space,
+    parse_program,
+    render_program,
+)
 from leaklab.uarch import REJECTED, SpecConfig, observe
 
 from conftest import make_input
 
 CT_SEQ = ContractSpec(ContractMode.CT_SEQ)
 PLANTED = parse_program("SBB R0, R0\nJNS +2\nSBB R1, [BASE+R2]")
+# loads only: random programs chain load values into load addresses
+CHAINED_LOADS = build_action_space(ActionSpaceConfig(alu_templates=((Opcode.SBB, "rm"),), branch_opcodes=()))
 
 
 def test_boost_empty_program():
@@ -90,6 +103,73 @@ def test_boost_with_base_trace_matches_rederived(contract):
         rederived = boost_input(p, base, contract, Xorshift64Star(k), 300)
         given = boost_input(p, base, contract, Xorshift64Star(k), 300, base_trace=trace)
         assert given == rederived
+
+
+def _boost_by_simulation(p, base, contract, rng, budget, base_trace):
+    """boost_input's fixpoint loop checked by re-simulation alone: a round
+    returns the sibling once its own trace equals the base's and copying
+    changes nothing."""
+    mem = bytearray(rng.next_bytes(SANDBOX_SIZE))
+    sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
+    for _ in range(BOOST_ROUNDS):
+        tr = contract_trace(p, sibling, contract, budget)
+        guide = base_trace if tr is NON_TERMINATING else tr
+        changed = False
+        for obs in guide:
+            if obs[0] == "L":
+                addr = obs[1]
+                cell = base.mem[addr : addr + 8]
+                if mem[addr : addr + 8] != cell:
+                    mem[addr : addr + 8] = cell
+                    changed = True
+        if not changed and tr == base_trace:
+            return sibling
+        sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
+    return None
+
+
+@pytest.mark.parametrize(
+    "contract", [CT_SEQ, ContractSpec(ContractMode.CT_COND, spec_depth=8)], ids=lambda c: c.name
+)
+@pytest.mark.parametrize("space", [build_action_space(), CHAINED_LOADS], ids=["default", "chained"])
+def test_boost_matches_simulated_fixpoint(contract, space):
+    rng = random.Random(23)
+    won = 0
+    for k, (p, base, trace) in enumerate(_terminating_programs(rng, space, contract, 150, max_len=24)):
+        seed = stream_seed(k, 1)
+        fast = boost_input(p, base, contract, Xorshift64Star(seed), 300, trace)
+        slow = _boost_by_simulation(p, base, contract, Xorshift64Star(seed), 300, trace)
+        assert (fast is None) == (slow is None)
+        if fast is not None:
+            won += 1
+            assert (fast.mem, fast.seed) == (slow.mem, slow.seed)
+            assert contract_trace(p, fast, contract, 300) == trace
+    assert won > 0
+    if space is CHAINED_LOADS:
+        assert won < 150  # some chains outlast BOOST_ROUNDS
+
+
+@pytest.mark.parametrize("length, wins", [(9, True), (10, False)])
+def test_boost_round_limit(length, wins):
+    # each copy moves the next load, so k chained loads first agree after
+    # copy k: round 10 starts agreeing at k = 9, and k = 10 is out of rounds
+    p = parse_program("\n".join(["SBB R0, [BASE+R0]"] * length))
+    base = generate_inputs(3, 2)[0]
+    sibling = boost_input(p, base, CT_SEQ, Xorshift64Star(stream_seed(5, 1)))
+    assert (sibling is not None) == wins
+
+
+def test_boost_without_loads_simulates_nothing(monkeypatch):
+    from leaklab import detect
+
+    p = parse_program("SBB R0, R1\nJNS -1\nIMUL R1, R0\nJMP +2")
+    base = make_input(r0=1, r1=2, r2=3)
+    base_trace = contract_trace(p, base, CT_SEQ)
+    assert all(obs[0] != "L" for obs in base_trace)
+    calls = []
+    monkeypatch.setattr(detect, "contract_trace", lambda *args: calls.append(args))
+    assert boost_input(p, base, CT_SEQ, Xorshift64Star(4), base_trace=base_trace) is not None
+    assert calls == []
 
 
 def test_detect_empty_program(inputs20):
