@@ -7,7 +7,7 @@ relational detector produce (and re-validate) a violation report.
 
 from leaklab import ContractMode, ContractSpec, SpecConfig, detect_violation, generate_inputs
 from leaklab.harness import planted_fixture
-from leaklab.uarch import htrace_hex, hw_run, reset_state
+from leaklab.uarch import htrace_hex, hw_run
 
 program, env_cfg = planted_fixture()
 print("planted program:")
@@ -22,7 +22,7 @@ inputs = generate_inputs(env_cfg.input_seed, env_cfg.num_inputs)
 # the cache keeps the footprint.
 print("\nper-input hardware runs (first 5 inputs):")
 for i, inp in enumerate(inputs[:5]):
-    r = hw_run(program, inp, SpecConfig(), micro=reset_state())
+    r = hw_run(program, inp, SpecConfig())
     c = r.counters
     print(
         f"  input {i}: probe={htrace_hex(r.htrace)} committed={htrace_hex(r.committed_htrace)}"

@@ -40,12 +40,10 @@ from .isa import (
 from .uarch import (
     REJECTED,
     HwResult,
-    MicroArchState,
     PerfCounters,
     SpecConfig,
     hw_run,
     observe,
-    reset_state,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import ctypes
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from pathlib import Path
 
@@ -331,19 +331,6 @@ class IterationRecord:
     value_loss: float | None = None
     entropy: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "steps": self.steps,
-            "episodes": self.episodes,
-            "mean_episode_reward": self.mean_episode_reward,
-            "leaks_found": self.leaks_found,
-            "first_leak_step": self.first_leak_step,
-            "policy_loss": self.policy_loss,
-            "value_loss": self.value_loss,
-            "entropy": self.entropy,
-        }
-
 
 @dataclass
 class TrainingLog:
@@ -357,7 +344,7 @@ class TrainingLog:
         return self.leaks[0].step if self.leaks else None
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r.to_dict()) + "\n" for r in self.iterations)
+        return "".join(json.dumps(asdict(r)) + "\n" for r in self.iterations)
 
     def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
@@ -503,8 +490,9 @@ def _one_blas_thread():
 def train(env: LeakEnv, cfg: TrainerConfig) -> TrainingLog:
     """Alternate rollout collection and PPO updates until the step budget is
     spent. Fully reproducible from cfg.seed. OpenBLAS runs on one thread
-    for the duration."""
-    with _one_blas_thread():
+    for the duration. numpy's overflow and invalid-value warnings are off:
+    the non-finite checks on logits and loss raise TrainingFault instead."""
+    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         return _train(env, cfg)
 
 

@@ -61,18 +61,9 @@ OBS_LOAD = "L"
 OBS_STORE = "S"
 OBS_PC = "P"
 
-CTrace = tuple  # tuple of observation tuples
-
 
 class NonTerminating:
     """Distinguished result: the step budget ran out before the program halted."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "NonTerminating"

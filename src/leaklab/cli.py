@@ -32,7 +32,7 @@ from .harness import (
     scaling_study,
 )
 from .isa import ActionSpaceConfig, DEFAULT_ACTION_CONFIG, parse_program
-from .uarch import SpecConfig, htrace_hex, hw_run, reset_state
+from .uarch import SpecConfig, htrace_hex, hw_run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,7 +64,7 @@ def _actions_from_json(value, where: str) -> ActionSpaceConfig:
             if len(p) != 1:
                 raise ConfigError(f"{where}[{i}] must be exactly one instruction")
             instrs.append(p[0])
-        return ActionSpaceConfig(explicit_actions=tuple(instrs))
+        return ActionSpaceConfig(tuple(instrs))
     raise ConfigError(f"{where} must be 'default', 'fixture', 'scaling', or a list")
 
 
@@ -150,10 +150,6 @@ def load_experiment_config(path: str | None, seed: int | None, out: str | None) 
             raise ConfigError(f"cannot read config: {exc}") from None
         except (ValueError, RecursionError) as exc:  # also bad UTF-8, over-long ints, too-deep JSON
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if isinstance(data, dict):
-        # without an env section the CLI runs EnvConfig(), not
-        # ExperimentConfig's planted-fixture default
-        data = {"env": {}, **data}
     cfg = _build(ExperimentConfig, data, "config")
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed, env=dataclasses.replace(cfg.env, input_seed=seed))
@@ -272,7 +268,7 @@ def _cmd_simulate(cfg: ExperimentConfig, program_path: str, input_files: list[st
     else:
         inputs = generate_inputs(env_cfg.input_seed, env_cfg.num_inputs)
     for i, inp in enumerate(inputs):
-        hw = hw_run(program, inp, env_cfg.spec_config, env_cfg.step_budget, reset_state())
+        hw = hw_run(program, inp, env_cfg.spec_config, env_cfg.step_budget)
         if hw is NON_TERMINATING:
             print(json.dumps({"input": i, "seed": inp.seed, "non_terminating": True}))
             continue

@@ -33,7 +33,6 @@ from .uarch import (
     htrace_hex,
     hw_run,
     observe,
-    reset_state,
 )
 
 __all__ = [
@@ -65,8 +64,8 @@ class ViolationReport:
         ct_b = contract_trace(self.program, b, self.contract, budget)
         if ct_a is NON_TERMINATING or ct_b is NON_TERMINATING or ct_a != ct_b:
             return False
-        hw_a = hw_run(self.program, a, self.spec_config, budget, reset_state())
-        hw_b = hw_run(self.program, b, self.spec_config, budget, reset_state())
+        hw_a = hw_run(self.program, a, self.spec_config, budget)
+        hw_b = hw_run(self.program, b, self.spec_config, budget)
         if hw_a is NON_TERMINATING or hw_b is NON_TERMINATING:
             return False
         if (hw_a.htrace, hw_b.htrace) != self.htraces:
@@ -254,7 +253,7 @@ def detect_violation(
             sibling = boost_input(p, base, contract, rng, budget, base_obs.ctrace)
             if sibling is None:
                 continue
-            hw = hw_run(p, sibling, cfg, budget, reset_state())
+            hw = hw_run(p, sibling, cfg, budget)
             if hw is NON_TERMINATING:
                 continue  # cannot happen for a verified sibling, but stay safe
             entry = ((i, j), sibling, hw.htrace)

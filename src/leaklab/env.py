@@ -201,13 +201,7 @@ class LeakEnv:
             reward=reward,
             terminated=terminated,
             truncated=truncated,
-            info={
-                "rejected": False,
-                "violation": report,
-                "filter": tier,
-                "program": self.program,
-                "obs_history": tuple(self.history),
-            },
+            info={"rejected": False, "violation": report, "filter": tier},
         )
 
     def _out_of_steps(self) -> bool:

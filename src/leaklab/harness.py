@@ -9,12 +9,12 @@ experiment is byte-reproducible from its config and seed.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .agent import TrainerConfig, TrainingLog, train
-from .arch import mix64
+from .arch import generate_inputs, mix64
 from .detect import ViolationReport, detect_violation
 from .env import EnvConfig, LeakEnv
 from .errors import ConfigError
@@ -26,6 +26,7 @@ from .isa import (
     Opcode,
     Program,
     Register,
+    build_action_space,
     parse_program,
 )
 
@@ -37,7 +38,6 @@ __all__ = [
     "fixture_trainer_config",
     "random_program",
     "expected_fuzz_count",
-    "TrialResult",
     "FuzzStats",
     "ScalingRow",
     "ExperimentConfig",
@@ -72,7 +72,7 @@ def fixture_action_config() -> ActionSpaceConfig:
     JMP +2 scrambles patterns, and JNS -2 builds loops whose non-terminating
     variants exercise the rejection guard."""
     return ActionSpaceConfig(
-        explicit_actions=(
+        (
             Instruction(Opcode.SBB, dst=R0, src=R0),
             Instruction(Opcode.JNS, disp=2),
             Instruction(Opcode.SBB, dst=R1, src=Mem(R2)),
@@ -86,10 +86,7 @@ def fixture_action_config() -> ActionSpaceConfig:
 def scaling_action_config() -> ActionSpaceConfig:
     """Fixture menu plus backward jumps; at larger sizes random programs
     increasingly loop and burn fuzzing budget on rejected candidates."""
-    base = fixture_action_config().explicit_actions
-    return ActionSpaceConfig(
-        explicit_actions=base + (Instruction(Opcode.JMP, disp=-2),)
-    )
+    return ActionSpaceConfig(fixture_action_config().actions + (Instruction(Opcode.JMP, disp=-2),))
 
 
 def planted_fixture() -> tuple[Program, EnvConfig]:
@@ -139,7 +136,10 @@ def expected_fuzz_count(a: int, n: int, l: int) -> float:
 
 
 @dataclass(frozen=True)
-class TrialResult:
+class ScalingRow:
+    method: str
+    n: int
+    trial: int
     programs_tested: int
     wall_steps: int
     censored: bool
@@ -148,7 +148,7 @@ class TrialResult:
 @dataclass
 class FuzzStats:
     program_size: int
-    trials: list[TrialResult]
+    trials: list[ScalingRow]
     action_space_size: int
     reference_leak_len: int
 
@@ -172,21 +172,11 @@ class FuzzStats:
 
 
 @dataclass(frozen=True)
-class ScalingRow:
-    method: str
-    n: int
-    trial: int
-    programs_tested: int
-    wall_steps: int
-    censored: bool
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a campaign needs, spelled out so output records carry no
     hidden defaults."""
 
-    env: EnvConfig = field(default_factory=lambda: planted_fixture()[1])
+    env: EnvConfig = EnvConfig()
     trainer: TrainerConfig = TrainerConfig()
     seed: int = 0
     program_sizes: tuple[int, ...] = (4, 8, 16, 32)
@@ -213,16 +203,12 @@ def fuzz_campaign(cfg: ExperimentConfig) -> tuple[list[FuzzStats], list[ScalingR
     reports a violation (or the budget censors the trial). Rejected
     (non-terminating) candidates count as tested."""
     env_cfg = cfg.env
-    from .isa import build_action_space
-
     space = build_action_space(env_cfg.action_config)
-    from .arch import generate_inputs
-
     inputs = generate_inputs(env_cfg.input_seed, env_cfg.num_inputs)
     stats_all: list[FuzzStats] = []
     rows: list[ScalingRow] = []
     for n in cfg.program_sizes:
-        trials: list[TrialResult] = []
+        trials: list[ScalingRow] = []
         for trial in range(cfg.trials_per_size):
             rng = _trial_rng(cfg.seed, n, trial)
             detect_seed = mix64(cfg.seed ^ mix64((n << 32) | trial))
@@ -243,15 +229,9 @@ def fuzz_campaign(cfg: ExperimentConfig) -> tuple[list[FuzzStats], list[ScalingR
                 if isinstance(result, ViolationReport):
                     censored = False
                     break
-            tr = TrialResult(
-                programs_tested=tested,
-                wall_steps=tested * n,  # instructions generated: the step proxy
-                censored=censored,
-            )
-            trials.append(tr)
-            rows.append(
-                ScalingRow("fuzz", n, trial, tr.programs_tested, tr.wall_steps, tr.censored)
-            )
+            # wall_steps counts instructions generated: the step proxy
+            trials.append(ScalingRow("fuzz", n, trial, tested, tested * n, censored))
+        rows += trials
         stats_all.append(
             FuzzStats(
                 program_size=n,

@@ -155,25 +155,27 @@ class Program:
 
 # --- action space ---------------------------------------------------------
 
-# ALU templates: "rr" = reg,reg; "rm" = reg,[BASE+reg]; "mr" = [BASE+reg],reg.
-# Enumeration is template-major, then dst-major/src-minor over the registers.
-_DEFAULT_ALU = (
-    (Opcode.SBB, "rr"),
-    (Opcode.SBB, "rm"),
-    (Opcode.SBB, "mr"),
-    (Opcode.IMUL, "rr"),
+_REGS = (Register.R0, Register.R1, Register.R2)
+
+# The default menu in action-id order: SBB r,r / SBB r,[BASE+r] /
+# SBB [BASE+r],r / IMUL r,r over R0-R2 (9 each, dst-major, src-minor), then
+# JNS -2, JNS +2, JMP -2, JMP +2.
+_DEFAULT_ACTIONS = (
+    tuple(Instruction(Opcode.SBB, dst=d, src=s) for d in _REGS for s in _REGS)
+    + tuple(Instruction(Opcode.SBB, dst=d, src=Mem(s)) for d in _REGS for s in _REGS)
+    + tuple(Instruction(Opcode.SBB, dst=Mem(d), src=s) for d in _REGS for s in _REGS)
+    + tuple(Instruction(Opcode.IMUL, dst=d, src=s) for d in _REGS for s in _REGS)
+    + tuple(Instruction(op, disp=disp) for op in (Opcode.JNS, Opcode.JMP) for disp in (-2, 2))
 )
 
 
 @dataclass(frozen=True)
 class ActionSpaceConfig:
-    registers: tuple[Register, ...] = (Register.R0, Register.R1, Register.R2)
-    alu_templates: tuple[tuple[Opcode, str], ...] = _DEFAULT_ALU
-    branch_opcodes: tuple[Opcode, ...] = (Opcode.JNS, Opcode.JMP)
-    displacements: tuple[int, ...] = (-2, 2)
-    # Overrides everything above when set: the action list is exactly these
-    # instructions, in order. Used by reduced spaces such as the leak fixture.
-    explicit_actions: tuple[Instruction, ...] | None = None
+    """The action menu: exactly these instructions, in order. The default is
+    the 40-action menu; reduced menus such as the leak fixture's list their
+    own instructions."""
+
+    actions: tuple[Instruction, ...] = _DEFAULT_ACTIONS
 
 
 DEFAULT_ACTION_CONFIG = ActionSpaceConfig()
@@ -198,39 +200,11 @@ class ActionSpace:
 
 
 def build_action_space(config: ActionSpaceConfig = DEFAULT_ACTION_CONFIG) -> ActionSpace:
-    """Enumerate the action space for `config`.
-
-    The default config yields 40 actions: SBB r,r / SBB r,[BASE+r] /
-    SBB [BASE+r],r / IMUL r,r over {R0,R1,R2} (9 each, dst-major), then
-    JNS and JMP with displacements -2 and +2 (4).
-    """
-    if config.explicit_actions is not None:
-        if not config.explicit_actions:
-            raise ConfigError("explicit action list is empty")
-        actions = tuple(config.explicit_actions)
-    else:
-        if not config.registers:
-            raise ConfigError("action space needs a non-empty register set")
-        if not config.alu_templates and not config.branch_opcodes:
-            raise ConfigError("action space needs a non-empty template list")
-        out: list[Instruction] = []
-        for opcode, shape in config.alu_templates:
-            for rd in config.registers:
-                for rs in config.registers:
-                    if shape == "rr":
-                        out.append(Instruction(opcode, dst=rd, src=rs))
-                    elif shape == "rm":
-                        out.append(Instruction(opcode, dst=rd, src=Mem(rs)))
-                    elif shape == "mr":
-                        out.append(Instruction(opcode, dst=Mem(rd), src=rs))
-                    else:
-                        raise ConfigError(f"unknown ALU template shape {shape!r}")
-        for opcode in config.branch_opcodes:
-            if opcode not in BRANCH_OPCODES:
-                raise ConfigError(f"{opcode.value} is not a branch opcode")
-            for d in config.displacements:
-                out.append(Instruction(opcode, disp=d))
-        actions = tuple(out)
+    """The action space of `config`: its instructions, which must be a
+    non-empty list without duplicates."""
+    actions = tuple(config.actions)
+    if not actions:
+        raise ConfigError("action list is empty")
     if len(set(actions)) != len(actions):
         raise ConfigError("action space contains duplicate instructions")
     return ActionSpace(actions)

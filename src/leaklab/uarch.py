@@ -24,7 +24,7 @@ after a run reports which sets now hold a victim line. The probe vector is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arch import (
     DEFAULT_STEP_BUDGET,
@@ -46,10 +46,8 @@ __all__ = [
     "Rejected",
     "SpecConfig",
     "PerfCounters",
-    "MicroArchState",
     "HwResult",
     "InputObservation",
-    "reset_state",
     "hw_run",
     "observe",
     "htrace_hex",
@@ -64,13 +62,6 @@ LINE_BYTES = 64
 class Rejected:
     """Distinguished result: some input made a simulator exceed its budget,
     so the program is treated as (potentially) non-terminating."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "Rejected"
@@ -101,21 +92,6 @@ class PerfCounters:
     @property
     def tran_uops(self) -> int:
         return self.uops_issued - self.uops_retired
-
-
-@dataclass
-class MicroArchState:
-    """Cache + predictor state. `victim_bits` bit s = 1 iff cache set s holds
-    a victim line (reset primes all sets with attacker lines, so 0)."""
-
-    pht: list[int] = field(default_factory=lambda: [1] * PHT_SIZE)
-    victim_bits: int = 0
-
-
-def reset_state() -> MicroArchState:
-    """Canonical reset: cache fully primed, every predictor counter weakly
-    not-taken. Stands in for the physical flush-and-clobber procedure."""
-    return MicroArchState()
 
 
 def cache_set(addr: int) -> int:
@@ -176,7 +152,6 @@ def hw_run(
     inp: Input,
     cfg: SpecConfig = SpecConfig(),
     budget: int = DEFAULT_STEP_BUDGET,
-    micro: MicroArchState | None = None,
 ):
     """Run `p` on the speculative hardware model.
 
@@ -185,21 +160,20 @@ def hw_run(
     program terminates here iff it terminates on the architectural simulator
     with the same budget.
 
-    `micro` defaults to a fresh reset and is updated in place (predictor
-    training and cache contents persist), so passing the same state across
-    runs models consecutive measurements without a reset.
+    Every run starts from the canonical reset, which stands in for the
+    physical flush-and-clobber procedure: every cache set primed with an
+    attacker line, every predictor counter weakly not-taken.
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
-    micro = reset_state() if micro is None else micro
-    pht = micro.pht
+    pht = [1] * PHT_SIZE
     window = cfg.window
     instrs = p.instrs
     n = len(instrs)
     state = ArchState.from_input(inp)
     counters = PerfCounters()
-    victim = micro.victim_bits
-    committed_victim = micro.victim_bits
+    victim = 0  # bit s set iff cache set s holds a victim line
+    committed_victim = 0
     committed = 0
     frame: _Frame | None = None
 
@@ -270,7 +244,6 @@ def hw_run(
         victim |= bits
         committed_victim |= bits
 
-    micro.victim_bits = victim
     return HwResult(
         htrace=victim,
         counters=counters,
@@ -312,7 +285,7 @@ def observe(
         ct = contract_trace(p, inp, contract, budget)
         if ct is NON_TERMINATING:
             return REJECTED
-        hw = hw_run(p, inp, cfg, budget, reset_state())
+        hw = hw_run(p, inp, cfg, budget)
         if hw is NON_TERMINATING:
             return REJECTED
         out.append(

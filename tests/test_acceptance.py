@@ -37,7 +37,7 @@ from leaklab.harness import (
     scaling_action_config,
 )
 from leaklab.isa import Program, build_action_space
-from leaklab.uarch import REJECTED, SpecConfig, hw_run, reset_state
+from leaklab.uarch import REJECTED, SpecConfig, hw_run
 
 from dataclasses import replace
 
@@ -80,7 +80,7 @@ def invisibility_runs():
         n = rng.randrange(1, 13)
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(n)))
         inp = input_from_seed(rng.randrange(1 << 48))
-        hw = hw_run(p, inp, SpecConfig(), 300, reset_state())
+        hw = hw_run(p, inp, SpecConfig(), 300)
         if hw is NON_TERMINATING:
             continue
         checked.append((p, inp, hw))
@@ -107,7 +107,7 @@ def test_criterion_3_counter_identity(invisibility_runs):
         assert c.tran_uops >= 0
     zero_window = 0
     for p, inp, _ in invisibility_runs:
-        off = hw_run(p, inp, SpecConfig(window=0), 300, reset_state())
+        off = hw_run(p, inp, SpecConfig(window=0), 300)
         assert off is not NON_TERMINATING
         assert off.counters.tran_uops == 0
         zero_window += 1

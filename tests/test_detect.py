@@ -23,7 +23,6 @@ from leaklab.detect import (
 )
 from leaklab.isa import (
     ActionSpaceConfig,
-    Opcode,
     Program,
     build_action_space,
     parse_program,
@@ -36,7 +35,17 @@ from conftest import make_input
 CT_SEQ = ContractSpec(ContractMode.CT_SEQ)
 PLANTED = parse_program("SBB R0, R0\nJNS +2\nSBB R1, [BASE+R2]")
 # loads only: random programs chain load values into load addresses
-CHAINED_LOADS = build_action_space(ActionSpaceConfig(alu_templates=((Opcode.SBB, "rm"),), branch_opcodes=()))
+CHAINED_LOADS = build_action_space(ActionSpaceConfig(parse_program("""
+SBB R0, [BASE+R0]
+SBB R0, [BASE+R1]
+SBB R0, [BASE+R2]
+SBB R1, [BASE+R0]
+SBB R1, [BASE+R1]
+SBB R1, [BASE+R2]
+SBB R2, [BASE+R0]
+SBB R2, [BASE+R1]
+SBB R2, [BASE+R2]
+""").instrs))
 
 
 def test_boost_empty_program():

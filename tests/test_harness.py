@@ -11,7 +11,6 @@ from leaklab.harness import (
     ExperimentConfig,
     FuzzStats,
     ScalingRow,
-    TrialResult,
     expected_fuzz_count,
     fixture_action_config,
     fuzz_campaign,
@@ -77,7 +76,11 @@ def test_expected_fuzz_count_formula():
 
 
 def test_fuzz_stats_summary():
-    trials = [TrialResult(3, 12, False), TrialResult(7, 28, False), TrialResult(100, 400, True)]
+    trials = [
+        ScalingRow("fuzz", 4, 0, 3, 12, False),
+        ScalingRow("fuzz", 4, 1, 7, 28, False),
+        ScalingRow("fuzz", 4, 2, 100, 400, True),
+    ]
     s = FuzzStats(program_size=4, trials=trials, action_space_size=6, reference_leak_len=3)
     assert s.median == 7
     assert s.mean == pytest.approx((3 + 7 + 100) / 3)

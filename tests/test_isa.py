@@ -48,23 +48,9 @@ def test_default_space_layout(default_space):
     assert default_space[39] == Instruction(Opcode.JMP, disp=2)
 
 
-def test_single_register_single_template():
-    cfg = ActionSpaceConfig(
-        registers=(R0,),
-        alu_templates=((Opcode.SBB, "rr"),),
-        branch_opcodes=(),
-        displacements=(),
-    )
-    space = build_action_space(cfg)
-    assert space.size == 1
-    assert space[0] == Instruction(Opcode.SBB, dst=R0, src=R0)
-
-
 def test_empty_config_rejected():
     with pytest.raises(ConfigError):
-        build_action_space(ActionSpaceConfig(registers=()))
-    with pytest.raises(ConfigError):
-        build_action_space(ActionSpaceConfig(alu_templates=(), branch_opcodes=()))
+        build_action_space(ActionSpaceConfig(actions=()))
 
 
 def test_action_space_is_deterministic(default_space):
@@ -148,7 +134,7 @@ def test_decoded_field_is_invisible(default_space):
     with pytest.raises(TypeError):
         Instruction(Opcode.JMP, disp=2, decoded=())
     with pytest.raises(ConfigError):
-        build_action_space(ActionSpaceConfig(explicit_actions=(a, b)))
+        build_action_space(ActionSpaceConfig(actions=(a, b)))
     for i, instr in enumerate(default_space.actions):
         fresh = Instruction(instr.opcode, instr.dst, instr.src, instr.disp)
         assert default_space.index_of(fresh) == i

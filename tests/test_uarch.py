@@ -20,7 +20,6 @@ from leaklab.uarch import (
     hw_run,
     htrace_hex,
     observe,
-    reset_state,
 )
 
 from conftest import make_input
@@ -28,13 +27,6 @@ from conftest import make_input
 CT_SEQ = ContractSpec(ContractMode.CT_SEQ)
 
 PLANTED = parse_program("SBB R0, R0\nJNS +2\nSBB R1, [BASE+R2]")
-
-
-def test_reset_state_is_canonical():
-    a, b = reset_state(), reset_state()
-    assert a == b
-    assert a.pht == [1] * 64
-    assert a.victim_bits == 0
 
 
 def test_empty_program():
@@ -116,15 +108,15 @@ def test_squashed_store_rolls_back():
 
 
 def test_mistraining_flips_prediction():
-    # A branch at the same index resolves taken repeatedly: counters saturate
-    # toward taken and later taken branches stop mispredicting.
-    micro = reset_state()
-    p = parse_program("SBB R0, R0\nJNS +2")
-    r1 = hw_run(p, make_input(), micro=micro)
-    assert r1.counters.br_misses == 1
-    assert micro.pht[1] == 2  # trained toward taken
-    r2 = hw_run(p, make_input(), micro=micro)
-    assert r2.counters.br_misses == 0  # now predicted taken correctly
+    # SBB clears SF, so every JNS below is taken. The JNS at index 1
+    # mispredicts and trains predictor entry 1 toward taken; it jumps to
+    # the JNS at index 65, which shares entry 1 and is now predicted taken.
+    # At index 66 (entry 2, untrained) the second branch mispredicts too.
+    filler = "SBB R1, R1\n" * 63
+    shared = parse_program("SBB R0, R0\nJNS +64\n" + filler + "JNS +2")
+    assert hw_run(shared, make_input()).counters.br_misses == 1
+    untrained = parse_program("SBB R0, R0\nJNS +65\n" + filler + "SBB R1, R1\nJNS +2")
+    assert hw_run(untrained, make_input()).counters.br_misses == 2
 
 
 def test_budget_parity_with_arch():
@@ -204,27 +196,23 @@ def test_ctrace_independent_of_spec_config(inputs20):
 
 
 def test_window_zero_htrace_equals_committed_everywhere():
-    # Each window runs every program twice on its own MicroArchState, so the
-    # second run starts from a trained predictor. Branches resolve the same
-    # way at both windows: equal misses, final state and predictor table.
+    # Branches resolve the same way at both windows: equal termination, final
+    # state and misses. A branch that loops retrains its predictor entry
+    # within the run, so equal misses also need equal predictor updates.
     rng = random.Random(9)
     space = build_action_space()
     for _ in range(200):
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(rng.randrange(1, 10))))
         inp = input_from_seed(rng.randrange(1 << 32))
-        micro_full, micro_off = reset_state(), reset_state()
-        for run in range(2):
-            full = hw_run(p, inp, SpecConfig(window=8), 300, micro_full)
-            off = hw_run(p, inp, SpecConfig(window=0), 300, micro_off)
-            assert (full is NON_TERMINATING) == (off is NON_TERMINATING)
-            assert micro_off.pht == micro_full.pht
-            if full is NON_TERMINATING:
-                break
-            if run == 0:  # later runs start from each window's own cache state
-                assert off.htrace == off.committed_htrace == full.committed_htrace
-            assert off.counters.tran_uops == 0
-            assert off.counters.br_misses == full.counters.br_misses
-            assert off.final_state == full.final_state
+        full = hw_run(p, inp, SpecConfig(window=8), 300)
+        off = hw_run(p, inp, SpecConfig(window=0), 300)
+        assert (full is NON_TERMINATING) == (off is NON_TERMINATING)
+        if full is NON_TERMINATING:
+            continue
+        assert off.htrace == off.committed_htrace == full.committed_htrace
+        assert off.counters.tran_uops == 0
+        assert off.counters.br_misses == full.counters.br_misses
+        assert off.final_state == full.final_state
 
 
 def test_determinism():
