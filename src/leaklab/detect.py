@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .arch import (
     DEFAULT_STEP_BUDGET,
     NON_TERMINATING,
+    OBS_LOAD,
     ContractSpec,
     Input,
     SANDBOX_SIZE,
@@ -27,6 +28,7 @@ from .arch import (
 from .errors import ConfigError
 from .isa import Program, parse_program, render_program
 from .uarch import (
+    CACHE_SETS,
     REJECTED,
     InputObservation,
     SpecConfig,
@@ -71,7 +73,7 @@ class ViolationReport:
         if (hw_a.htrace, hw_b.htrace) != self.htraces:
             return False
         diff = hw_a.htrace ^ hw_b.htrace
-        return diff != 0 and tuple(s for s in range(64) if diff >> s & 1) == self.diverging_sets
+        return diff != 0 and tuple(s for s in range(CACHE_SETS) if diff >> s & 1) == self.diverging_sets
 
     def to_json(self) -> str:
         def enc(inp: Input) -> dict:
@@ -146,7 +148,7 @@ def boost_input(
         base_trace = contract_trace(p, base, contract, budget)
     if base_trace is NON_TERMINATING:
         raise ValueError("boost_input requires a terminating base input")
-    cells = {obs[1]: base.mem[obs[1] : obs[1] + 8] for obs in base_trace if obs[0] == "L"}
+    cells = {obs[1]: base.mem[obs[1] : obs[1] + 8] for obs in base_trace if obs[0] == OBS_LOAD}
     mem = bytearray(rng.next_bytes(SANDBOX_SIZE))
     for _ in range(BOOST_ROUNDS):
         sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
@@ -156,7 +158,7 @@ def boost_input(
         # A non-terminating sibling yields no trace to guide the copy; pull
         # it toward the base's path using the base's own load set instead.
         for obs in base_trace if tr is NON_TERMINATING else tr:
-            if obs[0] == "L":
+            if obs[0] == OBS_LOAD:
                 addr = obs[1]
                 mem[addr : addr + 8] = base.mem[addr : addr + 8]
     return None
@@ -220,14 +222,14 @@ def detect_violation(
     if not exhaustive and _filter_tier(observations) != "observable":
         return None
 
-    # members[ctrace] = [(key, input, htrace)] with key = (input idx, sib idx);
-    # classes keyed by ctrace in first-occurrence order
+    # classes[ctrace] = [(input, htrace)] over the base inputs, in input
+    # order; classes keyed by ctrace in first-occurrence order
     classes: dict[tuple, list] = {}
-    for i, (inp, o) in enumerate(zip(inputs, observations)):
-        classes.setdefault(o.ctrace, []).append(((i, 0), inp, o.htrace))
+    for inp, o in zip(inputs, observations):
+        classes.setdefault(o.ctrace, []).append((inp, o.htrace))
 
     def report_from(ma, mb):
-        (_, a, ha), (_, b, hb) = ma, mb
+        (a, ha), (b, hb) = ma, mb
         diff = ha ^ hb
         return ViolationReport(
             program=p,
@@ -235,19 +237,22 @@ def detect_violation(
             spec_config=cfg,
             witness=(a, b),
             htraces=(ha, hb),
-            diverging_sets=tuple(s for s in range(64) if diff >> s & 1),
+            diverging_sets=tuple(s for s in range(CACHE_SETS) if diff >> s & 1),
         )
 
-    # pass 1: divergence among the base inputs themselves
+    # pass 1: divergence among the base inputs. If any pair in a class
+    # differs, the first member differs from someone: same witness as an
+    # all-pairs scan.
     for members in classes.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if members[i][2] != members[j][2]:
-                    return report_from(members[i], members[j])
+        for m in members[1:]:
+            if m[1] != members[0][1]:
+                return report_from(members[0], m)
 
-    # pass 2: boosted siblings, in (input index, sibling index) order
+    # pass 2: boosted siblings, in (input index, sibling index) order. After
+    # pass 1 a class shares its first member's htrace, and that member, at
+    # (input i0, sibling 0), sorts before any sibling (i >= i0, j >= 1).
     for i, (base, base_obs) in enumerate(zip(inputs, observations)):
-        members = classes[base_obs.ctrace]
+        first = classes[base_obs.ctrace][0]
         for j in range(1, boosts_per_input + 1):
             rng = Xorshift64Star(stream_seed(seed, (i << 8) | j))
             sibling = boost_input(p, base, contract, rng, budget, base_obs.ctrace)
@@ -256,11 +261,6 @@ def detect_violation(
             hw = hw_run(p, sibling, cfg, budget)
             if hw is NON_TERMINATING:
                 continue  # cannot happen for a verified sibling, but stay safe
-            entry = ((i, j), sibling, hw.htrace)
-            for key, other, h_other in members:
-                if h_other != hw.htrace:
-                    if key < entry[0]:
-                        return report_from((key, other, h_other), entry)
-                    return report_from(entry, (key, other, h_other))
-            members.append(entry)
+            if hw.htrace != first[1]:
+                return report_from(first, (sibling, hw.htrace))
     return None

@@ -242,14 +242,12 @@ def encode_observation(
     t_scale = 1.0 / (max_len * max(window, 1))
     b_scale = 1.0 / max_len
     out = np.zeros(encoded_length(space_size, n), dtype=np.float64)
-    pos = 0
-    for rec in obs.records:
-        h = rec.htrace
-        for s in range(64):
-            out[pos + s] = (h >> s) & 1
-        out[pos + 64] = rec.br_misses * b_scale
-        out[pos + 65] = rec.tran_uops * t_scale
-        pos += 66
+    per_input = out[: n * 66].reshape(n, 66)
+    htraces = np.array([rec.htrace for rec in obs.records], dtype="<u8")
+    per_input[:, :64] = np.unpackbits(htraces.view(np.uint8), bitorder="little").reshape(n, 64)
+    per_input[:, 64] = [rec.br_misses * b_scale for rec in obs.records]
+    per_input[:, 65] = [rec.tran_uops * t_scale for rec in obs.records]
+    pos = n * 66
     slot = space_size if obs.last_action == NO_ACTION else obs.last_action
     out[pos + slot] = 1.0
     pos += space_size + 1

@@ -8,6 +8,7 @@ experiment is byte-reproducible from its config and seed.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, replace
 
@@ -130,9 +131,10 @@ def random_program(n: int, space: ActionSpace, rng: np.random.Generator) -> Prog
 
 def expected_fuzz_count(a: int, n: int, l: int) -> float:
     """Reported closed form for the expected number of fuzzer candidates
-    before a leak: a^(n-1) / (n - l + 1). Recorded next to empirical counts
-    for reference, never asserted against them."""
-    return a ** (n - 1) / (n - l + 1)
+    before a leak: a^(n-1) / (n - l + 1), or infinity when n < l, since no
+    shorter program holds the reference leak. Recorded next to empirical
+    counts for reference, never asserted against them."""
+    return math.inf if n < l else a ** (n - 1) / (n - l + 1)
 
 
 @dataclass(frozen=True)

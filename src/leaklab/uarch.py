@@ -4,17 +4,16 @@ Models an in-order front end with conditional-branch prediction, bounded
 transient execution with rollback, a Prime+Probe-observable data cache, and
 performance counters.
 
-Execution model: instructions issue in order. A conditional branch is
-predicted by a 64-entry table of 2-bit saturating counters (indexed by the
-branch's instruction index mod 64), the architectural state is checkpointed,
-and issue continues along the predicted path. Every issued instruction
-updates the cache immediately; register/memory effects land in the live
-(shadow) state. The branch resolves after `window` further issues, at
-program end, or as soon as another conditional branch is fetched (one
-in-flight branch at a time). A correct prediction retires the window; a
-misprediction rolls the shadow state back, redirects to the correct path,
-and leaves the squashed instructions issued-but-not-retired. Cache effects
-of squashed instructions persist: that persistence is the side channel.
+Execution model: instructions issue and commit in order. A conditional
+branch is predicted by a 64-entry table of 2-bit saturating counters
+(indexed by the branch's instruction index mod 64), which the actual
+direction updates at once. A correct prediction continues as committed code.
+A misprediction runs the predicted path as one bounded excursion from a
+checkpoint: up to `window` instructions issue, stopping early at program end
+or at the next conditional branch (one branch in flight at a time); then
+registers, flags and memory roll back and issue resumes on the correct path.
+Squashed instructions count as issued but not retired, and their cache
+effects persist: that persistence is the side channel.
 
 The cache is direct-mapped, 64 sets x 64-byte lines, covering the 4096-byte
 sandbox exactly. Reset primes every set with an attacker line; the probe
@@ -29,6 +28,7 @@ from dataclasses import dataclass
 from .arch import (
     DEFAULT_STEP_BUDGET,
     NON_TERMINATING,
+    OBS_PC,
     ArchState,
     ContractSpec,
     Input,
@@ -51,7 +51,6 @@ __all__ = [
     "hw_run",
     "observe",
     "htrace_hex",
-    "cache_set",
 ]
 
 PHT_SIZE = 64
@@ -94,10 +93,6 @@ class PerfCounters:
         return self.uops_issued - self.uops_retired
 
 
-def cache_set(addr: int) -> int:
-    return addr // LINE_BYTES
-
-
 def htrace_hex(htrace: int) -> str:
     return f"{htrace:016x}"
 
@@ -112,37 +107,10 @@ class HwResult:
     committed_htrace: int
 
 
-class _Frame:
-    """One unresolved conditional branch: restore point plus bookkeeping."""
-
-    __slots__ = (
-        "saved_regs",
-        "saved_flags",
-        "resume_pc",
-        "branch_idx",
-        "actual_taken",
-        "mispredicted",
-        "pending",
-        "undo",
-        "accesses",
-    )
-
-    def __init__(self, saved_regs, saved_flags, resume_pc, branch_idx, actual_taken, mispredicted):
-        self.saved_regs = saved_regs
-        self.saved_flags = saved_flags
-        self.resume_pc = resume_pc
-        self.branch_idx = branch_idx
-        self.actual_taken = actual_taken
-        self.mispredicted = mispredicted
-        self.pending = 0
-        self.undo: list = []
-        self.accesses = 0
-
-
 def _access_bits(obs) -> int:
     bits = 0
     for o in obs:
-        if o[0] != "P":
+        if o[0] != OBS_PC:
             bits |= 1 << (o[1] // LINE_BYTES)
     return bits
 
@@ -163,93 +131,69 @@ def hw_run(
     Every run starts from the canonical reset, which stands in for the
     physical flush-and-clobber procedure: every cache set primed with an
     attacker line, every predictor counter weakly not-taken.
+
+    One loop commits in order; a misprediction runs the predicted path as
+    one bounded excursion (`_transient`) and rolls it back. This equals
+    holding each branch open for `window` issues, with the predictor update,
+    retirement and budget check at resolution, for two reasons. Fetching a
+    conditional branch resolves the open one, so no predictor read falls
+    inside a window. A correct window of k instructions after c0 commits
+    passes the budget at resolution (c0 + k > budget) iff one of them meets
+    it on issue (c0 + i >= budget for some i < k).
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     pht = [1] * PHT_SIZE
-    window = cfg.window
     instrs = p.instrs
     n = len(instrs)
     state = ArchState.from_input(inp)
-    counters = PerfCounters()
-    victim = 0  # bit s set iff cache set s holds a victim line
-    committed_victim = 0
-    committed = 0
-    frame: _Frame | None = None
+    # bit s set iff cache set s holds a victim line, split by who evicted it
+    committed_victim = transient_victim = 0
+    committed = transient = br_misses = 0  # instructions retired / squashed, mispredictions
 
-    while True:
-        if frame is not None:
-            if frame.pending >= window or state.pc >= n or instrs[state.pc].decoded[0] == KIND_JNS:
-                # resolve the open branch
-                idx = frame.branch_idx % PHT_SIZE
-                if frame.actual_taken:
-                    pht[idx] = min(pht[idx] + 1, 3)
-                else:
-                    pht[idx] = max(pht[idx] - 1, 0)
-                if frame.mispredicted:
-                    counters.br_misses += 1
-                    for addr, old in reversed(frame.undo):
-                        state.mem[addr : addr + 8] = old
-                    state.regs = frame.saved_regs
-                    state.sf, state.cf, state.zf = frame.saved_flags
-                    state.pc = frame.resume_pc
-                else:
-                    counters.uops_retired += frame.pending
-                    committed += frame.pending
-                    committed_victim |= frame.accesses
-                    if committed > budget:
-                        return NON_TERMINATING
-                frame = None
-                continue
-            # issue transiently into the shadow state
-            instr = instrs[state.pc]
-            counters.uops_issued += 1
-            frame.pending += 1
-            obs = step_instruction(state, instr, n, frame.undo)
-            bits = _access_bits(obs)
-            victim |= bits
-            frame.accesses |= bits
-            continue
-
-        if state.pc >= n:
-            break
+    while state.pc < n:
         if committed >= budget:
             return NON_TERMINATING
-        instr = instrs[state.pc]
-        if instr.decoded[0] == KIND_JNS:
-            counters.uops_issued += 1
-            counters.uops_retired += 1
-            committed += 1
-            branch_idx = state.pc
-            actual_taken = 1 if state.sf == 0 else 0
-            target = min(max(branch_idx + instr.disp, 0), n)
-            actual_next = target if actual_taken else branch_idx + 1
-            predicted_taken = 1 if pht[branch_idx % PHT_SIZE] >= 2 else 0
-            frame = _Frame(
-                saved_regs=state.regs[:],
-                saved_flags=(state.sf, state.cf, state.zf),
-                resume_pc=actual_next,
-                branch_idx=branch_idx,
-                actual_taken=actual_taken,
-                mispredicted=predicted_taken != actual_taken,
-            )
-            state.pc = target if predicted_taken else branch_idx + 1
-            continue
-        # plain issue (ALU or unconditional jump): commits immediately
-        counters.uops_issued += 1
-        counters.uops_retired += 1
         committed += 1
-        obs = step_instruction(state, instr, n)
-        bits = _access_bits(obs)
-        victim |= bits
-        committed_victim |= bits
+        pc = state.pc
+        instr = instrs[pc]
+        if instr.decoded[0] == KIND_JNS:
+            taken = state.sf == 0
+            target = min(max(pc + instr.disp, 0), n)
+            state.pc = target if taken else pc + 1
+            idx = pc % PHT_SIZE
+            if (pht[idx] >= 2) != taken:
+                br_misses += 1
+                issued, bits = _transient(instrs, state, pc + 1 if taken else target, cfg.window, n)
+                transient += issued
+                transient_victim |= bits
+            pht[idx] = min(pht[idx] + 1, 3) if taken else max(pht[idx] - 1, 0)
+            continue
+        committed_victim |= _access_bits(step_instruction(state, instr, n))
 
     return HwResult(
-        htrace=victim,
-        counters=counters,
+        htrace=committed_victim | transient_victim,
+        counters=PerfCounters(br_misses, committed + transient, committed),
         final_state=state,
         committed_htrace=committed_victim,
     )
+
+
+def _transient(instrs, state, pc, window, n):
+    """Issue up to `window` instructions down a mispredicted path from `pc`,
+    stopping early at program end or at the next conditional branch, then
+    roll memory, registers and flags back. Returns (issued, cache bits)."""
+    saved = (state.regs[:], state.sf, state.cf, state.zf, state.pc)
+    undo: list = []
+    state.pc = pc
+    issued = bits = 0
+    while issued < window and state.pc < n and instrs[state.pc].decoded[0] != KIND_JNS:
+        bits |= _access_bits(step_instruction(state, instrs[state.pc], n, undo))
+        issued += 1
+    for addr, old in reversed(undo):
+        state.mem[addr : addr + 8] = old
+    state.regs, state.sf, state.cf, state.zf, state.pc = saved
+    return issued, bits
 
 
 @dataclass(frozen=True)

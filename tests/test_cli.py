@@ -292,6 +292,19 @@ def test_fuzz_writes_csv(tiny_config, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fuzz_below_reference_leak_length_exits_0(tmp_path, capsys):
+    # The reference leak has 3 instructions, so its closed form is infinite
+    # at sizes 1 and 2 (a division by zero and a negative count before).
+    doc = {k: v for k, v in TINY_CONFIG.items() if k != "trainer"}
+    doc["program_sizes"] = [1, 2]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["fuzz", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:2]] == ["n=1", "n=2"]
+    assert all("formula=inf" in line for line in lines[:2])
+
+
 def test_scaling_writes_csv_with_both_methods(tiny_config, tmp_path, capsys):
     out = tmp_path / "scalingout"
     code = run_cli(["scaling", "--config", tiny_config, "--out", str(out)])

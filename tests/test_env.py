@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaklab.env import (
     NO_ACTION,
@@ -12,7 +14,7 @@ from leaklab.env import (
 )
 from leaklab.errors import ConfigError
 from leaklab.isa import Instruction, Opcode, Register, parse_program
-from leaklab.uarch import observe
+from leaklab.uarch import InputObservation, observe
 
 # action ids in the default 40-action space
 SBB_R0_R0 = 0
@@ -200,6 +202,55 @@ def test_encoding_reflects_observation(env):
     assert vec[65] == pytest.approx(0.0)  # no transient uops for this program
     slot = 20 * 66 + JNS_P2
     assert vec[slot] == 1.0
+
+
+def _reference_encoding(obs, space_size, max_len, window):
+    """The per-bit loop encode_observation used before it unpacked bytes."""
+    n = len(obs.records)
+    t_scale = 1.0 / (max_len * max(window, 1))
+    b_scale = 1.0 / max_len
+    out = np.zeros(encoded_length(space_size, n), dtype=np.float64)
+    pos = 0
+    for rec in obs.records:
+        for s in range(64):
+            out[pos + s] = (rec.htrace >> s) & 1
+        out[pos + 64] = rec.br_misses * b_scale
+        out[pos + 65] = rec.tran_uops * t_scale
+        pos += 66
+    out[pos + (space_size if obs.last_action == NO_ACTION else obs.last_action)] = 1.0
+    pos += space_size + 1
+    class_ids: dict = {}
+    for i, rec in enumerate(obs.records):
+        out[pos + i * n + class_ids.setdefault(rec.ctrace, len(class_ids))] = 1.0
+    return out
+
+
+M64 = (1 << 64) - 1
+HTRACES = st.one_of(st.integers(0, M64), st.sampled_from([0, 1, 1 << 63, M64, M64 >> 1, 0xFF << 56]))
+RECORDS = st.builds(
+    InputObservation,
+    htrace=HTRACES,
+    ctrace=st.sampled_from([(), (("L", 0),), (("P", 3, 1),)]),
+    br_misses=st.integers(0, 50),
+    tran_uops=st.integers(0, 500),
+    committed_htrace=st.just(0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records=st.lists(RECORDS, min_size=1, max_size=20),
+    space_size=st.integers(1, 40),
+    max_len=st.integers(1, 64),
+    window=st.integers(0, 64),
+    data=st.data(),
+)
+def test_encoding_matches_per_bit_loop(records, space_size, max_len, window, data):
+    last = data.draw(st.sampled_from([NO_ACTION, *range(space_size)]))
+    obs = Observation(tuple(records), last)
+    got = encode_observation(obs, space_size, max_len, window)
+    want = _reference_encoding(obs, space_size, max_len, window)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_reward_spec_ordering_enforced():

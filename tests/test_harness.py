@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,9 @@ def test_random_program_uniform_frequencies():
 def test_expected_fuzz_count_formula():
     assert expected_fuzz_count(2, 3, 2) == pytest.approx(2.0)
     assert expected_fuzz_count(6, 3, 3) == pytest.approx(36.0)
+    # shorter than the reference leak: no candidate can hold it
+    assert expected_fuzz_count(7, 2, 3) == math.inf
+    assert expected_fuzz_count(7, 1, 3) == math.inf
 
 
 def test_fuzz_stats_summary():

@@ -1,19 +1,28 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leaklab.arch import (
+    DEFAULT_STEP_BUDGET,
     NON_TERMINATING,
     ContractMode,
     ContractSpec,
     ArchState,
+    Input,
     contract_trace,
     input_from_seed,
+    step_instruction,
 )
 from leaklab.errors import ConfigError
-from leaklab.isa import Program, build_action_space, parse_program
+from leaklab.harness import fixture_action_config, scaling_action_config
+from leaklab.isa import KIND_JNS, Program, build_action_space, parse_program
 from leaklab.uarch import (
+    LINE_BYTES,
+    PHT_SIZE,
     REJECTED,
+    HwResult,
     InputObservation,
     PerfCounters,
     SpecConfig,
@@ -225,3 +234,181 @@ def test_determinism():
 def test_negative_window_rejected():
     with pytest.raises(ConfigError):
         SpecConfig(window=-1)
+
+
+# The frame-based hw_run that the excursion loop replaced, kept verbatim
+# (renamed) as the oracle: it opens a frame at every conditional branch and
+# updates the predictor, retires and counts commits when the frame resolves.
+class _Frame:
+    """One unresolved conditional branch: restore point plus bookkeeping."""
+
+    __slots__ = (
+        "saved_regs",
+        "saved_flags",
+        "resume_pc",
+        "branch_idx",
+        "actual_taken",
+        "mispredicted",
+        "pending",
+        "undo",
+        "accesses",
+    )
+
+    def __init__(self, saved_regs, saved_flags, resume_pc, branch_idx, actual_taken, mispredicted):
+        self.saved_regs = saved_regs
+        self.saved_flags = saved_flags
+        self.resume_pc = resume_pc
+        self.branch_idx = branch_idx
+        self.actual_taken = actual_taken
+        self.mispredicted = mispredicted
+        self.pending = 0
+        self.undo: list = []
+        self.accesses = 0
+
+
+def _access_bits(obs) -> int:
+    bits = 0
+    for o in obs:
+        if o[0] != "P":
+            bits |= 1 << (o[1] // LINE_BYTES)
+    return bits
+
+
+def frame_hw_run(
+    p: Program,
+    inp: Input,
+    cfg: SpecConfig = SpecConfig(),
+    budget: int = DEFAULT_STEP_BUDGET,
+):
+    """Run `p` on the speculative hardware model.
+
+    Returns an HwResult, or NON_TERMINATING once more than `budget`
+    instructions commit. The budget counts committed instructions only, so a
+    program terminates here iff it terminates on the architectural simulator
+    with the same budget.
+
+    Every run starts from the canonical reset, which stands in for the
+    physical flush-and-clobber procedure: every cache set primed with an
+    attacker line, every predictor counter weakly not-taken.
+    """
+    if budget < 1:
+        raise ConfigError("budget must be >= 1")
+    pht = [1] * PHT_SIZE
+    window = cfg.window
+    instrs = p.instrs
+    n = len(instrs)
+    state = ArchState.from_input(inp)
+    counters = PerfCounters()
+    victim = 0  # bit s set iff cache set s holds a victim line
+    committed_victim = 0
+    committed = 0
+    frame: _Frame | None = None
+
+    while True:
+        if frame is not None:
+            if frame.pending >= window or state.pc >= n or instrs[state.pc].decoded[0] == KIND_JNS:
+                # resolve the open branch
+                idx = frame.branch_idx % PHT_SIZE
+                if frame.actual_taken:
+                    pht[idx] = min(pht[idx] + 1, 3)
+                else:
+                    pht[idx] = max(pht[idx] - 1, 0)
+                if frame.mispredicted:
+                    counters.br_misses += 1
+                    for addr, old in reversed(frame.undo):
+                        state.mem[addr : addr + 8] = old
+                    state.regs = frame.saved_regs
+                    state.sf, state.cf, state.zf = frame.saved_flags
+                    state.pc = frame.resume_pc
+                else:
+                    counters.uops_retired += frame.pending
+                    committed += frame.pending
+                    committed_victim |= frame.accesses
+                    if committed > budget:
+                        return NON_TERMINATING
+                frame = None
+                continue
+            # issue transiently into the shadow state
+            instr = instrs[state.pc]
+            counters.uops_issued += 1
+            frame.pending += 1
+            obs = step_instruction(state, instr, n, frame.undo)
+            bits = _access_bits(obs)
+            victim |= bits
+            frame.accesses |= bits
+            continue
+
+        if state.pc >= n:
+            break
+        if committed >= budget:
+            return NON_TERMINATING
+        instr = instrs[state.pc]
+        if instr.decoded[0] == KIND_JNS:
+            counters.uops_issued += 1
+            counters.uops_retired += 1
+            committed += 1
+            branch_idx = state.pc
+            actual_taken = 1 if state.sf == 0 else 0
+            target = min(max(branch_idx + instr.disp, 0), n)
+            actual_next = target if actual_taken else branch_idx + 1
+            predicted_taken = 1 if pht[branch_idx % PHT_SIZE] >= 2 else 0
+            frame = _Frame(
+                saved_regs=state.regs[:],
+                saved_flags=(state.sf, state.cf, state.zf),
+                resume_pc=actual_next,
+                branch_idx=branch_idx,
+                actual_taken=actual_taken,
+                mispredicted=predicted_taken != actual_taken,
+            )
+            state.pc = target if predicted_taken else branch_idx + 1
+            continue
+        # plain issue (ALU or unconditional jump): commits immediately
+        counters.uops_issued += 1
+        counters.uops_retired += 1
+        committed += 1
+        obs = step_instruction(state, instr, n)
+        bits = _access_bits(obs)
+        victim |= bits
+        committed_victim |= bits
+
+    return HwResult(
+        htrace=victim,
+        counters=counters,
+        final_state=state,
+        committed_htrace=committed_victim,
+    )
+
+
+MENUS = [
+    build_action_space(),
+    build_action_space(scaling_action_config()),
+    build_action_space(fixture_action_config()),
+]
+
+
+# Default-menu ids: 0 is SBB R0, R0 (clears SF, so the next JNS is taken
+# and mispredicted), 37 is JNS +2, 23 is SBB [BASE+R1], R2. The two examples
+# pin a window that reaches the next JNS and a window that stores to memory.
+@settings(max_examples=400, deadline=None)
+@example(menu=MENUS[0], picks=[0, 37, 37, 0], window=8, budget=300, seed=1)
+@example(menu=MENUS[0], picks=[0, 37, 23], window=8, budget=300, seed=1)
+@given(
+    menu=st.sampled_from(MENUS),
+    picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=60),
+    window=st.sampled_from([0, 1, 2, 3, 8, 10, 64]),
+    budget=st.sampled_from([1, 2, 5, 17, 300, 10_000]),
+    seed=st.integers(0, (1 << 64) - 1),
+)
+def test_hw_run_matches_frame_oracle(menu, picks, window, budget, seed):
+    p = Program(tuple(menu[i % menu.size] for i in picks))
+    inp = input_from_seed(seed)
+    cfg = SpecConfig(window=window)
+    new = hw_run(p, inp, cfg, budget)
+    old = frame_hw_run(p, inp, cfg, budget)
+    assert (new is NON_TERMINATING) == (old is NON_TERMINATING)
+    if old is NON_TERMINATING:
+        return
+    assert new.htrace == old.htrace
+    assert new.committed_htrace == old.committed_htrace
+    assert new.counters == old.counters  # br_misses, uops_issued, uops_retired
+    assert new.final_state == old.final_state
