@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "ContractSpec",
     "Input",
     "ArchState",
+    "TracePoint",
     "Xorshift64Star",
     "mix64",
     "stream_seed",
@@ -247,11 +249,27 @@ def step_instruction(state, instr, n, undo_log=None):
     return ((OBS_LOAD, addr), (OBS_STORE, addr))
 
 
+class TracePoint(NamedTuple):
+    """Where a terminating `contract_trace` run of a program P can be resumed
+    for any program that extends P: the run's full state at the start of the
+    first committed step in which some path moved to a pc >= len(P) (see
+    `contract_trace`)."""
+
+    state: ArchState
+    trace: tuple
+    steps: int
+    snapshot: tuple | None  # the cycle check's state
+    moves: int
+    period: int
+
+
 def contract_trace(
     p: Program,
     inp: Input,
     contract: ContractSpec = ContractSpec(),
     step_budget: int = DEFAULT_STEP_BUDGET,
+    resume: TracePoint | None = None,
+    capture: list | None = None,
 ):
     """Contract trace of `p` on `inp`, or NON_TERMINATING if the budget runs
     out before the program falls off the end.
@@ -267,18 +285,40 @@ def contract_trace(
     such moves (Brent's cycle detection): memory stays O(1), a forward step
     costs one integer comparison, and a cycle is found within a small
     multiple of its length plus the steps before it.
+
+    `capture`, when given, is a list to which the run's TracePoint is
+    appended if the run terminates; `resume`, when given, is a TracePoint
+    that such a run of a prefix of `p` captured, and the run starts there
+    instead of at the reset state of `inp`. Resuming is exact. The runs of
+    P and of P + Q agree step for step until some path (the committed path
+    or a CT_COND explored path) first moves to a pc >= len(P): before that
+    every instruction fetched lies in P, and every clamped branch target
+    below len(P) is the same for both lengths. The point is the full state
+    at the start of that committed step, Brent's snapshot, move count and
+    period included, so the cycle check also goes on as it would have. It
+    is taken afterwards: a branch changes only the pc (and its exploration
+    rolls back), so rewinding the pc and the trace recovers the state before
+    it; an ALU instruction at len(P) - 1 gives the state after it, which P +
+    Q reaches too. A branch whose raw target exceeds len(P) is resumed from
+    before it, because P + Q clamps that target differently.
     """
     if step_budget < 1:
         raise ConfigError("step_budget must be >= 1")
     instrs = p.instrs
     n = len(instrs)
-    state = ArchState.from_input(inp)
-    trace: list = []
     explore = contract.mode is ContractMode.CT_COND
-    steps = 0
-    snapshot = None
-    moves = 0  # non-forward moves since the snapshot
-    period = 1  # the snapshot is retaken after this many; doubles each time
+    if resume is None:
+        state = ArchState.from_input(inp)
+        trace: list = []
+        steps = 0
+        snapshot = None
+        moves = 0  # non-forward moves since the snapshot
+        period = 1  # the snapshot is retaken after this many; doubles each time
+    else:
+        state, trace, steps, snapshot, moves, period = resume
+        state = state.copy()
+        trace = list(trace)
+    point = instr = None
     while state.pc < n:
         if steps >= step_budget:
             return NON_TERMINATING
@@ -289,7 +329,12 @@ def contract_trace(
         if explore and instr.decoded[0] == KIND_JNS:
             taken = obs[0][2]
             other = branch_pc + 1 if taken else min(max(branch_pc + instr.disp, 0), n)
-            _explore_other_path(instrs, state, other, contract.spec_depth, n, trace)
+            before = len(trace) - 1
+            reached = _explore_other_path(instrs, state, other, contract.spec_depth, n, trace)
+            if capture is not None and point is None and (reached or state.pc >= n):
+                start = state.copy()
+                start.pc = branch_pc
+                point = TracePoint(start, tuple(trace[:before]), steps, snapshot, moves, period)
         steps += 1
         if state.pc <= branch_pc:
             if snapshot == (state.pc, state.regs, state.sf, state.cf, state.zf, state.mem):
@@ -299,12 +344,23 @@ def contract_trace(
                 snapshot = (state.pc, state.regs[:], state.sf, state.cf, state.zf, bytes(state.mem))
                 moves = 0
                 period *= 2
-    return tuple(trace)
+    trace = tuple(trace)
+    if capture is not None:
+        if point is None:
+            # The committed path left the program in the last step, a
+            # forward move that left the cycle check as it was.
+            rewind = instr is not None and instr.decoded[0] <= KIND_JNS
+            if rewind:
+                state.pc = branch_pc
+            point = TracePoint(state, trace[: len(trace) - rewind], steps - rewind, snapshot, moves, period)
+        capture.append(point)
+    return trace
 
 
 def _explore_other_path(instrs, state, start_pc, depth, n, trace):
     """Run up to `depth` instructions down the unexecuted branch direction,
-    appending their observations, then restore the architectural state."""
+    appending their observations, then restore the architectural state.
+    Returns whether the path moved to a pc >= n."""
     saved = (state.regs[:], state.sf, state.cf, state.zf, state.pc)
     undo: list = []
     state.pc = start_pc
@@ -312,9 +368,11 @@ def _explore_other_path(instrs, state, start_pc, depth, n, trace):
         if state.pc >= n:
             break
         trace.extend(step_instruction(state, instrs[state.pc], n, undo))
+    reached = state.pc >= n
     for addr, old in reversed(undo):
         state.mem[addr : addr + 8] = old
     state.regs, state.sf, state.cf, state.zf, state.pc = saved
+    return reached
 
 
 # --- deterministic input generation ---------------------------------------

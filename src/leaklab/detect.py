@@ -123,6 +123,7 @@ def boost_input(
     rng: Xorshift64Star,
     budget: int = DEFAULT_STEP_BUDGET,
     base_trace: tuple | None = None,
+    cells: dict | None = None,
 ) -> Input | None:
     """Derive a contract-equivalent sibling of `base` for `p`.
 
@@ -142,26 +143,38 @@ def boost_input(
     terminate alike.
 
     `base_trace`, when given, must be `contract_trace(p, base, contract,
-    budget)`; it saves recomputing that trace.
+    budget)`; it saves recomputing that trace. `cells`, when given, must map
+    every address that trace loads to the base's 8 bytes there; it saves
+    rebuilding that map in each call for one base input.
     """
-    if base_trace is None:
-        base_trace = contract_trace(p, base, contract, budget)
-    if base_trace is NON_TERMINATING:
-        raise ValueError("boost_input requires a terminating base input")
-    cells = {obs[1]: base.mem[obs[1] : obs[1] + 8] for obs in base_trace if obs[0] == OBS_LOAD}
+    if cells is None:
+        if base_trace is None:
+            base_trace = contract_trace(p, base, contract, budget)
+        if base_trace is NON_TERMINATING:
+            raise ValueError("boost_input requires a terminating base input")
+        cells = _load_cells(base, base_trace)
     mem = bytearray(rng.next_bytes(SANDBOX_SIZE))
     for _ in range(BOOST_ROUNDS):
         sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
         if all(mem[addr : addr + 8] == cell for addr, cell in cells.items()):
             return sibling
         tr = contract_trace(p, sibling, contract, budget)
-        # A non-terminating sibling yields no trace to guide the copy; pull
-        # it toward the base's path using the base's own load set instead.
-        for obs in base_trace if tr is NON_TERMINATING else tr:
+        if tr is NON_TERMINATING:
+            # No trace to guide the copy; pull the sibling toward the base's
+            # path using the base's own load set instead.
+            for addr, cell in cells.items():
+                mem[addr : addr + 8] = cell
+            continue
+        for obs in tr:
             if obs[0] == OBS_LOAD:
                 addr = obs[1]
                 mem[addr : addr + 8] = base.mem[addr : addr + 8]
     return None
+
+
+def _load_cells(base: Input, base_trace: tuple) -> dict:
+    """The base's 8 bytes at every address its contract trace loads."""
+    return {obs[1]: base.mem[obs[1] : obs[1] + 8] for obs in base_trace if obs[0] == OBS_LOAD}
 
 
 def _filter_tier(observations: list[InputObservation]) -> str:
@@ -253,9 +266,10 @@ def detect_violation(
     # (input i0, sibling 0), sorts before any sibling (i >= i0, j >= 1).
     for i, (base, base_obs) in enumerate(zip(inputs, observations)):
         first = classes[base_obs.ctrace][0]
+        cells = _load_cells(base, base_obs.ctrace)
         for j in range(1, boosts_per_input + 1):
             rng = Xorshift64Star(stream_seed(seed, (i << 8) | j))
-            sibling = boost_input(p, base, contract, rng, budget, base_obs.ctrace)
+            sibling = boost_input(p, base, contract, rng, budget, cells=cells)
             if sibling is None:
                 continue
             hw = hw_run(p, sibling, cfg, budget)

@@ -2,11 +2,12 @@
 
 One episode grows an attack program instruction by instruction. Each step
 appends the chosen action, measures the candidate on a fixed input set (both
-simulators, from a microarchitectural reset per input), throws the
-instruction away if any input fails the termination guard, and otherwise
-runs leak detection. Rewards are tiered: a detected leak, then observable
-misspeculation, then unobservable misspeculation, then no misspeculation at
-all, plus a small per-step cost.
+simulators, from a microarchitectural reset per input, resumed from where
+the current program's runs reached its end), throws the instruction away if
+any input fails the termination guard, and otherwise runs leak detection.
+Rewards are tiered: a detected leak, then observable misspeculation, then
+unobservable misspeculation, then no misspeculation at all, plus a small
+per-step cost.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .isa import (
     append_action,
     build_action_space,
 )
-from .uarch import REJECTED, InputObservation, SpecConfig, observe
+from .uarch import REJECTED, InputObservation, ResumePoints, SpecConfig, observe
 
 __all__ = [
     "RewardSpec",
@@ -118,7 +119,8 @@ class LeakEnv:
         self.inputs: list[Input] = generate_inputs(config.input_seed, config.num_inputs)
         self._detect_seed = mix64(config.input_seed ^ 0xDE7EC7)
         self.program = Program()
-        self.history: list[Observation] = []
+        # where the current program's runs can be resumed for a candidate
+        self._resume = ResumePoints()
         self._done = True
         self._steps = 0
 
@@ -130,12 +132,11 @@ class LeakEnv:
         are identical for every seed."""
         del seed  # inputs are fixed per config; nothing here is stochastic
         self.program = Program()
-        self.history = []
         self._done = False
         self._steps = 0
         records = observe(
             self.program, self.inputs, self.config.contract, self.config.spec_config,
-            self.config.step_budget,
+            self.config.step_budget, resume=self._resume,
         )
         assert records is not REJECTED  # the empty program always terminates
         self._last_obs = Observation(records=tuple(records), last_action=NO_ACTION)
@@ -149,7 +150,8 @@ class LeakEnv:
         cfg = self.config
         self._steps += 1
         candidate = append_action(self.program, action_id, self.action_space)
-        records = observe(candidate, self.inputs, cfg.contract, cfg.spec_config, cfg.step_budget)
+        records = observe(candidate, self.inputs, cfg.contract, cfg.spec_config, cfg.step_budget,
+                          resume=self._resume)
         if records is REJECTED:
             # the instruction is thrown away; the program does not grow
             reward = cfg.reward.r_reject + cfg.reward.r_step
@@ -165,7 +167,6 @@ class LeakEnv:
 
         self.program = candidate
         obs = Observation(records=tuple(records), last_action=action_id)
-        self.history.append(obs)
         self._last_obs = obs
 
         tier = _filter_tier(records)

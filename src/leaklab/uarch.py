@@ -24,6 +24,8 @@ after a run reports which sets now hold a victim line. The probe vector is a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 from .arch import (
     DEFAULT_STEP_BUDGET,
@@ -36,7 +38,7 @@ from .arch import (
     step_instruction,
 )
 from .errors import ConfigError
-from .isa import KIND_JNS, Program
+from .isa import KIND_JMP, KIND_JNS, Program
 
 __all__ = [
     "PHT_SIZE",
@@ -48,6 +50,8 @@ __all__ = [
     "PerfCounters",
     "HwResult",
     "InputObservation",
+    "HwPoint",
+    "ResumePoints",
     "hw_run",
     "observe",
     "htrace_hex",
@@ -115,11 +119,28 @@ def _access_bits(obs) -> int:
     return bits
 
 
+class HwPoint(NamedTuple):
+    """Where a terminating `hw_run` of a program P can be resumed for any
+    program that extends P: the run's full state at the start of the first
+    committed step in which some path moved to a pc >= len(P) (see
+    `hw_run`)."""
+
+    state: ArchState
+    pht: list
+    committed_victim: int
+    transient_victim: int
+    committed: int
+    transient: int
+    br_misses: int
+
+
 def hw_run(
     p: Program,
     inp: Input,
     cfg: SpecConfig = SpecConfig(),
     budget: int = DEFAULT_STEP_BUDGET,
+    resume: HwPoint | None = None,
+    capture: list | None = None,
 ):
     """Run `p` on the speculative hardware model.
 
@@ -140,16 +161,37 @@ def hw_run(
     inside a window. A correct window of k instructions after c0 commits
     passes the budget at resolution (c0 + k > budget) iff one of them meets
     it on issue (c0 + i >= budget for some i < k).
+
+    `capture`, when given, is a list to which the run's HwPoint is appended
+    if the run terminates; `resume`, when given, is an HwPoint that such a
+    run of a prefix of `p` captured, and the run continues from there
+    instead of from the reset with `inp`. Resuming is exact. The runs of P
+    and of P + Q agree step for step until some path (the committed path or
+    a mispredicted window) first moves to a pc >= len(P): before that every
+    instruction fetched lies in P, and every clamped branch target below
+    len(P) is the same for both lengths. The point is the full state at the
+    start of that committed step, and no window is open there. A
+    conditional branch's point is taken before it runs, as its window is
+    known only afterwards; a JMP's is recovered afterwards, since it changes
+    only the pc; an ALU instruction at len(P) - 1 gives the state after it,
+    which P + Q reaches too. A branch whose raw target exceeds len(P) is
+    resumed from before it, because P + Q clamps that target differently.
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
-    pht = [1] * PHT_SIZE
     instrs = p.instrs
     n = len(instrs)
-    state = ArchState.from_input(inp)
-    # bit s set iff cache set s holds a victim line, split by who evicted it
-    committed_victim = transient_victim = 0
-    committed = transient = br_misses = 0  # instructions retired / squashed, mispredictions
+    if resume is None:
+        state = ArchState.from_input(inp)
+        pht = [1] * PHT_SIZE
+        # bit s set iff cache set s holds a victim line, split by who evicted it
+        committed_victim = transient_victim = 0
+        committed = transient = br_misses = 0  # instructions retired / squashed, mispredictions
+    else:
+        state, pht, committed_victim, transient_victim, committed, transient, br_misses = resume
+        state = state.copy()
+        pht = pht[:]
+    point = instr = None
 
     while state.pc < n:
         if committed >= budget:
@@ -160,17 +202,33 @@ def hw_run(
         if instr.decoded[0] == KIND_JNS:
             taken = state.sf == 0
             target = min(max(pc + instr.disp, 0), n)
-            state.pc = target if taken else pc + 1
+            nxt = target if taken else pc + 1
             idx = pc % PHT_SIZE
-            if (pht[idx] >= 2) != taken:
+            mispredicted = (pht[idx] >= 2) != taken
+            if mispredicted:
+                issued, bits, reached = _transient(instrs, state, pc + 1 if taken else target, cfg.window, n)
+            if capture is not None and point is None and (nxt >= n or mispredicted and reached):
+                point = HwPoint(state.copy(), pht[:], committed_victim, transient_victim,
+                                committed - 1, transient, br_misses)
+            if mispredicted:
                 br_misses += 1
-                issued, bits = _transient(instrs, state, pc + 1 if taken else target, cfg.window, n)
                 transient += issued
                 transient_victim |= bits
+            state.pc = nxt
             pht[idx] = min(pht[idx] + 1, 3) if taken else max(pht[idx] - 1, 0)
             continue
         committed_victim |= _access_bits(step_instruction(state, instr, n))
 
+    if capture is not None:
+        if point is None:
+            # The committed path left the program in the last step.
+            start = state.copy()
+            rewind = instr is not None and instr.decoded[0] == KIND_JMP
+            if rewind:
+                start.pc = pc
+            point = HwPoint(start, pht, committed_victim, transient_victim, committed - rewind, transient,
+                            br_misses)
+        capture.append(point)
     return HwResult(
         htrace=committed_victim | transient_victim,
         counters=PerfCounters(br_misses, committed + transient, committed),
@@ -182,7 +240,8 @@ def hw_run(
 def _transient(instrs, state, pc, window, n):
     """Issue up to `window` instructions down a mispredicted path from `pc`,
     stopping early at program end or at the next conditional branch, then
-    roll memory, registers and flags back. Returns (issued, cache bits)."""
+    roll memory, registers and flags back. Returns (issued, cache bits,
+    whether the path moved to a pc >= n)."""
     saved = (state.regs[:], state.sf, state.cf, state.zf, state.pc)
     undo: list = []
     state.pc = pc
@@ -190,10 +249,11 @@ def _transient(instrs, state, pc, window, n):
     while issued < window and state.pc < n and instrs[state.pc].decoded[0] != KIND_JNS:
         bits |= _access_bits(step_instruction(state, instrs[state.pc], n, undo))
         issued += 1
+    reached = state.pc >= n
     for addr, old in reversed(undo):
         state.mem[addr : addr + 8] = old
     state.regs, state.sf, state.cf, state.zf, state.pc = saved
-    return issued, bits
+    return issued, bits, reached
 
 
 @dataclass(frozen=True)
@@ -209,27 +269,59 @@ class InputObservation:
     committed_htrace: int
 
 
+class ResumePoints:
+    """Where the runs of the last program that `observe` measured with this
+    object, and did not reject, can be resumed: the program, the inputs and
+    settings it was measured with, and one TracePoint and one HwPoint per
+    input."""
+
+    __slots__ = ("program", "setting", "arch", "hw")
+
+    def __init__(self):
+        self.program = self.setting = self.arch = self.hw = None
+
+
 def observe(
     p: Program,
     inputs: list[Input],
     contract: ContractSpec = ContractSpec(),
     cfg: SpecConfig = SpecConfig(),
     budget: int = DEFAULT_STEP_BUDGET,
+    resume: ResumePoints | None = None,
 ):
     """Measure `p` on every input from a fresh microarchitectural reset.
 
     Returns one InputObservation per input, or REJECTED as soon as either
     simulator exhausts its budget on some input (the environment's
     infinite-loop guard).
+
+    `resume`, when given, saves re-simulating what an earlier call already
+    did. If it holds the points of a prefix of `p` measured with the same
+    inputs and settings, every run resumes from its input's points instead
+    of starting from the reset; when no input is rejected, it then holds
+    `p`'s own points. The results are the same either way: the runs of a
+    program P and of P + Q agree until some path first moves to a pc >=
+    len(P), and each point is the full state of both simulators at the start
+    of that committed step (see `contract_trace` and `hw_run`). An
+    environment that grows a program one instruction at a time therefore
+    simulates each step only from where its parent's runs reached the end.
     """
     if not inputs:
         raise ConfigError("observe needs at least one input")
+    starts = repeat((None, None))
+    arch_points = hw_points = None
+    if resume is not None:
+        setting = (list(inputs), contract, cfg, budget)
+        prefix = resume.program
+        if resume.setting == setting and p.instrs[: len(prefix)] == prefix.instrs:
+            starts = zip(resume.arch, resume.hw)
+        arch_points, hw_points = [], []
     out: list[InputObservation] = []
-    for inp in inputs:
-        ct = contract_trace(p, inp, contract, budget)
+    for inp, (arch_start, hw_start) in zip(inputs, starts):
+        ct = contract_trace(p, inp, contract, budget, arch_start, arch_points)
         if ct is NON_TERMINATING:
             return REJECTED
-        hw = hw_run(p, inp, cfg, budget)
+        hw = hw_run(p, inp, cfg, budget, hw_start, hw_points)
         if hw is NON_TERMINATING:
             return REJECTED
         out.append(
@@ -241,4 +333,6 @@ def observe(
                 committed_htrace=hw.committed_htrace,
             )
         )
+    if resume is not None:
+        resume.program, resume.setting, resume.arch, resume.hw = p, setting, arch_points, hw_points
     return out

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leaklab.arch import ContractMode, ContractSpec
 from leaklab.env import (
     NO_ACTION,
     EnvConfig,
@@ -13,8 +14,8 @@ from leaklab.env import (
     encoded_length,
 )
 from leaklab.errors import ConfigError
-from leaklab.isa import Instruction, Opcode, Register, parse_program
-from leaklab.uarch import InputObservation, observe
+from leaklab.isa import Instruction, Opcode, Program, Register, append_action, parse_program
+from leaklab.uarch import InputObservation, SpecConfig, observe
 
 # action ids in the default 40-action space
 SBB_R0_R0 = 0
@@ -151,24 +152,30 @@ def test_guarded_growth():
     assert len(env.program) <= 12
 
 
-def test_prefix_observation_fidelity(env):
-    env.reset(0)
-    taken = []
-    for a in [0, 1, 37, 5]:
-        sr = env.step(a)
-        if not sr.info["rejected"]:
-            taken.append(a)
-        if sr.terminated or sr.truncated:
-            break
-    # recompute each prefix from scratch and compare with stored history
-    from leaklab.isa import Program, append_action
-
+def test_prefix_observation_fidelity():
+    # every accepted step's observation equals a from-scratch measurement of
+    # the grown program; a rejected step repeats the last observation
+    cfg = EnvConfig(max_len=16, input_seed=42, contract=ContractSpec(ContractMode.CT_COND, 4),
+                    spec_config=SpecConfig(window=3))
+    env = LeakEnv(cfg)
+    last = env.reset(0)
     p = Program()
-    for k, a in enumerate(taken):
-        p = append_action(p, a, env.action_space)
-        fresh = observe(p, env.inputs, env.config.contract, env.config.spec_config)
-        assert tuple(fresh) == env.history[k].records
-        assert env.history[k].last_action == a
+    actions = [0, 38, 37, 14, 38, 5, 37, 22, 1, 38, 37, 14, 9, 30, 37, 2, 38, 14, 21, 37]
+    rejected = 0
+    for k, a in enumerate(actions):
+        sr = env.step(a)
+        if sr.info["rejected"]:
+            rejected += 1
+            assert sr.obs is last
+        else:
+            p = append_action(p, a, env.action_space)
+            fresh = observe(p, env.inputs, cfg.contract, cfg.spec_config, cfg.step_budget)
+            assert sr.obs.records == tuple(fresh)
+            assert sr.obs.last_action == a
+        assert env.program == p
+        last = sr.obs
+        assert sr.truncated == (k == len(actions) - 1)
+    assert rejected == 4 and len(p) == 16
 
 
 def test_encoding_length_and_zeros(env):

@@ -12,6 +12,7 @@ from leaklab.arch import (
     ArchState,
     Input,
     contract_trace,
+    generate_inputs,
     input_from_seed,
     step_instruction,
 )
@@ -25,6 +26,7 @@ from leaklab.uarch import (
     HwResult,
     InputObservation,
     PerfCounters,
+    ResumePoints,
     SpecConfig,
     hw_run,
     htrace_hex,
@@ -412,3 +414,94 @@ def test_hw_run_matches_frame_oracle(menu, picks, window, budget, seed):
     assert new.committed_htrace == old.committed_htrace
     assert new.counters == old.counters  # br_misses, uops_issued, uops_retired
     assert new.final_state == old.final_state
+
+
+def _check_resumed_episode(instrs, inputs, contract, cfg, budget):
+    """Grow a program one instruction at a time as LeakEnv does, measuring
+    each candidate with the current program's ResumePoints, and check every
+    result against a from-scratch observe. Returns the ResumePoints and each
+    candidate's result."""
+    resume = ResumePoints()
+    p = Program()
+    assert observe(p, inputs, contract, cfg, budget, resume=resume) == observe(p, inputs, contract, cfg, budget)
+    results = []
+    for instr in instrs:
+        candidate = p.append(instr)
+        resumed = observe(candidate, inputs, contract, cfg, budget, resume=resume)
+        fresh = observe(candidate, inputs, contract, cfg, budget)
+        assert (resumed is REJECTED) == (fresh is REJECTED)
+        assert resumed == fresh
+        results.append(fresh)
+        if fresh is not REJECTED:
+            p = candidate
+    return resume, results
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    menu=st.sampled_from(MENUS[:2]),
+    picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=40),
+    contract=st.sampled_from([CT_SEQ] + [ContractSpec(ContractMode.CT_COND, d) for d in range(1, 9)]),
+    window=st.sampled_from([0, 1, 2, 3, 8]),
+    budget=st.sampled_from([1, 2, 5, 17, 300, 10_000]),
+    seed=st.integers(0, (1 << 64) - 1),
+)
+def test_resumed_observe_matches_from_scratch(menu, picks, contract, window, budget, seed):
+    instrs = [menu[i % menu.size] for i in picks]
+    _check_resumed_episode(instrs, generate_inputs(seed, 3), contract, SpecConfig(window=window), budget)
+
+
+# One episode per kind of resume point. On the first input (R0=5, R1=1) the
+# loop `SBB R0, R1 / JNS -1` runs six times; `expect` is where the points of
+# the program without its last instruction lie on that input: (arch pc,
+# steps, hw pc, committed instructions).
+RESUME_INPUTS = [make_input(r0=5, r1=1), make_input(r0=3, r1=2, r2=64, mem_byte=7)]
+LOOP = "SBB R0, R1\nJNS -1\n"
+
+
+@pytest.mark.parametrize(
+    "text, contract, window, budget, expect, last_rejected",
+    [
+        # an ALU instruction at the end: the state after it
+        ("SBB R0, R1\nSBB R1, [BASE+R0]", CT_SEQ, 8, 300, (1, 1, 1, 1), False),
+        # a branch past the end: before it, since a longer program clamps
+        # its target elsewhere and skips the load
+        ("SBB R0, R1\nJMP +2\nSBB R1, [BASE+R0]", CT_SEQ, 8, 300, (1, 1, 1, 1), False),
+        # the first JNS's explored fall-through reaches the end
+        (LOOP + "SBB R1, [BASE+R0]", ContractSpec(ContractMode.CT_COND, 4), 0, 300, (1, 1, 1, 1), False),
+        # the first JNS's mispredicted window reaches the end; the contract
+        # trace resumes before the last JNS
+        (LOOP + "SBB R1, [BASE+R0]", CT_SEQ, 8, 300, (1, 11, 1, 1), False),
+        # Brent's check finds `SBB R2, R2 / JMP -1` only after the point,
+        # from the snapshot the loop before it left
+        (LOOP + "SBB R2, R2\nJMP -1", CT_SEQ, 0, 300, (3, 13, 3, 13), True),
+        # the budget runs out exactly at the point
+        (LOOP + "SBB R2, R2\nSBB R0, R0", CT_SEQ, 0, 13, (3, 13, 3, 13), True),
+    ],
+    ids=["alu-at-end", "jmp-past-end", "explored-path", "window", "brent", "budget"],
+)
+def test_resume_point_kinds(text, contract, window, budget, expect, last_rejected):
+    instrs = parse_program(text).instrs
+    resume, results = _check_resumed_episode(instrs[:-1], RESUME_INPUTS, contract, SpecConfig(window), budget)
+    assert REJECTED not in results
+    arch, hw = resume.arch[0], resume.hw[0]
+    assert (arch.state.pc, arch.steps, hw.state.pc, hw.committed) == expect
+    _, results = _check_resumed_episode(instrs, RESUME_INPUTS, contract, SpecConfig(window), budget)
+    assert (results[-1] is REJECTED) == last_rejected
+
+
+def test_resume_points_of_other_programs_or_settings_are_not_used():
+    # points of `LOOP` on RESUME_INPUTS under CT-SEQ, window 8, budget 300
+    # serve none of these calls
+    longer = parse_program(LOOP + "SBB R1, [BASE+R0]")
+    cases = [
+        (longer, RESUME_INPUTS[::-1], CT_SEQ, SpecConfig(), 300),
+        (longer, RESUME_INPUTS, ContractSpec(ContractMode.CT_COND, 2), SpecConfig(), 300),
+        (longer, RESUME_INPUTS, CT_SEQ, SpecConfig(window=1), 300),
+        (longer, RESUME_INPUTS, CT_SEQ, SpecConfig(), 17),
+        (parse_program("SBB R1, R2\nJNS -1\nSBB R1, [BASE+R0]"), RESUME_INPUTS, CT_SEQ, SpecConfig(), 300),
+    ]
+    for args in cases:
+        resume = ResumePoints()
+        assert observe(parse_program(LOOP), RESUME_INPUTS, CT_SEQ, SpecConfig(), 300, resume=resume) is not REJECTED
+        assert observe(*args, resume=resume) == observe(*args)
