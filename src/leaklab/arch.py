@@ -21,6 +21,7 @@ trace is insensitive to instructions appended after it.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -55,6 +56,9 @@ __all__ = [
 SANDBOX_SIZE = 4096
 MASK64 = (1 << 64) - 1
 _ADDR_MASK = (SANDBOX_SIZE - 1) & ~7
+# one little-endian 64-bit word at a byte offset
+_WORD = struct.Struct("<Q")
+_load_word, _store_word = _WORD.unpack_from, _WORD.pack_into
 DEFAULT_STEP_BUDGET = 10_000
 
 # Contract observation tags. A trace is a tuple of
@@ -141,31 +145,43 @@ RESET_ZF = 0
 
 class ArchState:
     """Mutable architectural state. BASE is pinned to 0; addresses are
-    sandbox offsets."""
+    sandbox offsets. Memory is copied on write: it is the input's own bytes
+    until the first store makes it a bytearray, so a run never changes its
+    Input. `written` maps every address a committed store wrote to the
+    64-bit word there now; stores in a rolled-back excursion are left out, so
+    `mem` is the input's memory with `written` written over it. A resume
+    point's state may drop `mem` (set it to None) and keep only that write
+    log."""
 
-    __slots__ = ("regs", "sf", "cf", "zf", "pc", "mem")
+    __slots__ = ("regs", "sf", "cf", "zf", "pc", "mem", "written")
 
-    def __init__(self, regs, sf, cf, zf, pc, mem):
+    def __init__(self, regs, sf, cf, zf, pc, mem, written=None):
         self.regs = regs  # [r0, r1, r2, base]
         self.sf = sf
         self.cf = cf
         self.zf = zf
         self.pc = pc
-        self.mem = mem  # bytearray(SANDBOX_SIZE)
+        self.mem = mem  # bytes until the first store, then a bytearray (SANDBOX_SIZE)
+        self.written = {} if written is None else written
 
     @classmethod
     def from_input(cls, inp: Input) -> "ArchState":
-        return cls(
-            regs=[inp.r0 & MASK64, inp.r1 & MASK64, inp.r2 & MASK64, 0],
-            sf=RESET_SF,
-            cf=RESET_CF,
-            zf=RESET_ZF,
-            pc=0,
-            mem=bytearray(inp.mem),
-        )
+        regs = [inp.r0 & MASK64, inp.r1 & MASK64, inp.r2 & MASK64, 0]
+        return cls(regs, RESET_SF, RESET_CF, RESET_ZF, 0, bytes(inp.mem))
 
-    def copy(self) -> "ArchState":
-        return ArchState(self.regs[:], self.sf, self.cf, self.zf, self.pc, bytearray(self.mem))
+    def copy(self, inp: Input | None = None) -> "ArchState":
+        """A copy that shares nothing mutable. A state that dropped its
+        memory rebuilds it from `inp`, the input its run started from."""
+        mem = self.mem
+        if mem is None:
+            mem = bytes(inp.mem)
+            if self.written:
+                mem = bytearray(mem)
+                for addr, word in self.written.items():
+                    _store_word(mem, addr, word)
+        elif type(mem) is not bytes:
+            mem = bytearray(mem)
+        return ArchState(self.regs[:], self.sf, self.cf, self.zf, self.pc, mem, dict(self.written))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ArchState):
@@ -186,12 +202,19 @@ class ArchState:
         )
 
 
+# One observation tuple per 8-aligned address, shared by every trace.
+_LOAD_OBS = tuple(((OBS_LOAD, addr),) for addr in range(0, SANDBOX_SIZE, 8))
+_RMW_OBS = tuple(((OBS_LOAD, addr), (OBS_STORE, addr)) for addr in range(0, SANDBOX_SIZE, 8))
+
+
 def step_instruction(state, instr, n, undo_log=None):
     """Execute one instruction in place and return its observations.
 
     `n` is the program length used for branch-target clamping. When
     `undo_log` is given, memory writes append (addr, old bytes) so a caller
-    can roll the store back.
+    can roll the store back; otherwise the store goes into `state.written`.
+    Load and read-modify-write observations are shared tuples, one per
+    address.
     """
     kind, dst, src, mem_operand, disp = instr.decoded
     if kind <= KIND_JNS:
@@ -209,11 +232,11 @@ def step_instruction(state, instr, n, undo_log=None):
     mem = state.mem
     if mem_operand == MEM_SRC:
         addr = regs[src] & _ADDR_MASK
-        s = int.from_bytes(mem[addr : addr + 8], "little")
+        (s,) = _load_word(mem, addr)
         d = regs[dst]
     elif mem_operand == MEM_DST:
         addr = regs[dst] & _ADDR_MASK
-        d = int.from_bytes(mem[addr : addr + 8], "little")
+        (d,) = _load_word(mem, addr)
         s = regs[src]
     else:
         s = regs[src]
@@ -242,18 +265,22 @@ def step_instruction(state, instr, n, undo_log=None):
         return ()
     if mem_operand == MEM_SRC:
         regs[dst] = res
-        return ((OBS_LOAD, addr),)
-    if undo_log is not None:
+        return _LOAD_OBS[addr >> 3]
+    if type(mem) is bytes:  # the first store copies the input's memory
+        mem = state.mem = bytearray(mem)
+    if undo_log is None:
+        state.written[addr] = res
+    else:
         undo_log.append((addr, bytes(mem[addr : addr + 8])))
-    mem[addr : addr + 8] = res.to_bytes(8, "little")
-    return ((OBS_LOAD, addr), (OBS_STORE, addr))
+    _store_word(mem, addr, res)
+    return _RMW_OBS[addr >> 3]
 
 
 class TracePoint(NamedTuple):
     """Where a terminating `contract_trace` run of a program P can be resumed
     for any program that extends P: the run's full state at the start of the
     first committed step in which some path moved to a pc >= len(P) (see
-    `contract_trace`)."""
+    `contract_trace`). The cycle check's memory is its write log."""
 
     state: ArchState
     trace: tuple
@@ -284,7 +311,10 @@ def contract_trace(
     compared there alone, against one snapshot retaken after 1, 2, 4, ...
     such moves (Brent's cycle detection): memory stays O(1), a forward step
     costs one integer comparison, and a cycle is found within a small
-    multiple of its length plus the steps before it.
+    multiple of its length plus the steps before it. Memory is compared
+    through the write log `written`: equal logs mean equal memory, and one
+    period after a run starts repeating it writes no new address, so from
+    there on equal memory means equal logs.
 
     `capture`, when given, is a list to which the run's TracePoint is
     appended if the run terminates; `resume`, when given, is a TracePoint
@@ -316,7 +346,7 @@ def contract_trace(
         period = 1  # the snapshot is retaken after this many; doubles each time
     else:
         state, trace, steps, snapshot, moves, period = resume
-        state = state.copy()
+        state = state.copy(inp)
         trace = list(trace)
     point = instr = None
     while state.pc < n:
@@ -337,11 +367,11 @@ def contract_trace(
                 point = TracePoint(start, tuple(trace[:before]), steps, snapshot, moves, period)
         steps += 1
         if state.pc <= branch_pc:
-            if snapshot == (state.pc, state.regs, state.sf, state.cf, state.zf, state.mem):
+            if snapshot == (state.pc, state.regs, state.sf, state.cf, state.zf, state.written):
                 return NON_TERMINATING
             moves += 1
             if moves == period:
-                snapshot = (state.pc, state.regs[:], state.sf, state.cf, state.zf, bytes(state.mem))
+                snapshot = (state.pc, state.regs[:], state.sf, state.cf, state.zf, dict(state.written))
                 moves = 0
                 period *= 2
     trace = tuple(trace)

@@ -31,6 +31,7 @@ from .uarch import (
     CACHE_SETS,
     REJECTED,
     InputObservation,
+    ResumePoints,
     SpecConfig,
     htrace_hex,
     hw_run,
@@ -124,6 +125,8 @@ def boost_input(
     budget: int = DEFAULT_STEP_BUDGET,
     base_trace: tuple | None = None,
     cells: dict | None = None,
+    points: tuple[dict, dict] | None = None,
+    copied: set | None = None,
 ) -> Input | None:
     """Derive a contract-equivalent sibling of `base` for `p`.
 
@@ -146,6 +149,17 @@ def boost_input(
     budget)`; it saves recomputing that trace. `cells`, when given, must map
     every address that trace loads to the base's 8 bytes there; it saves
     rebuilding that map in each call for one base input.
+
+    Every copy writes the base's bytes, so a round's sibling is the
+    generator's bytes with the base's at the addresses copied before it: for
+    one base and one fresh `rng`, that frozenset identifies the sibling.
+    `points`, when given, is a pair of dicts keyed by it: each simulated
+    round's `contract_trace` resumes from the first dict's TracePoint for its
+    sibling, if there is one, and stores the TracePoint it captures, without
+    memory, in the second. The first dict must hold points that such rounds
+    captured for a prefix of `p`; the result is then the same as without
+    them. `copied`, when given, is an empty set that ends up holding the
+    returned sibling's copied addresses.
     """
     if cells is None:
         if base_trace is None:
@@ -153,23 +167,38 @@ def boost_input(
         if base_trace is NON_TERMINATING:
             raise ValueError("boost_input requires a terminating base input")
         cells = _load_cells(base, base_trace)
+    if copied is None:
+        copied = set()
     mem = bytearray(rng.next_bytes(SANDBOX_SIZE))
     for _ in range(BOOST_ROUNDS):
         sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
         if all(mem[addr : addr + 8] == cell for addr, cell in cells.items()):
             return sibling
-        tr = contract_trace(p, sibling, contract, budget)
+        if points is None:
+            tr = contract_trace(p, sibling, contract, budget)
+        else:
+            key, captured = frozenset(copied), []
+            tr = contract_trace(p, sibling, contract, budget, points[0].get(key), captured)
+            if captured:
+                points[1][key] = _without_memory(captured[0])
         if tr is NON_TERMINATING:
             # No trace to guide the copy; pull the sibling toward the base's
             # path using the base's own load set instead.
-            for addr, cell in cells.items():
-                mem[addr : addr + 8] = cell
-            continue
-        for obs in tr:
-            if obs[0] == OBS_LOAD:
-                addr = obs[1]
-                mem[addr : addr + 8] = base.mem[addr : addr + 8]
+            loads = cells.keys()
+        else:
+            loads = {obs[1] for obs in tr if obs[0] == OBS_LOAD}
+        for addr in loads - copied:
+            mem[addr : addr + 8] = base.mem[addr : addr + 8]
+        copied.update(loads)
     return None
+
+
+def _without_memory(point):
+    """`point` with its state's memory dropped: a resumed run rebuilds it
+    from the sibling and the write log, so the points a boosted step keeps
+    hold no copy of any sibling's sandbox."""
+    point.state.mem = None
+    return point
 
 
 def _load_cells(base: Input, base_trace: tuple) -> dict:
@@ -198,6 +227,7 @@ def detect_violation(
     budget: int = DEFAULT_STEP_BUDGET,
     exhaustive: bool = False,
     observations: list[InputObservation] | None = None,
+    resume: ResumePoints | None = None,
 ):
     """Search for a contract violation of `p` over `inputs`.
 
@@ -222,6 +252,16 @@ def detect_violation(
     transient load uses that value as its address). The gate can therefore
     miss a violation. `exhaustive=True` disables that gate and always runs
     the full class construction; it exists as a test oracle.
+
+    `resume`, when given, lets boosting resume its sibling runs: a call that
+    boosts leaves in it, and only in it, the TracePoint of every sibling
+    round it simulated and the HwPoint of every final sibling, keyed by
+    (input index, sibling index, addresses copied so far). Under equal
+    inputs and `seed` that key is the sibling itself (see `boost_input`), so
+    a later call on an extension of `p` with equal inputs, contract, `cfg`,
+    `budget` and `seed` resumes each such run from its point instead of the
+    reset, and gets the same result (see `contract_trace` and `hw_run`).
+    Points are stored without memory, as write logs against the sibling.
     """
     if not inputs:
         raise ConfigError("detect_violation needs at least one input")
@@ -264,15 +304,29 @@ def detect_violation(
     # pass 2: boosted siblings, in (input index, sibling index) order. After
     # pass 1 a class shares its first member's htrace, and that member, at
     # (input i0, sibling 0), sorts before any sibling (i >= i0, j >= 1).
+    if resume is not None:
+        setting = (list(inputs), contract, cfg, budget, seed)
+        arch_from, hw_from = resume.usable(p, setting)
+        arch_into, hw_into = {}, {}
+        resume.keep(p, setting, arch_into, hw_into)
+    points = copied = hw_start = hw_points = None
     for i, (base, base_obs) in enumerate(zip(inputs, observations)):
         first = classes[base_obs.ctrace][0]
         cells = _load_cells(base, base_obs.ctrace)
         for j in range(1, boosts_per_input + 1):
             rng = Xorshift64Star(stream_seed(seed, (i << 8) | j))
-            sibling = boost_input(p, base, contract, rng, budget, cells=cells)
+            if resume is not None:
+                points = (arch_from.get((i, j), {}), arch_into.setdefault((i, j), {}))
+                copied = set()
+            sibling = boost_input(p, base, contract, rng, budget, cells=cells, points=points, copied=copied)
             if sibling is None:
                 continue
-            hw = hw_run(p, sibling, cfg, budget)
+            if resume is not None:
+                key = (i, j, frozenset(copied))
+                hw_start, hw_points = hw_from.get(key), []
+            hw = hw_run(p, sibling, cfg, budget, hw_start, hw_points)
+            if hw_points:
+                hw_into[key] = _without_memory(hw_points[0])
             if hw is NON_TERMINATING:
                 continue  # cannot happen for a verified sibling, but stay safe
             if hw.htrace != first[1]:

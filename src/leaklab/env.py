@@ -4,7 +4,9 @@ One episode grows an attack program instruction by instruction. Each step
 appends the chosen action, measures the candidate on a fixed input set (both
 simulators, from a microarchitectural reset per input, resumed from where
 the current program's runs reached its end), throws the instruction away if
-any input fails the termination guard, and otherwise runs leak detection.
+any input fails the termination guard, and otherwise runs leak detection,
+whose boosted siblings resume from where the same siblings' runs reached the
+end of the last program that was boosted.
 Rewards are tiered: a detected leak, then observable misspeculation, then
 unobservable misspeculation, then no misspeculation at all, plus a small
 per-step cost.
@@ -119,8 +121,10 @@ class LeakEnv:
         self.inputs: list[Input] = generate_inputs(config.input_seed, config.num_inputs)
         self._detect_seed = mix64(config.input_seed ^ 0xDE7EC7)
         self.program = Program()
-        # where the current program's runs can be resumed for a candidate
+        # where the current program's runs can be resumed for a candidate,
+        # and where the last boosted program's sibling runs can
         self._resume = ResumePoints()
+        self._sibling_resume = ResumePoints()
         self._done = True
         self._steps = 0
 
@@ -179,6 +183,7 @@ class LeakEnv:
             seed=self._detect_seed,
             budget=cfg.step_budget,
             observations=records,
+            resume=self._sibling_resume,
         )
         if violation is REJECTED:  # cannot happen: observe() above succeeded
             violation = None

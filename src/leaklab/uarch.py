@@ -24,7 +24,6 @@ after a run reports which sets now hold a victim line. The probe vector is a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 from .arch import (
@@ -189,7 +188,7 @@ def hw_run(
         committed = transient = br_misses = 0  # instructions retired / squashed, mispredictions
     else:
         state, pht, committed_victim, transient_victim, committed, transient, br_misses = resume
-        state = state.copy()
+        state = state.copy(inp)
         pht = pht[:]
     point = instr = None
 
@@ -256,11 +255,11 @@ def _transient(instrs, state, pc, window, n):
     return issued, bits, reached
 
 
-@dataclass(frozen=True)
-class InputObservation:
+class InputObservation(NamedTuple):
     """Per-input observation bundle: probe vector, contract trace, branch
     misses, transient micro-op count, plus the committed-only probe vector
-    used for the observability check."""
+    used for the observability check. A NamedTuple, as `observe` builds one
+    per input per env step."""
 
     htrace: int
     ctrace: tuple
@@ -270,15 +269,30 @@ class InputObservation:
 
 
 class ResumePoints:
-    """Where the runs of the last program that `observe` measured with this
-    object, and did not reject, can be resumed: the program, the inputs and
-    settings it was measured with, and one TracePoint and one HwPoint per
-    input."""
+    """Where the runs of the last program measured with this store can be
+    resumed: the program, the settings it was measured with, and the
+    TracePoints (`arch`) and HwPoints (`hw`) its runs captured, each keyed by
+    the input it ran on. The caller keys inputs so that under equal settings
+    equal keys mean identical inputs: `observe` by position in its input
+    list, boosting by base input, sibling stream and copied cells."""
 
     __slots__ = ("program", "setting", "arch", "hw")
 
     def __init__(self):
-        self.program = self.setting = self.arch = self.hw = None
+        self.program = self.setting = None
+        self.arch, self.hw = {}, {}
+
+    def usable(self, p: Program, setting: tuple) -> tuple[dict, dict]:
+        """The (arch, hw) points, if they were captured on a prefix of `p`
+        with `setting`; otherwise two empty dicts."""
+        prefix = self.program
+        if self.setting == setting and p.instrs[: len(prefix)] == prefix.instrs:
+            return self.arch, self.hw
+        return {}, {}
+
+    def keep(self, p: Program, setting: tuple, arch: dict, hw: dict) -> None:
+        """Hold the points of `p`'s runs with `setting`, and only those."""
+        self.program, self.setting, self.arch, self.hw = p, setting, arch, hw
 
 
 def observe(
@@ -308,31 +322,22 @@ def observe(
     """
     if not inputs:
         raise ConfigError("observe needs at least one input")
-    starts = repeat((None, None))
+    arch_from = hw_from = {}
     arch_points = hw_points = None
     if resume is not None:
         setting = (list(inputs), contract, cfg, budget)
-        prefix = resume.program
-        if resume.setting == setting and p.instrs[: len(prefix)] == prefix.instrs:
-            starts = zip(resume.arch, resume.hw)
+        arch_from, hw_from = resume.usable(p, setting)
         arch_points, hw_points = [], []
     out: list[InputObservation] = []
-    for inp, (arch_start, hw_start) in zip(inputs, starts):
-        ct = contract_trace(p, inp, contract, budget, arch_start, arch_points)
+    for i, inp in enumerate(inputs):
+        ct = contract_trace(p, inp, contract, budget, arch_from.get(i), arch_points)
         if ct is NON_TERMINATING:
             return REJECTED
-        hw = hw_run(p, inp, cfg, budget, hw_start, hw_points)
+        hw = hw_run(p, inp, cfg, budget, hw_from.get(i), hw_points)
         if hw is NON_TERMINATING:
             return REJECTED
-        out.append(
-            InputObservation(
-                htrace=hw.htrace,
-                ctrace=ct,
-                br_misses=hw.counters.br_misses,
-                tran_uops=hw.counters.tran_uops,
-                committed_htrace=hw.committed_htrace,
-            )
-        )
+        counters = hw.counters
+        out.append(InputObservation(hw.htrace, ct, counters.br_misses, counters.tran_uops, hw.committed_htrace))
     if resume is not None:
-        resume.program, resume.setting, resume.arch, resume.hw = p, setting, arch_points, hw_points
+        resume.keep(p, setting, dict(enumerate(arch_points)), dict(enumerate(hw_points)))
     return out

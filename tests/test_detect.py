@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaklab.arch import (
     SANDBOX_SIZE,
@@ -21,6 +23,7 @@ from leaklab.detect import (
     boost_input,
     detect_violation,
 )
+from leaklab.harness import scaling_action_config
 from leaklab.isa import (
     ActionSpaceConfig,
     Program,
@@ -28,7 +31,7 @@ from leaklab.isa import (
     parse_program,
     render_program,
 )
-from leaklab.uarch import REJECTED, SpecConfig, observe
+from leaklab.uarch import REJECTED, ResumePoints, SpecConfig, observe
 
 from conftest import make_input
 
@@ -348,3 +351,161 @@ def test_boost_success_rate_sane():
             succeeded += 1
             assert contract_trace(p, sib, CT_SEQ, 300) == contract_trace(p, base, CT_SEQ, 300)
     assert succeeded >= 90
+
+
+# --- boosted siblings resumed from the last boosted step --------------------
+
+MENUS = [build_action_space(), build_action_space(scaling_action_config())]
+RESET = -1  # an episode step that starts the program over
+# gate-gap shaped programs: transient loads whose addresses come from loads
+CHAIN_MENU = build_action_space(ActionSpaceConfig(parse_program("""
+SBB R2, R2
+SBB R0, R0
+JNS +2
+JNS +3
+SBB R1, [BASE+R0]
+SBB R2, [BASE+R1]
+SBB R0, [BASE+R2]
+SBB R1, [BASE+R2]
+""").instrs))
+
+
+def _detect_with_runs(*args, **kwargs):
+    """detect_violation's result, and the result of every contract_trace and
+    hw_run call it made, in order."""
+    from leaklab import detect
+
+    runs = []
+
+    def recorded(fn):
+        def wrapper(*a):
+            result = fn(*a)
+            runs.append(result)
+            return result
+
+        return wrapper
+
+    saved = detect.contract_trace, detect.hw_run
+    detect.contract_trace, detect.hw_run = map(recorded, saved)
+    try:
+        return detect_violation(*args, **kwargs), runs
+    finally:
+        detect.contract_trace, detect.hw_run = saved
+
+
+def _check_resumed_detection(steps, inputs, contract, cfg, budget, seed, boosts, exhaustive):
+    """Drive detection as LeakEnv does: grow a program one instruction at a
+    time (RESET starts it over), measure each candidate with the current
+    program's resume points, and run detect_violation on every accepted
+    one with one sibling store for the whole episode. Every call must equal
+    the same call without the store, and so must every sibling run it made
+    (a wrong sibling can still give the same report). Returns how many calls
+    boosted."""
+    resume, siblings = ResumePoints(), ResumePoints()
+    args = (contract, cfg, budget)
+    p = Program()
+    boosted = 0
+    for step in [RESET] + steps:
+        if step is RESET:
+            p = Program()
+            assert observe(p, inputs, *args, resume=resume) is not REJECTED
+            continue
+        candidate = p.append(step)
+        records = observe(candidate, inputs, *args, resume=resume)
+        if records is REJECTED:
+            continue
+        p = candidate
+        kwargs = dict(boosts_per_input=boosts, seed=seed, budget=budget, exhaustive=exhaustive,
+                      observations=records)
+        resumed, resumed_runs = _detect_with_runs(p, inputs, contract, cfg, resume=siblings, **kwargs)
+        fresh, fresh_runs = _detect_with_runs(p, inputs, contract, cfg, **kwargs)
+        assert resumed == fresh, render_program(p)
+        assert resumed_runs == fresh_runs, render_program(p)
+        if fresh is None or fresh is REJECTED:
+            assert resumed is fresh
+        boosted += siblings.program is p
+    return boosted
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    menu=st.sampled_from(MENUS + [CHAIN_MENU]),
+    picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=30),
+    contract=st.sampled_from([CT_SEQ] + [ContractSpec(ContractMode.CT_COND, d) for d in range(1, 9)]),
+    window=st.sampled_from([0, 1, 2, 3, 8]),
+    budget=st.sampled_from([1, 2, 17, 300, 10_000]),
+    seed=st.integers(0, (1 << 64) - 1),
+    boosts=st.integers(1, 3),
+    exhaustive=st.booleans(),
+)
+def test_resumed_siblings_match_from_scratch(menu, picks, contract, window, budget, seed, boosts, exhaustive):
+    # one pick in eight resets the episode; budgets 1 and 2 reject most steps
+    steps = [RESET if k % 8 == 7 else menu[k % menu.size] for k in picks]
+    _check_resumed_detection(steps, generate_inputs(seed, 3), contract, SpecConfig(window=window), budget,
+                             seed, boosts, exhaustive)
+
+
+def test_resumed_siblings_cover_gated_rejected_and_boosted_steps():
+    # a fixed default-menu episode through the env's gated mode: gated,
+    # rejected and reset steps between boosted ones
+    rng = random.Random(8)
+    space = MENUS[0]
+    steps = [RESET if rng.random() < 0.05 else space[rng.randrange(space.size)] for _ in range(120)]
+    boosted = _check_resumed_detection(steps, generate_inputs(11, 6), CT_SEQ, SpecConfig(), 300, 5, 2, False)
+    assert boosted >= 10
+
+
+def test_sibling_points_do_not_outlive_their_episode():
+    # the episode after the reset boosts first a program without loads, whose
+    # siblings agree before any simulation and capture nothing, then one with
+    # a load, whose siblings' first rounds must start from the reset
+    text = "SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]\nSBB R1, [BASE+R2]\n"
+    steps = [*parse_program(text).instrs, RESET, *parse_program("SBB R1, R2\n" + text).instrs]
+    boosted = _check_resumed_detection(steps, generate_inputs(23, 4), CT_SEQ, SpecConfig(), 300, 9, 2, True)
+    assert boosted == len(steps) - 1
+
+
+class _Poisoned:
+    """A stand-in resume point: any use of it fails."""
+
+    def __iter__(self):
+        raise AssertionError("a resume point of another program or setting was used")
+
+
+def _poison(store: ResumePoints) -> int:
+    """Replace every point in `store` by a _Poisoned one; returns how many."""
+    for points in store.arch.values():
+        for key in points:
+            points[key] = _Poisoned()
+    for key in store.hw:
+        store.hw[key] = _Poisoned()
+    return sum(map(len, store.arch.values())) + len(store.hw)
+
+
+def test_sibling_points_of_other_programs_or_settings_are_not_used():
+    # points of CHAIN on INPUTS (CT-SEQ, window 8, budget 300, seed 7)
+    # serve none of these calls
+    chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
+    longer = chain.append(parse_program("SBB R1, R2").instrs[0])
+    inputs = generate_inputs(19, 3)
+    base = dict(contract=CT_SEQ, cfg=SpecConfig(), budget=300, seed=7, exhaustive=True)
+    cases = [
+        (parse_program("SBB R0, [BASE+R2]\nSBB R2, [BASE+R0]\nSBB R1, R2"), inputs, {}),
+        (longer, inputs[::-1], {}),
+        (longer, inputs, dict(seed=8)),
+        (longer, inputs, dict(contract=ContractSpec(ContractMode.CT_COND, 2))),
+        (longer, inputs, dict(cfg=SpecConfig(window=1))),
+        (longer, inputs, dict(budget=17)),
+    ]
+    for p, case_inputs, change in cases:
+        store = ResumePoints()
+        detect_violation(chain, inputs, resume=store, **base)
+        assert _poison(store) > 0
+        kwargs = {**base, **change}
+        assert detect_violation(p, case_inputs, resume=store, **kwargs) == detect_violation(p, case_inputs, **kwargs)
+    # the same store does serve an extension of CHAIN with equal settings
+    store = ResumePoints()
+    detect_violation(chain, inputs, resume=store, **base)
+    _poison(store)
+    with pytest.raises(AssertionError, match="another program or setting"):
+        detect_violation(longer, inputs, resume=store, **base)

@@ -16,6 +16,7 @@ from leaklab.arch import (
     input_from_seed,
     step_instruction,
 )
+from leaklab.detect import detect_violation
 from leaklab.errors import ConfigError
 from leaklab.harness import fixture_action_config, scaling_action_config
 from leaklab.isa import KIND_JNS, Program, build_action_space, parse_program
@@ -505,3 +506,58 @@ def test_resume_points_of_other_programs_or_settings_are_not_used():
         resume = ResumePoints()
         assert observe(parse_program(LOOP), RESUME_INPUTS, CT_SEQ, SpecConfig(), 300, resume=resume) is not REJECTED
         assert observe(*args, resume=resume) == observe(*args)
+
+
+def _check_inputs_untouched(instrs, contract, window, as_bytearray, seed):
+    """Run both simulators, resumed and from scratch, and boosting on every
+    prefix of `instrs`, and check that no run changed its inputs' memory.
+    Memory is copied on write, so a run must never write into an input's
+    own bytes, nor into a bytearray an input was built from."""
+    inputs = [Input(inp.r0, inp.r1, inp.r2, bytearray(inp.mem) if as_bytearray else inp.mem, inp.seed)
+              for inp in generate_inputs(seed, 3)]
+    before = [bytes(inp.mem) for inp in inputs]
+    cfg = SpecConfig(window=window)
+    resume, siblings = ResumePoints(), ResumePoints()
+    p = Program()
+    for instr in instrs:
+        candidate = p.append(instr)
+        for inp in inputs:
+            contract_trace(candidate, inp, contract, 300)
+            hw_run(candidate, inp, cfg, 300)
+        records = observe(candidate, inputs, contract, cfg, 300, resume=resume)
+        if records is REJECTED:
+            continue
+        p = candidate
+        detect_violation(p, inputs, contract, cfg, budget=300, seed=seed, exhaustive=True,
+                         observations=records, resume=siblings)
+    assert [bytes(inp.mem) for inp in inputs] == before
+
+
+@pytest.mark.parametrize("as_bytearray", [False, True], ids=["bytes", "bytearray"])
+@pytest.mark.parametrize(
+    "text, contract, window",
+    [
+        # a committed store
+        ("SBB R1, R2\nSBB [BASE+R1], R2\nSBB [BASE+R0], R1", CT_SEQ, 0),
+        # the taken JNS is predicted not taken: the window's store rolls back
+        ("SBB R0, R0\nJNS +2\nSBB [BASE+R1], R2\nSBB R2, [BASE+R1]", CT_SEQ, 8),
+        # CT-COND explores the same store on the untaken path and rolls it back
+        ("SBB R0, R0\nJNS +2\nSBB [BASE+R1], R2\nSBB R2, [BASE+R1]", ContractSpec(ContractMode.CT_COND, 4), 0),
+    ],
+    ids=["committed", "window", "ct-cond"],
+)
+def test_no_run_mutates_input_memory(text, contract, window, as_bytearray):
+    _check_inputs_untouched(parse_program(text).instrs, contract, window, as_bytearray, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=16),
+    contract=st.sampled_from([CT_SEQ, ContractSpec(ContractMode.CT_COND, 4)]),
+    window=st.sampled_from([0, 3, 8]),
+    as_bytearray=st.booleans(),
+    seed=st.integers(0, (1 << 64) - 1),
+)
+def test_no_random_run_mutates_input_memory(picks, contract, window, as_bytearray, seed):
+    menu = MENUS[0]
+    _check_inputs_untouched([menu[i % menu.size] for i in picks], contract, window, as_bytearray, seed)
