@@ -58,7 +58,7 @@ MASK64 = (1 << 64) - 1
 _ADDR_MASK = (SANDBOX_SIZE - 1) & ~7
 # one little-endian 64-bit word at a byte offset
 _WORD = struct.Struct("<Q")
-_load_word, _store_word = _WORD.unpack_from, _WORD.pack_into
+_load_word = _WORD.unpack_from
 DEFAULT_STEP_BUDGET = 10_000
 
 # Contract observation tags. A trace is a tuple of
@@ -145,13 +145,14 @@ RESET_ZF = 0
 
 class ArchState:
     """Mutable architectural state. BASE is pinned to 0; addresses are
-    sandbox offsets. Memory is copied on write: it is the input's own bytes
-    until the first store makes it a bytearray, so a run never changes its
-    Input. `written` maps every address a committed store wrote to the
-    64-bit word there now; stores in a rolled-back excursion are left out, so
-    `mem` is the input's memory with `written` written over it. A resume
-    point's state may drop `mem` (set it to None) and keep only that write
-    log."""
+    sandbox offsets. Memory has two parts: `mem`, the bytes of the input the
+    run started from, which no run writes, and `written`, which maps every
+    address a committed store wrote to the 64-bit word there now. A load
+    reads `written` first and `mem` otherwise; a store writes `written`
+    alone. An excursion (a mispredicted window, a CT_COND explored path)
+    runs on a copy of `written` and puts the original back. A resume
+    point's state holds no memory (`mem` is None): a run resumed from it
+    takes its own input's bytes."""
 
     __slots__ = ("regs", "sf", "cf", "zf", "pc", "mem", "written")
 
@@ -161,7 +162,7 @@ class ArchState:
         self.cf = cf
         self.zf = zf
         self.pc = pc
-        self.mem = mem  # bytes until the first store, then a bytearray (SANDBOX_SIZE)
+        self.mem = mem  # SANDBOX_SIZE bytes, or None in a resume point
         self.written = {} if written is None else written
 
     @classmethod
@@ -169,19 +170,15 @@ class ArchState:
         regs = [inp.r0 & MASK64, inp.r1 & MASK64, inp.r2 & MASK64, 0]
         return cls(regs, RESET_SF, RESET_CF, RESET_ZF, 0, bytes(inp.mem))
 
-    def copy(self, inp: Input | None = None) -> "ArchState":
-        """A copy that shares nothing mutable. A state that dropped its
-        memory rebuilds it from `inp`, the input its run started from."""
-        mem = self.mem
-        if mem is None:
-            mem = bytes(inp.mem)
-            if self.written:
-                mem = bytearray(mem)
-                for addr, word in self.written.items():
-                    _store_word(mem, addr, word)
-        elif type(mem) is not bytes:
-            mem = bytearray(mem)
+    def copy(self, mem: bytes | None) -> "ArchState":
+        """A copy that shares nothing mutable, with `mem` as its memory: None
+        for a resume point, its input's bytes for a run resumed from one."""
         return ArchState(self.regs[:], self.sf, self.cf, self.zf, self.pc, mem, dict(self.written))
+
+    def load(self, addr: int) -> int:
+        """The 64-bit word at the 8-aligned sandbox offset `addr`."""
+        word = self.written.get(addr)
+        return _load_word(self.mem, addr)[0] if word is None else word
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ArchState):
@@ -192,7 +189,10 @@ class ArchState:
             and self.cf == other.cf
             and self.zf == other.zf
             and self.pc == other.pc
-            and self.mem == other.mem
+            and (
+                (self.mem == other.mem and self.written == other.written)
+                or all(self.load(addr) == other.load(addr) for addr in range(0, SANDBOX_SIZE, 8))
+            )
         )
 
     def __repr__(self) -> str:
@@ -207,14 +207,13 @@ _LOAD_OBS = tuple(((OBS_LOAD, addr),) for addr in range(0, SANDBOX_SIZE, 8))
 _RMW_OBS = tuple(((OBS_LOAD, addr), (OBS_STORE, addr)) for addr in range(0, SANDBOX_SIZE, 8))
 
 
-def step_instruction(state, instr, n, undo_log=None):
+def step_instruction(state, instr, n):
     """Execute one instruction in place and return its observations.
 
-    `n` is the program length used for branch-target clamping. When
-    `undo_log` is given, memory writes append (addr, old bytes) so a caller
-    can roll the store back; otherwise the store goes into `state.written`.
-    Load and read-modify-write observations are shared tuples, one per
-    address.
+    `n` is the program length used for branch-target clamping. A load reads
+    the word in `state.written` if there is one, else the input's bytes in
+    `state.mem`; a store writes `state.written` alone. Load and
+    read-modify-write observations are shared tuples, one per address.
     """
     kind, dst, src, mem_operand, disp = instr.decoded
     if kind <= KIND_JNS:
@@ -229,14 +228,14 @@ def step_instruction(state, instr, n, undo_log=None):
     # ALU: resolve operands. Registers are non-negative 64-bit values, so
     # `& _ADDR_MASK` is `(reg mod SANDBOX_SIZE) & ~7`.
     regs = state.regs
-    mem = state.mem
+    written = state.written
     if mem_operand == MEM_SRC:
         addr = regs[src] & _ADDR_MASK
-        (s,) = _load_word(mem, addr)
+        s = written[addr] if addr in written else _load_word(state.mem, addr)[0]
         d = regs[dst]
     elif mem_operand == MEM_DST:
         addr = regs[dst] & _ADDR_MASK
-        (d,) = _load_word(mem, addr)
+        d = written[addr] if addr in written else _load_word(state.mem, addr)[0]
         s = regs[src]
     else:
         s = regs[src]
@@ -266,13 +265,7 @@ def step_instruction(state, instr, n, undo_log=None):
     if mem_operand == MEM_SRC:
         regs[dst] = res
         return _LOAD_OBS[addr >> 3]
-    if type(mem) is bytes:  # the first store copies the input's memory
-        mem = state.mem = bytearray(mem)
-    if undo_log is None:
-        state.written[addr] = res
-    else:
-        undo_log.append((addr, bytes(mem[addr : addr + 8])))
-    _store_word(mem, addr, res)
+    written[addr] = res
     return _RMW_OBS[addr >> 3]
 
 
@@ -280,7 +273,8 @@ class TracePoint(NamedTuple):
     """Where a terminating `contract_trace` run of a program P can be resumed
     for any program that extends P: the run's full state at the start of the
     first committed step in which some path moved to a pc >= len(P) (see
-    `contract_trace`). The cycle check's memory is its write log."""
+    `contract_trace`). Its state holds no memory (see `ArchState`), and
+    the cycle check's memory is its write log."""
 
     state: ArchState
     trace: tuple
@@ -346,7 +340,7 @@ def contract_trace(
         period = 1  # the snapshot is retaken after this many; doubles each time
     else:
         state, trace, steps, snapshot, moves, period = resume
-        state = state.copy(inp)
+        state = state.copy(bytes(inp.mem))
         trace = list(trace)
     point = instr = None
     while state.pc < n:
@@ -362,7 +356,7 @@ def contract_trace(
             before = len(trace) - 1
             reached = _explore_other_path(instrs, state, other, contract.spec_depth, n, trace)
             if capture is not None and point is None and (reached or state.pc >= n):
-                start = state.copy()
+                start = state.copy(None)
                 start.pc = branch_pc
                 point = TracePoint(start, tuple(trace[:before]), steps, snapshot, moves, period)
         steps += 1
@@ -382,6 +376,7 @@ def contract_trace(
             rewind = instr is not None and instr.decoded[0] <= KIND_JNS
             if rewind:
                 state.pc = branch_pc
+            state.mem = None
             point = TracePoint(state, trace[: len(trace) - rewind], steps - rewind, snapshot, moves, period)
         capture.append(point)
     return trace
@@ -391,17 +386,15 @@ def _explore_other_path(instrs, state, start_pc, depth, n, trace):
     """Run up to `depth` instructions down the unexecuted branch direction,
     appending their observations, then restore the architectural state.
     Returns whether the path moved to a pc >= n."""
-    saved = (state.regs[:], state.sf, state.cf, state.zf, state.pc)
-    undo: list = []
+    saved = (state.regs[:], state.sf, state.cf, state.zf, state.pc, state.written)
+    state.written = dict(state.written)
     state.pc = start_pc
     for _ in range(depth):
         if state.pc >= n:
             break
-        trace.extend(step_instruction(state, instrs[state.pc], n, undo))
+        trace.extend(step_instruction(state, instrs[state.pc], n))
     reached = state.pc >= n
-    for addr, old in reversed(undo):
-        state.mem[addr : addr + 8] = old
-    state.regs, state.sf, state.cf, state.zf, state.pc = saved
+    state.regs, state.sf, state.cf, state.zf, state.pc, state.written = saved
     return reached
 
 

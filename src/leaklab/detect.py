@@ -123,7 +123,6 @@ def boost_input(
     contract: ContractSpec,
     rng: Xorshift64Star,
     budget: int = DEFAULT_STEP_BUDGET,
-    base_trace: tuple | None = None,
     cells: dict | None = None,
     points: tuple[dict, dict] | None = None,
     copied: set | None = None,
@@ -132,9 +131,10 @@ def boost_input(
 
     The sibling keeps the base's registers and gets fresh random memory. Each
     round first returns the sibling if its memory equals the base's at every
-    address `base_trace` loads; otherwise it simulates the sibling and copies
-    the base's bytes at every address the sibling's own trace loads. Returns
-    None if no round starts with that agreement within BOOST_ROUNDS rounds.
+    address the base's contract trace loads; otherwise it simulates the
+    sibling and copies the base's bytes at every address the sibling's own
+    trace loads. Returns None if no round starts with that agreement within
+    BOOST_ROUNDS rounds.
 
     The agreement proves the sibling's contract trace equals the base's
     without simulating it. Both runs start from the same registers, and
@@ -145,25 +145,23 @@ def boost_input(
     agree. So the runs take the same path, emit the same trace and
     terminate alike.
 
-    `base_trace`, when given, must be `contract_trace(p, base, contract,
-    budget)`; it saves recomputing that trace. `cells`, when given, must map
-    every address that trace loads to the base's 8 bytes there; it saves
-    rebuilding that map in each call for one base input.
+    `cells`, when given, must map every address that the base's contract
+    trace loads to the base's 8 bytes there; it saves simulating the base
+    and rebuilding that map in each call for one base input.
 
     Every copy writes the base's bytes, so a round's sibling is the
     generator's bytes with the base's at the addresses copied before it: for
     one base and one fresh `rng`, that frozenset identifies the sibling.
     `points`, when given, is a pair of dicts keyed by it: each simulated
     round's `contract_trace` resumes from the first dict's TracePoint for its
-    sibling, if there is one, and stores the TracePoint it captures, without
-    memory, in the second. The first dict must hold points that such rounds
-    captured for a prefix of `p`; the result is then the same as without
-    them. `copied`, when given, is an empty set that ends up holding the
-    returned sibling's copied addresses.
+    sibling, if there is one, and stores the TracePoint it captures in the
+    second. The first dict must hold points that such rounds captured for a
+    prefix of `p`; the result is then the same as without them. `copied`,
+    when given, is an empty set that ends up holding the returned sibling's
+    copied addresses.
     """
     if cells is None:
-        if base_trace is None:
-            base_trace = contract_trace(p, base, contract, budget)
+        base_trace = contract_trace(p, base, contract, budget)
         if base_trace is NON_TERMINATING:
             raise ValueError("boost_input requires a terminating base input")
         cells = _load_cells(base, base_trace)
@@ -180,7 +178,7 @@ def boost_input(
             key, captured = frozenset(copied), []
             tr = contract_trace(p, sibling, contract, budget, points[0].get(key), captured)
             if captured:
-                points[1][key] = _without_memory(captured[0])
+                points[1][key] = captured[0]
         if tr is NON_TERMINATING:
             # No trace to guide the copy; pull the sibling toward the base's
             # path using the base's own load set instead.
@@ -191,14 +189,6 @@ def boost_input(
             mem[addr : addr + 8] = base.mem[addr : addr + 8]
         copied.update(loads)
     return None
-
-
-def _without_memory(point):
-    """`point` with its state's memory dropped: a resumed run rebuilds it
-    from the sibling and the write log, so the points a boosted step keeps
-    hold no copy of any sibling's sandbox."""
-    point.state.mem = None
-    return point
 
 
 def _load_cells(base: Input, base_trace: tuple) -> dict:
@@ -261,7 +251,8 @@ def detect_violation(
     a later call on an extension of `p` with equal inputs, contract, `cfg`,
     `budget` and `seed` resumes each such run from its point instead of the
     reset, and gets the same result (see `contract_trace` and `hw_run`).
-    Points are stored without memory, as write logs against the sibling.
+    Like every point, these hold no memory: their memory is the write log
+    of the committed path's stores, over the sibling's bytes.
     """
     if not inputs:
         raise ConfigError("detect_violation needs at least one input")
@@ -326,7 +317,7 @@ def detect_violation(
                 hw_start, hw_points = hw_from.get(key), []
             hw = hw_run(p, sibling, cfg, budget, hw_start, hw_points)
             if hw_points:
-                hw_into[key] = _without_memory(hw_points[0])
+                hw_into[key] = hw_points[0]
             if hw is NON_TERMINATING:
                 continue  # cannot happen for a verified sibling, but stay safe
             if hw.htrace != first[1]:

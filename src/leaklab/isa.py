@@ -195,9 +195,6 @@ class ActionSpace:
     def __getitem__(self, i: int) -> Instruction:
         return self.actions[i]
 
-    def index_of(self, instr: Instruction) -> int:
-        return self.actions.index(instr)
-
 
 def build_action_space(config: ActionSpaceConfig = DEFAULT_ACTION_CONFIG) -> ActionSpace:
     """The action space of `config`: its instructions, which must be a

@@ -122,7 +122,7 @@ class HwPoint(NamedTuple):
     """Where a terminating `hw_run` of a program P can be resumed for any
     program that extends P: the run's full state at the start of the first
     committed step in which some path moved to a pc >= len(P) (see
-    `hw_run`)."""
+    `hw_run`). Its state holds no memory (see `ArchState`)."""
 
     state: ArchState
     pht: list
@@ -188,7 +188,7 @@ def hw_run(
         committed = transient = br_misses = 0  # instructions retired / squashed, mispredictions
     else:
         state, pht, committed_victim, transient_victim, committed, transient, br_misses = resume
-        state = state.copy(inp)
+        state = state.copy(bytes(inp.mem))
         pht = pht[:]
     point = instr = None
 
@@ -207,7 +207,7 @@ def hw_run(
             if mispredicted:
                 issued, bits, reached = _transient(instrs, state, pc + 1 if taken else target, cfg.window, n)
             if capture is not None and point is None and (nxt >= n or mispredicted and reached):
-                point = HwPoint(state.copy(), pht[:], committed_victim, transient_victim,
+                point = HwPoint(state.copy(None), pht[:], committed_victim, transient_victim,
                                 committed - 1, transient, br_misses)
             if mispredicted:
                 br_misses += 1
@@ -221,7 +221,7 @@ def hw_run(
     if capture is not None:
         if point is None:
             # The committed path left the program in the last step.
-            start = state.copy()
+            start = state.copy(None)
             rewind = instr is not None and instr.decoded[0] == KIND_JMP
             if rewind:
                 start.pc = pc
@@ -238,20 +238,18 @@ def hw_run(
 
 def _transient(instrs, state, pc, window, n):
     """Issue up to `window` instructions down a mispredicted path from `pc`,
-    stopping early at program end or at the next conditional branch, then
-    roll memory, registers and flags back. Returns (issued, cache bits,
-    whether the path moved to a pc >= n)."""
-    saved = (state.regs[:], state.sf, state.cf, state.zf, state.pc)
-    undo: list = []
+    stopping early at program end or at the next conditional branch, on a
+    copy of the write log, then roll memory, registers and flags back.
+    Returns (issued, cache bits, whether the path moved to a pc >= n)."""
+    saved = (state.regs[:], state.sf, state.cf, state.zf, state.pc, state.written)
+    state.written = dict(state.written)
     state.pc = pc
     issued = bits = 0
     while issued < window and state.pc < n and instrs[state.pc].decoded[0] != KIND_JNS:
-        bits |= _access_bits(step_instruction(state, instrs[state.pc], n, undo))
+        bits |= _access_bits(step_instruction(state, instrs[state.pc], n))
         issued += 1
     reached = state.pc >= n
-    for addr, old in reversed(undo):
-        state.mem[addr : addr + 8] = old
-    state.regs, state.sf, state.cf, state.zf, state.pc = saved
+    state.regs, state.sf, state.cf, state.zf, state.pc, state.written = saved
     return issued, bits, reached
 
 

@@ -16,3 +16,12 @@ def inputs20():
 
 def make_input(r0=0, r1=0, r2=0, mem_byte=0) -> Input:
     return Input(r0=r0, r1=r1, r2=r2, mem=bytes([mem_byte]) * SANDBOX_SIZE)
+
+
+def memory(state) -> bytes:
+    """A state's effective sandbox memory: its input's bytes with the write
+    log written over them."""
+    mem = bytearray(state.mem)
+    for addr, word in state.written.items():
+        mem[addr : addr + 8] = word.to_bytes(8, "little")
+    return bytes(mem)

@@ -26,7 +26,7 @@ from leaklab.errors import ConfigError
 from leaklab.harness import scaling_action_config
 from leaklab.isa import Instruction, Mem, Opcode, Program, Register, build_action_space, parse_program
 
-from conftest import make_input
+from conftest import make_input, memory
 
 R0, R1, R2 = Register.R0, Register.R1, Register.R2
 CT_SEQ = ContractSpec(ContractMode.CT_SEQ)
@@ -35,12 +35,12 @@ M64 = (1 << 64) - 1
 
 
 def _state(r0=0, r1=0, r2=0, sf=1, cf=0, zf=0, pc=0) -> ArchState:
-    return ArchState([r0, r1, r2, 0], sf, cf, zf, pc, bytearray(SANDBOX_SIZE))
+    return ArchState([r0, r1, r2, 0], sf, cf, zf, pc, bytes(SANDBOX_SIZE))
 
 
 def _step(state: ArchState, instr: Instruction, n: int):
     """step_instruction on a copy of `state`: (new state, observations)."""
-    new = state.copy()
+    new = state.copy(state.mem)
     return new, step_instruction(new, instr, n)
 
 
@@ -68,11 +68,12 @@ def test_load_address_wraps_and_aligns():
 
 def test_memory_destination_is_read_modify_write():
     s = _state(r0=1, r1=16)
-    s.mem[16:24] = (100).to_bytes(8, "little")
+    s.written[16] = 100
     new, obs = _step(s, Instruction(Opcode.SBB, dst=Mem(R1), src=R0), 1)
     assert obs == (("L", 16), ("S", 16))
-    assert int.from_bytes(new.mem[16:24], "little") == 99
-    assert s.mem[16:24] == (100).to_bytes(8, "little")
+    assert new.written == {16: 99}
+    assert s.written == {16: 100}
+    assert new.mem is s.mem == bytes(SANDBOX_SIZE)  # a store never writes the input's bytes
 
 
 def test_imul_flags():
@@ -171,7 +172,7 @@ def _reference_trace(p: Program, inp: Input, contract: ContractSpec, budget: int
         obs = step_instruction(state, instr, n)
         trace.extend(obs)
         if contract.mode is ContractMode.CT_COND and instr.opcode is Opcode.JNS:
-            shadow = state.copy()
+            shadow = state.copy(state.mem)
             shadow.pc = branch_pc + 1 if obs[0][2] else min(max(branch_pc + instr.disp, 0), n)
             for _ in range(contract.spec_depth):
                 if shadow.pc >= n:
@@ -457,15 +458,20 @@ def _reference_step(regs, flags, pc, mem, instr, n):
 )
 def test_step_instruction_matches_reference(instr, r, flags, n, data):
     pc = data.draw(st.integers(0, n - 1))
-    mem = bytearray(random.Random(data.draw(st.integers(0, 1 << 32))).randbytes(SANDBOX_SIZE))
+    mem = random.Random(data.draw(st.integers(0, 1 << 32))).randbytes(SANDBOX_SIZE)
+    # earlier stores, often at the addresses the registers point to
+    near = st.sampled_from([(x % SANDBOX_SIZE) & ~7 for x in r])
+    addrs = st.one_of(near, st.integers(0, SANDBOX_SIZE // 8 - 1).map(lambda i: 8 * i))
+    written = data.draw(st.dictionaries(addrs, WORDS, max_size=4))
     regs = [*r, 0]
-    want_regs, want_flags, want_pc, want_mem, want_obs = _reference_step(regs, flags, pc, mem, instr, n)
+    state = ArchState(regs[:], *flags, pc, mem, dict(written))
+    before = memory(state)
+    want_regs, want_flags, want_pc, want_mem, want_obs = _reference_step(regs, flags, pc, before, instr, n)
 
-    state = ArchState(regs[:], *flags, pc, bytearray(mem))
-    undo: list = []
-    obs = step_instruction(state, instr, n, undo)
+    obs = step_instruction(state, instr, n)
     assert obs == want_obs
     assert (state.regs, (state.sf, state.cf, state.zf), state.pc) == (want_regs, want_flags, want_pc)
-    assert state.mem == want_mem
-    stores = [o[1] for o in obs if o[0] == "S"]
-    assert undo == [(a, bytes(mem[a : a + 8])) for a in stores]
+    assert memory(state) == want_mem
+    assert state.mem is mem  # stores go to the write log alone
+    stores = {o[1] for o in obs if o[0] == "S"}
+    assert state.written.keys() == written.keys() | stores

@@ -152,6 +152,32 @@ def test_guarded_growth():
     assert len(env.program) <= 12
 
 
+def _points(store):
+    """Every resume point in `store`: observe's arch points are keyed by
+    input, boosting's by sibling, then by addresses copied."""
+    for point in store.arch.values():
+        yield from point.values() if isinstance(point, dict) else [point]
+    yield from store.hw.values()
+
+
+def test_resume_points_hold_no_memory():
+    # a point holds the write log alone; a resumed run attaches its input
+    env = LeakEnv(EnvConfig(max_len=16, input_seed=5))
+    rng = np.random.default_rng(4)
+    seen = {"observe": 0, "siblings": 0}
+    for _ in range(6):
+        env.reset(0)
+        done = False
+        while not done:
+            sr = env.step(int(rng.integers(env.action_space.size)))
+            done = sr.terminated or sr.truncated
+            for name, store in (("observe", env._resume), ("siblings", env._sibling_resume)):
+                points = list(_points(store))
+                assert all(point.state.mem is None for point in points)
+                seen[name] += len(points)
+    assert seen["observe"] > 0 and seen["siblings"] > 0
+
+
 def test_prefix_observation_fidelity():
     # every accepted step's observation equals a from-scratch measurement of
     # the grown program; a rejected step repeats the last observation

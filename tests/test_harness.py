@@ -65,7 +65,7 @@ def test_random_program_uniform_frequencies():
     total = 100_000
     counts = np.zeros(space.size)
     for instr in random_program(total, space, rng):
-        counts[space.index_of(instr)] += 1
+        counts[space.actions.index(instr)] += 1
     p = 1 / space.size
     sigma = np.sqrt(total * p * (1 - p))
     assert np.all(np.abs(counts - total * p) <= 3 * sigma)

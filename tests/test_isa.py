@@ -137,7 +137,7 @@ def test_decoded_field_is_invisible(default_space):
         build_action_space(ActionSpaceConfig(actions=(a, b)))
     for i, instr in enumerate(default_space.actions):
         fresh = Instruction(instr.opcode, instr.dst, instr.src, instr.disp)
-        assert default_space.index_of(fresh) == i
+        assert default_space.actions.index(fresh) == i
 
 
 def test_append_action_examples(default_space):

@@ -34,7 +34,7 @@ from leaklab.uarch import (
     observe,
 )
 
-from conftest import make_input
+from conftest import make_input, memory
 
 CT_SEQ = ContractSpec(ContractMode.CT_SEQ)
 
@@ -116,7 +116,8 @@ def test_squashed_store_rolls_back():
     assert r.counters.br_misses == 1
     # transient RMW touched set 8 but memory is restored
     assert r.htrace == 1 << 8
-    assert bytes(r.final_state.mem) == inp.mem
+    assert r.final_state.written == {}
+    assert memory(r.final_state) == inp.mem
 
 
 def test_mistraining_flips_prediction():
@@ -240,32 +241,36 @@ def test_negative_window_rejected():
 
 
 # The frame-based hw_run that the excursion loop replaced, kept verbatim
-# (renamed) as the oracle: it opens a frame at every conditional branch and
-# updates the predictor, retires and counts commits when the frame resolves.
+# (renamed) as the oracle but for its memory rollback, which now saves the
+# write log when a frame opens and puts it back on a misprediction: it opens
+# a frame at every conditional branch and updates the predictor, retires and
+# counts commits when the frame resolves.
 class _Frame:
     """One unresolved conditional branch: restore point plus bookkeeping."""
 
     __slots__ = (
         "saved_regs",
         "saved_flags",
+        "saved_written",
         "resume_pc",
         "branch_idx",
         "actual_taken",
         "mispredicted",
         "pending",
-        "undo",
         "accesses",
     )
 
-    def __init__(self, saved_regs, saved_flags, resume_pc, branch_idx, actual_taken, mispredicted):
+    def __init__(
+        self, saved_regs, saved_flags, saved_written, resume_pc, branch_idx, actual_taken, mispredicted
+    ):
         self.saved_regs = saved_regs
         self.saved_flags = saved_flags
+        self.saved_written = saved_written
         self.resume_pc = resume_pc
         self.branch_idx = branch_idx
         self.actual_taken = actual_taken
         self.mispredicted = mispredicted
         self.pending = 0
-        self.undo: list = []
         self.accesses = 0
 
 
@@ -318,8 +323,7 @@ def frame_hw_run(
                     pht[idx] = max(pht[idx] - 1, 0)
                 if frame.mispredicted:
                     counters.br_misses += 1
-                    for addr, old in reversed(frame.undo):
-                        state.mem[addr : addr + 8] = old
+                    state.written = frame.saved_written
                     state.regs = frame.saved_regs
                     state.sf, state.cf, state.zf = frame.saved_flags
                     state.pc = frame.resume_pc
@@ -335,7 +339,7 @@ def frame_hw_run(
             instr = instrs[state.pc]
             counters.uops_issued += 1
             frame.pending += 1
-            obs = step_instruction(state, instr, n, frame.undo)
+            obs = step_instruction(state, instr, n)
             bits = _access_bits(obs)
             victim |= bits
             frame.accesses |= bits
@@ -358,6 +362,7 @@ def frame_hw_run(
             frame = _Frame(
                 saved_regs=state.regs[:],
                 saved_flags=(state.sf, state.cf, state.zf),
+                saved_written=dict(state.written),
                 resume_pc=actual_next,
                 branch_idx=branch_idx,
                 actual_taken=actual_taken,
@@ -511,8 +516,8 @@ def test_resume_points_of_other_programs_or_settings_are_not_used():
 def _check_inputs_untouched(instrs, contract, window, as_bytearray, seed):
     """Run both simulators, resumed and from scratch, and boosting on every
     prefix of `instrs`, and check that no run changed its inputs' memory.
-    Memory is copied on write, so a run must never write into an input's
-    own bytes, nor into a bytearray an input was built from."""
+    Stores go to the run's write log, so a run must never write into an
+    input's own bytes, nor into a bytearray an input was built from."""
     inputs = [Input(inp.r0, inp.r1, inp.r2, bytearray(inp.mem) if as_bytearray else inp.mem, inp.seed)
               for inp in generate_inputs(seed, 3)]
     before = [bytes(inp.mem) for inp in inputs]
