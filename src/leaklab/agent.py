@@ -6,6 +6,10 @@ gradient descent. Everything stochastic flows through one seeded generator,
 so identical seeds give identical training logs. No learning framework is
 involved; gradients are computed by hand and checked against finite
 differences in the test suite.
+
+The random-search baseline shares the learner's episode runner (steps,
+episodes, leaks, log records) but not its rollout buffer: it draws actions
+uniformly and never encodes an observation.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .detect import ViolationReport
-from .env import LeakEnv
+from .env import LeakEnv, StepResult
 from .errors import ConfigError, TrainingFault
 from .isa import render_program
 
@@ -361,7 +365,9 @@ class TrainingLog:
 
 
 class _Runner:
-    """Shared rollout loop for the learner and the uniform baseline."""
+    """Episode bookkeeping shared by the learner and the uniform baseline. It
+    holds the current Observation, not its encoding: only PPO's rollout
+    encodes."""
 
     def __init__(self, env: LeakEnv, cfg: TrainerConfig, method: str):
         self.env = env
@@ -370,74 +376,38 @@ class _Runner:
         self.log = TrainingLog(method=method)
         self.steps = 0
         self.episodes = 0
-        self.obs_vec = env.encode(env.reset(cfg.seed))
+        self.obs = env.reset(cfg.seed)
         self.ep_reward = 0.0
+        self.ep_rewards: list[float] = []  # rewards of episodes completed since the last record
 
     def should_stop(self) -> bool:
         if self.steps >= self.cfg.total_steps:
             return True
         return self.cfg.stop_on_first_leak and bool(self.log.leaks)
 
-    def collect(self, act, value_fn):
-        """Collect up to cfg.horizon transitions; `act(obs_vec)` returns
-        (action, log_prob, value) and `value_fn(obs_vec)` a value estimate
-        for bootstrap queries. Returns (Trajectory, completed episode
-        rewards)."""
-        cfg = self.cfg
-        env = self.env
-        obs_l, act_l, logp_l, rew_l, val_l, term_l, trunc_l = [], [], [], [], [], [], []
-        final_values: dict[int, float] = {}
-        ep_rewards = []
-        t = 0
-        while t < cfg.horizon and not self.should_stop():
-            a, logp, v = act(self.obs_vec)
-            sr = env.step(a)
-            obs_l.append(self.obs_vec)
-            act_l.append(a)
-            logp_l.append(logp)
-            rew_l.append(sr.reward)
-            val_l.append(v)
-            term_l.append(sr.terminated)
-            trunc_l.append(sr.truncated)
-            self.ep_reward += sr.reward
-            self.steps += 1
-            if sr.info.get("violation") is not None:
-                self.log.leaks.append(LeakEvent(step=self.steps, report=sr.info["violation"]))
-            if sr.terminated or sr.truncated:
-                if sr.truncated and not sr.terminated:
-                    final_values[t] = float(value_fn(env.encode(sr.obs)))
-                ep_rewards.append(self.ep_reward)
-                self.ep_reward = 0.0
-                self.episodes += 1
-                self.obs_vec = env.encode(env.reset())
-            else:
-                self.obs_vec = env.encode(sr.obs)
-            t += 1
-        if not obs_l:
-            return None, ep_rewards
-        n = len(obs_l)
-        fv = np.zeros(n)
-        for k, v in final_values.items():
-            fv[k] = v
-        if not (term_l[-1] or trunc_l[-1]):
-            fv[n - 1] = float(value_fn(self.obs_vec))  # bootstrap the open tail
-        adv, rets = compute_gae(
-            np.array(rew_l), np.array(val_l), np.array(term_l), np.array(trunc_l),
-            fv, cfg.gamma, cfg.gae_lambda,
-        )
-        traj = Trajectory(
-            obs=np.array(obs_l),
-            actions=np.array(act_l),
-            log_probs=np.array(logp_l),
-            advantages=adv,
-            returns=rets,
-        )
-        return traj, ep_rewards
+    def step(self, action: int) -> StepResult:
+        """Take `action`: count the step, add its reward, log a leak, and at
+        an episode's end record the episode's reward and reset, so `obs` is
+        always what the next action sees."""
+        sr = self.env.step(action)
+        self.ep_reward += sr.reward
+        self.steps += 1
+        if sr.info.get("violation") is not None:
+            self.log.leaks.append(LeakEvent(step=self.steps, report=sr.info["violation"]))
+        if sr.terminated or sr.truncated:
+            self.ep_rewards.append(self.ep_reward)
+            self.ep_reward = 0.0
+            self.episodes += 1
+            self.obs = self.env.reset()
+        else:
+            self.obs = sr.obs
+        return sr
 
-    def record(self, iteration: int, ep_rewards, stats=None):
+    def record(self, stats=None):
+        ep_rewards, self.ep_rewards = self.ep_rewards, []
         self.log.iterations.append(
             IterationRecord(
-                iteration=iteration,
+                iteration=len(self.log.iterations) + 1,
                 steps=self.steps,
                 episodes=self.episodes,
                 mean_episode_reward=(
@@ -451,6 +421,43 @@ class _Runner:
             )
         )
         self.log.total_steps = self.steps
+
+
+def _rollout(runner: _Runner, params: PolicyParams, x: np.ndarray):
+    """Collect up to cfg.horizon transitions under the policy, starting from
+    `x`, the encoding of `runner.obs`. Returns the Trajectory and the
+    encoding the next rollout starts from."""
+    cfg = runner.cfg
+    env = runner.env
+    obs_l, act_l, logp_l, rew_l, val_l, term_l, trunc_l, final_l = [], [], [], [], [], [], [], []
+    while len(act_l) < cfg.horizon and not runner.should_stop():
+        a, logp, v = select_action(params, x, runner.rng)
+        sr = runner.step(a)
+        obs_l.append(x)
+        act_l.append(a)
+        logp_l.append(logp)
+        rew_l.append(sr.reward)
+        val_l.append(v)
+        term_l.append(sr.terminated)
+        trunc_l.append(sr.truncated)
+        # a truncated episode bootstraps from the value of its last observation
+        truncated_only = sr.truncated and not sr.terminated
+        final_l.append(float(value_forward(params, env.encode(sr.obs))[0]) if truncated_only else 0.0)
+        x = env.encode(runner.obs)
+    if not (term_l[-1] or trunc_l[-1]):
+        final_l[-1] = float(value_forward(params, x)[0])  # bootstrap the open tail
+    adv, rets = compute_gae(
+        np.array(rew_l), np.array(val_l), np.array(term_l), np.array(trunc_l),
+        np.array(final_l), cfg.gamma, cfg.gae_lambda,
+    )
+    traj = Trajectory(
+        obs=np.array(obs_l),
+        actions=np.array(act_l),
+        log_probs=np.array(logp_l),
+        advantages=adv,
+        returns=rets,
+    )
+    return traj, x
 
 
 @cache
@@ -498,48 +505,31 @@ def train(env: LeakEnv, cfg: TrainerConfig) -> TrainingLog:
 
 def _train(env: LeakEnv, cfg: TrainerConfig) -> TrainingLog:
     runner = _Runner(env, cfg, method="ppo")
-    params = init_params(len(runner.obs_vec), env.action_space.size, runner.rng)
-
-    def act(x):
-        return select_action(params, x, runner.rng)
-
-    def value_fn(x):
-        return value_forward(params, x)[0]
-
-    iteration = 0
+    params = init_params(env.encoded_length, env.action_space.size, runner.rng)
+    x = env.encode(runner.obs)
     while not runner.should_stop():
-        traj, ep_rewards = runner.collect(act, value_fn)
-        if traj is None:
-            break
+        traj, x = _rollout(runner, params, x)
         try:
             params, stats = ppo_update(params, traj, cfg, runner.rng)
         except TrainingFault as exc:
-            raise TrainingFault(f"iteration {iteration}: {exc}") from exc
-        iteration += 1
-        runner.record(iteration, ep_rewards, stats)
+            raise TrainingFault(f"iteration {len(runner.log.iterations)}: {exc}") from exc
+        runner.record(stats)
     return runner.log
 
 
 def random_search(env: LeakEnv, budget: int, seed: int, horizon: int = 512,
                   stop_on_first_leak: bool = False) -> TrainingLog:
-    """Uniform-policy baseline: the same loop and logging as train(), with
-    actions drawn uniformly and no updates."""
+    """Uniform-policy baseline: the same episode runner and log as train(),
+    with actions drawn uniformly, one record per `horizon` steps, and
+    nothing encoded or learned."""
     cfg = TrainerConfig(
         total_steps=budget, seed=seed, horizon=horizon,
         stop_on_first_leak=stop_on_first_leak,
     )
     runner = _Runner(env, cfg, method="random")
     size = env.action_space.size
-    uniform_logp = -float(np.log(size))
-
-    def act(x):
-        return int(runner.rng.integers(size)), uniform_logp, 0.0
-
-    iteration = 0
     while not runner.should_stop():
-        traj, ep_rewards = runner.collect(act, lambda x: 0.0)
-        if traj is None:
-            break
-        iteration += 1
-        runner.record(iteration, ep_rewards)
+        runner.step(int(runner.rng.integers(size)))
+        if runner.steps % horizon == 0 or runner.should_stop():
+            runner.record()
     return runner.log

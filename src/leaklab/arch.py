@@ -132,6 +132,8 @@ class Input:
     def __post_init__(self):
         if len(self.mem) != SANDBOX_SIZE:
             raise ValueError(f"input memory must be {SANDBOX_SIZE} bytes")
+        if not (0 <= self.r0 <= MASK64 and 0 <= self.r1 <= MASK64 and 0 <= self.r2 <= MASK64):
+            raise ValueError("input registers must lie in [0, 2**64)")
 
 
 # Reset flag state: SF set, CF/ZF clear. With SF set, a conditional branch
@@ -167,7 +169,7 @@ class ArchState:
 
     @classmethod
     def from_input(cls, inp: Input) -> "ArchState":
-        regs = [inp.r0 & MASK64, inp.r1 & MASK64, inp.r2 & MASK64, 0]
+        regs = [inp.r0, inp.r1, inp.r2, 0]
         return cls(regs, RESET_SF, RESET_CF, RESET_ZF, 0, bytes(inp.mem))
 
     def copy(self, mem: bytes | None) -> "ArchState":

@@ -40,12 +40,16 @@ from .uarch import (
 
 __all__ = [
     "BOOST_ROUNDS",
+    "MAX_BOOSTS_PER_INPUT",
     "ViolationReport",
     "boost_input",
     "detect_violation",
 ]
 
 BOOST_ROUNDS = 10
+# Sibling j of input i draws from stream (i << 8) | j, which is one stream per
+# sibling only while j fits in 8 bits.
+MAX_BOOSTS_PER_INPUT = 255
 
 
 @dataclass(frozen=True)
@@ -256,8 +260,8 @@ def detect_violation(
     """
     if not inputs:
         raise ConfigError("detect_violation needs at least one input")
-    if boosts_per_input < 1:
-        raise ConfigError("boosts_per_input must be >= 1")
+    if not 1 <= boosts_per_input <= MAX_BOOSTS_PER_INPUT:
+        raise ConfigError(f"boosts_per_input must be in 1..{MAX_BOOSTS_PER_INPUT}")
     if observations is None:
         observations = observe(p, inputs, contract, cfg, budget)
         if observations is REJECTED:

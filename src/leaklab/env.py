@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import ContractSpec, DEFAULT_STEP_BUDGET, Input, generate_inputs, mix64
-from .detect import ViolationReport, _filter_tier, detect_violation
+from .detect import MAX_BOOSTS_PER_INPUT, ViolationReport, _filter_tier, detect_violation
 from .errors import ConfigError
 from .isa import (
     ActionSpace,
@@ -82,8 +82,8 @@ class EnvConfig:
             raise ConfigError("num_inputs must be >= 2")
         if self.step_budget < 1:
             raise ConfigError("step_budget must be >= 1")
-        if self.boosts_per_input < 1:
-            raise ConfigError("boosts_per_input must be >= 1")
+        if not 1 <= self.boosts_per_input <= MAX_BOOSTS_PER_INPUT:
+            raise ConfigError(f"boosts_per_input must be in 1..{MAX_BOOSTS_PER_INPUT}")
         if self.max_episode_steps is not None and self.max_episode_steps < 1:
             raise ConfigError("max_episode_steps must be None or >= 1")
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from leaklab.agent import (
     Trajectory,
 )
 from leaklab.env import EnvConfig, LeakEnv
+from leaklab.harness import planted_fixture
 
 
 def _small_params(rng, input_dim=4, hidden=(8, 7), n_actions=3) -> PolicyParams:
@@ -234,6 +237,39 @@ def test_random_search_reproducible():
     a = random_search(_tiny_env(), budget=40, seed=5, horizon=16)
     b = random_search(_tiny_env(), budget=40, seed=5, horizon=16)
     assert a.to_jsonl() == b.to_jsonl()
+    # Pinned bytes. Rewards are sums of float constants in a fixed order, so
+    # these digests hold on any platform.
+    assert hashlib.sha256(a.to_jsonl().encode()).hexdigest() == (
+        "fb00a924aa50fa737f70205a7915c06320c0dbbfbe0acfda11c2449db003ad3e"
+    )
+    log = _fixture_search()
+    assert hashlib.sha256(log.to_jsonl().encode()).hexdigest() == (
+        "be0d41695a1b4f81f55cd4ecaf1d5ba85958e08b37c2e23d549edfd76f025034"
+    )
+    assert [ev.step for ev in log.leaks] == [257, 425]
+
+
+def _fixture_search():
+    _, env_cfg = planted_fixture()
+    return random_search(LeakEnv(env_cfg), budget=600, seed=1, horizon=64)
+
+
+def test_random_search_runs_no_learner_code(monkeypatch):
+    """The baseline steps the env and keeps the log; it encodes nothing and
+    runs none of PPO's rollout math."""
+    from leaklab import agent, env
+
+    pinned = _fixture_search()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("random_search ran learner code")
+
+    monkeypatch.setattr(env, "encode_observation", forbidden)
+    for name in ("compute_gae", "select_action", "value_forward"):
+        monkeypatch.setattr(agent, name, forbidden)
+    log = _fixture_search()
+    assert log.to_jsonl() == pinned.to_jsonl()
+    assert log.leaks == pinned.leaks and len(log.leaks) == 2
 
 
 def test_training_log_save(tmp_path):

@@ -1,11 +1,13 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaklab.arch import (
+    MASK64,
     NON_TERMINATING,
     SANDBOX_SIZE,
     ArchState,
@@ -373,6 +375,19 @@ def test_input_dump_load_round_trip():
     assert (back.r0, back.r1, back.r2, back.mem) == (inp.r0, inp.r1, inp.r2, inp.mem)
     with pytest.raises(ValueError):
         load_input(blob[:100])
+
+
+@pytest.mark.parametrize("reg", ["r0", "r1", "r2"])
+@pytest.mark.parametrize("value", [-1, 1 << 64, (1 << 64) + 5])
+def test_input_rejects_out_of_range_registers(reg, value):
+    regs = {"r0": 0, "r1": 0, "r2": 0, reg: value}
+    with pytest.raises(ValueError, match="registers"):
+        Input(**regs, mem=bytes(SANDBOX_SIZE))
+    with pytest.raises(ValueError, match="registers"):
+        replace(make_input(), **{reg: value})
+    top = replace(make_input(), **{reg: MASK64})
+    assert getattr(top, reg) == MASK64
+    assert load_input(dump_input(top)) == top
 
 
 def test_trace_is_pure():

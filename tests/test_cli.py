@@ -169,6 +169,7 @@ MALFORMED = [
     (("trainer", "clip_eps"), float("nan"), "clip_eps"),
     (("trainer", "stop_on_first_leak"), 1, "stop_on_first_leak"),
     (("env", "max_episode_steps"), 0, "max_episode_steps"),
+    (("env", "boosts_per_input"), 256, "boosts_per_input"),
     (("env", "window"), 1.5, "window"),
     (("env", "contract"), "ct-cond:0", "spec_depth"),
     (("program_sizes",), [], "program_sizes"),

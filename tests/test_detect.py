@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -18,11 +19,13 @@ from leaklab.arch import (
 )
 from leaklab.detect import (
     BOOST_ROUNDS,
+    MAX_BOOSTS_PER_INPUT,
     ViolationReport,
     _filter_tier,
     boost_input,
     detect_violation,
 )
+from leaklab.errors import ConfigError
 from leaklab.harness import scaling_action_config
 from leaklab.isa import (
     ActionSpaceConfig,
@@ -321,6 +324,24 @@ def test_report_json_round_trip(inputs20):
     assert back.htraces == report.htraces
     assert back.diverging_sets == report.diverging_sets
     assert back.revalidate()
+
+
+def test_report_with_out_of_range_register_is_rejected(inputs20):
+    # a register of 2**64 + x used to load, and revalidate as x
+    doc = json.loads(detect_violation(PLANTED, inputs20).to_json())
+    doc["inputs"][0]["r0"] += 1 << 64
+    with pytest.raises(ValueError, match="registers"):
+        ViolationReport.from_json(json.dumps(doc))
+
+
+def test_boosts_per_input_fits_the_stream_index(inputs20):
+    # sibling j of input i draws from stream (i << 8) | j: past 255 two
+    # inputs' siblings would share a stream
+    assert MAX_BOOSTS_PER_INPUT == 255
+    assert detect_violation(PLANTED, inputs20, boosts_per_input=255) is not None
+    for bad in (0, 256, 300):
+        with pytest.raises(ConfigError, match="boosts_per_input"):
+            detect_violation(PLANTED, inputs20, boosts_per_input=bad)
 
 
 def test_boost_success_rate_sane():

@@ -304,8 +304,10 @@ def test_env_config_validation():
         EnvConfig(num_inputs=1)
     with pytest.raises(ConfigError):
         EnvConfig(step_budget=0)
-    with pytest.raises(ConfigError):
-        EnvConfig(boosts_per_input=0)
+    for boosts in (0, 256, 300):
+        with pytest.raises(ConfigError, match="boosts_per_input"):
+            EnvConfig(boosts_per_input=boosts)
+    assert EnvConfig(boosts_per_input=255).boosts_per_input == 255
     with pytest.raises(ConfigError):
         EnvConfig(max_episode_steps=0)
 
