@@ -280,8 +280,8 @@ def loss_and_grads(params: PolicyParams, batch: dict, cfg: TrainerConfig):
 
 def ppo_update(params: PolicyParams, traj: Trajectory, cfg: TrainerConfig, rng: np.random.Generator):
     """Run the configured epochs of minibatch gradient descent over one
-    rollout and return the updated parameters plus averaged loss
-    statistics."""
+    rollout on a copy of `params`, and return the updated copy plus averaged
+    loss statistics."""
     obs, actions, old_logp, rets = traj.obs, traj.actions, traj.log_probs, traj.returns
     adv = (traj.advantages - traj.advantages.mean()) / max(traj.advantages.std(), 1e-8)
 
@@ -302,12 +302,9 @@ def ppo_update(params: PolicyParams, traj: Trajectory, cfg: TrainerConfig, rng: 
             }
             stats, pg, vg = loss_and_grads(new, mb, cfg)
             lr = cfg.learning_rate
-            for i, (gw, gb) in enumerate(pg):
-                w, b = new.policy[i]
-                new.policy[i] = (w - lr * gw, b - lr * gb)
-            for i, (gw, gb) in enumerate(vg):
-                w, b = new.value[i]
-                new.value[i] = (w - lr * gw, b - lr * gb)
+            for (w, b), (gw, gb) in zip(new.policy + new.value, pg + vg):
+                w -= lr * gw
+                b -= lr * gb
             for k, val in stats.items():
                 stats_acc[k] = stats_acc.get(k, 0.0) + val
             count += 1

@@ -49,7 +49,6 @@ __all__ = [
     "contract_trace",
     "generate_inputs",
     "input_from_seed",
-    "dump_input",
     "load_input",
 ]
 
@@ -273,17 +272,20 @@ def step_instruction(state, instr, n):
 
 class TracePoint(NamedTuple):
     """Where a terminating `contract_trace` run of a program P can be resumed
-    for any program that extends P: the run's full state at the start of the
-    first committed step in which some path moved to a pc >= len(P) (see
-    `contract_trace`). Its state holds no memory (see `ArchState`), and
-    the cycle check's memory is its write log."""
+    for any program that extends P: the run's state, trace and step count at
+    the start of the first committed step in which some path moved to a pc
+    >= len(P) (see `contract_trace`). Its state holds no memory (see
+    `ArchState`). It holds nothing of the cycle check, which a resumed run
+    starts afresh."""
 
     state: ArchState
     trace: tuple
     steps: int
-    snapshot: tuple | None  # the cycle check's state
-    moves: int
-    period: int
+
+
+# No instruction has this kind: a CT_COND explored path stops only at its
+# depth or at the program's end.
+_NO_STOP = -1
 
 
 def contract_trace(
@@ -319,14 +321,21 @@ def contract_trace(
     P and of P + Q agree step for step until some path (the committed path
     or a CT_COND explored path) first moves to a pc >= len(P): before that
     every instruction fetched lies in P, and every clamped branch target
-    below len(P) is the same for both lengths. The point is the full state
-    at the start of that committed step, Brent's snapshot, move count and
-    period included, so the cycle check also goes on as it would have. It
-    is taken afterwards: a branch changes only the pc (and its exploration
-    rolls back), so rewinding the pc and the trace recovers the state before
-    it; an ALU instruction at len(P) - 1 gives the state after it, which P +
-    Q reaches too. A branch whose raw target exceeds len(P) is resumed from
+    below len(P) is the same for both lengths. The point is the state, trace
+    and step count at the start of that committed step. It is taken
+    afterwards: a branch changes only the pc (and its exploration rolls
+    back), so rewinding the pc and the trace recovers the state before it;
+    an ALU instruction at len(P) - 1 gives the state after it, which P + Q
+    reaches too. A branch whose raw target exceeds len(P) is resumed from
     before it, because P + Q clamps that target differently.
+
+    A resumed run starts the cycle check afresh at the point, and still
+    returns what the run from the reset returns. The check reports only a
+    repeat of the whole state, which proves that the run never halts; so it
+    decides how soon NON_TERMINATING comes, never whether. A snapshot taken
+    after the point is a state of the same run, and comparing write logs is
+    sound from any start. The step count, which the budget reads, still
+    counts from the reset.
     """
     if step_budget < 1:
         raise ConfigError("step_budget must be >= 1")
@@ -337,13 +346,13 @@ def contract_trace(
         state = ArchState.from_input(inp)
         trace: list = []
         steps = 0
-        snapshot = None
-        moves = 0  # non-forward moves since the snapshot
-        period = 1  # the snapshot is retaken after this many; doubles each time
     else:
-        state, trace, steps, snapshot, moves, period = resume
+        state, trace, steps = resume
         state = state.copy(bytes(inp.mem))
         trace = list(trace)
+    snapshot = None
+    moves = 0  # non-forward moves since the snapshot
+    period = 1  # the snapshot is retaken after this many; doubles each time
     point = instr = None
     while state.pc < n:
         if steps >= step_budget:
@@ -356,11 +365,11 @@ def contract_trace(
             taken = obs[0][2]
             other = branch_pc + 1 if taken else min(max(branch_pc + instr.disp, 0), n)
             before = len(trace) - 1
-            reached = _explore_other_path(instrs, state, other, contract.spec_depth, n, trace)
+            _, reached = excursion(instrs, state, other, contract.spec_depth, n, _NO_STOP, trace)
             if capture is not None and point is None and (reached or state.pc >= n):
                 start = state.copy(None)
                 start.pc = branch_pc
-                point = TracePoint(start, tuple(trace[:before]), steps, snapshot, moves, period)
+                point = TracePoint(start, tuple(trace[:before]), steps)
         steps += 1
         if state.pc <= branch_pc:
             if snapshot == (state.pc, state.regs, state.sf, state.cf, state.zf, state.written):
@@ -373,31 +382,34 @@ def contract_trace(
     trace = tuple(trace)
     if capture is not None:
         if point is None:
-            # The committed path left the program in the last step, a
-            # forward move that left the cycle check as it was.
+            # The committed path left the program in the last step.
             rewind = instr is not None and instr.decoded[0] <= KIND_JNS
             if rewind:
                 state.pc = branch_pc
             state.mem = None
-            point = TracePoint(state, trace[: len(trace) - rewind], steps - rewind, snapshot, moves, period)
+            point = TracePoint(state, trace[: len(trace) - rewind], steps - rewind)
         capture.append(point)
     return trace
 
 
-def _explore_other_path(instrs, state, start_pc, depth, n, trace):
-    """Run up to `depth` instructions down the unexecuted branch direction,
-    appending their observations, then restore the architectural state.
-    Returns whether the path moved to a pc >= n."""
+def excursion(instrs, state, pc, depth, n, stop, out):
+    """Run up to `depth` instructions from `pc` on a copy of the write log,
+    appending their observations to `out`, and stop early at the program's
+    end or before an instruction of kind `stop`; then restore the registers,
+    flags, pc and write log. A mispredicted window stops at the next
+    conditional branch (`stop` is KIND_JNS); a CT_COND explored path runs
+    through branches without exploring them (`stop` is no kind). Returns
+    (instructions run, whether the path moved to a pc >= n)."""
     saved = (state.regs[:], state.sf, state.cf, state.zf, state.pc, state.written)
     state.written = dict(state.written)
-    state.pc = start_pc
-    for _ in range(depth):
-        if state.pc >= n:
-            break
-        trace.extend(step_instruction(state, instrs[state.pc], n))
+    state.pc = pc
+    ran = 0
+    while ran < depth and state.pc < n and instrs[state.pc].decoded[0] != stop:
+        out.extend(step_instruction(state, instrs[state.pc], n))
+        ran += 1
     reached = state.pc >= n
     state.regs, state.sf, state.cf, state.zf, state.pc, state.written = saved
-    return reached
+    return ran, reached
 
 
 # --- deterministic input generation ---------------------------------------
@@ -470,19 +482,13 @@ class Xorshift64Star:
 
     def next_bytes(self, count: int) -> bytes:
         """The next count/8 outputs as little-endian bytes, leaving the state
-        where as many next_u64 calls would. Up to one sandbox of words comes
-        from the jump table at once."""
-        if count % 8:
-            raise ValueError("count must be a multiple of 8")
-        words = count // 8
-        if not 0 < words <= _JUMP_WORDS:
-            out = bytearray()
-            for _ in range(words):
-                out += self.next_u64().to_bytes(8, "little")
-            return bytes(out)
+        where as many next_u64 calls would. `count` is a multiple of 8 up to
+        one sandbox; the words come from the jump table at once."""
+        if count % 8 or not 0 < count <= SANDBOX_SIZE:
+            raise ValueError(f"count must be a multiple of 8 in 8..{SANDBOX_SIZE}")
         x = self.state
         nibbles = [(x >> shift) & 15 for shift in range(0, 64, 4)]
-        states = np.bitwise_xor.reduce(_jump_table()[_NIBBLE_POS, nibbles, :words], axis=0)
+        states = np.bitwise_xor.reduce(_jump_table()[_NIBBLE_POS, nibbles, : count // 8], axis=0)
         self.state = int(states[-1])
         return (states * np.uint64(_XS_MULT)).astype("<u8").tobytes()
 
@@ -503,13 +509,9 @@ def generate_inputs(seed: int, count: int) -> list[Input]:
     return [input_from_seed(stream_seed(seed, i)) for i in range(count)]
 
 
-def dump_input(inp: Input) -> bytes:
-    """Binary form: 3 x 8 bytes little-endian registers, then 4096 memory bytes."""
-    head = b"".join(r.to_bytes(8, "little") for r in (inp.r0, inp.r1, inp.r2))
-    return head + inp.mem
-
-
 def load_input(blob: bytes) -> Input:
+    """Parse the binary input form: 3 x 8 bytes little-endian registers,
+    then 4096 memory bytes."""
     if len(blob) != 24 + SANDBOX_SIZE:
         raise ValueError(f"input file must be {24 + SANDBOX_SIZE} bytes, got {len(blob)}")
     r0, r1, r2 = (int.from_bytes(blob[i : i + 8], "little") for i in (0, 8, 16))

@@ -34,6 +34,7 @@ from .arch import (
     ContractSpec,
     Input,
     contract_trace,
+    excursion,
     step_instruction,
 )
 from .errors import ConfigError
@@ -153,13 +154,14 @@ def hw_run(
     attacker line, every predictor counter weakly not-taken.
 
     One loop commits in order; a misprediction runs the predicted path as
-    one bounded excursion (`_transient`) and rolls it back. This equals
-    holding each branch open for `window` issues, with the predictor update,
-    retirement and budget check at resolution, for two reasons. Fetching a
-    conditional branch resolves the open one, so no predictor read falls
-    inside a window. A correct window of k instructions after c0 commits
-    passes the budget at resolution (c0 + k > budget) iff one of them meets
-    it on issue (c0 + i >= budget for some i < k).
+    one bounded excursion (`arch.excursion`, which stops at the next
+    conditional branch) and rolls it back. This equals holding each branch
+    open for `window` issues, with the predictor update, retirement and
+    budget check at resolution, for two reasons. Fetching a conditional
+    branch resolves the open one, so no predictor read falls inside a
+    window. A correct window of k instructions after c0 commits passes the
+    budget at resolution (c0 + k > budget) iff one of them meets it on issue
+    (c0 + i >= budget for some i < k).
 
     `capture`, when given, is a list to which the run's HwPoint is appended
     if the run terminates; `resume`, when given, is an HwPoint that such a
@@ -205,14 +207,16 @@ def hw_run(
             idx = pc % PHT_SIZE
             mispredicted = (pht[idx] >= 2) != taken
             if mispredicted:
-                issued, bits, reached = _transient(instrs, state, pc + 1 if taken else target, cfg.window, n)
+                squashed = []
+                issued, reached = excursion(instrs, state, pc + 1 if taken else target, cfg.window, n, KIND_JNS,
+                                            squashed)
             if capture is not None and point is None and (nxt >= n or mispredicted and reached):
                 point = HwPoint(state.copy(None), pht[:], committed_victim, transient_victim,
                                 committed - 1, transient, br_misses)
             if mispredicted:
                 br_misses += 1
                 transient += issued
-                transient_victim |= bits
+                transient_victim |= _access_bits(squashed)
             state.pc = nxt
             pht[idx] = min(pht[idx] + 1, 3) if taken else max(pht[idx] - 1, 0)
             continue
@@ -234,23 +238,6 @@ def hw_run(
         final_state=state,
         committed_htrace=committed_victim,
     )
-
-
-def _transient(instrs, state, pc, window, n):
-    """Issue up to `window` instructions down a mispredicted path from `pc`,
-    stopping early at program end or at the next conditional branch, on a
-    copy of the write log, then roll memory, registers and flags back.
-    Returns (issued, cache bits, whether the path moved to a pc >= n)."""
-    saved = (state.regs[:], state.sf, state.cf, state.zf, state.pc, state.written)
-    state.written = dict(state.written)
-    state.pc = pc
-    issued = bits = 0
-    while issued < window and state.pc < n and instrs[state.pc].decoded[0] != KIND_JNS:
-        bits |= _access_bits(step_instruction(state, instrs[state.pc], n))
-        issued += 1
-    reached = state.pc >= n
-    state.regs, state.sf, state.cf, state.zf, state.pc, state.written = saved
-    return issued, bits, reached
 
 
 class InputObservation(NamedTuple):
@@ -313,8 +300,9 @@ def observe(
     of starting from the reset; when no input is rejected, it then holds
     `p`'s own points. The results are the same either way: the runs of a
     program P and of P + Q agree until some path first moves to a pc >=
-    len(P), and each point is the full state of both simulators at the start
-    of that committed step (see `contract_trace` and `hw_run`). An
+    len(P), and each point is the state of both simulators at the start of
+    that committed step, less the contract cycle check's, which a resumed
+    run starts afresh (see `contract_trace` and `hw_run`). An
     environment that grows a program one instruction at a time therefore
     simulates each step only from where its parent's runs reached the end.
     """

@@ -25,3 +25,9 @@ def memory(state) -> bytes:
     for addr, word in state.written.items():
         mem[addr : addr + 8] = word.to_bytes(8, "little")
     return bytes(mem)
+
+
+def input_blob(inp: Input) -> bytes:
+    """The binary form `load_input` and `simulate --input-file` read: the
+    three registers as 8 bytes little-endian each, then the sandbox bytes."""
+    return b"".join(r.to_bytes(8, "little") for r in (inp.r0, inp.r1, inp.r2)) + inp.mem

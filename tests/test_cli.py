@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leaklab.arch import dump_input, generate_inputs
+from leaklab.arch import generate_inputs
 from leaklab.cli import load_experiment_config, run_cli
 from leaklab.env import EnvConfig
 from leaklab.errors import ConfigError
 from leaklab.harness import FIXTURE_PROGRAM_TEXT, ExperimentConfig
+
+from conftest import input_blob
 
 TINY_CONFIG = {
     "env": {
@@ -91,7 +93,7 @@ def test_simulate_jsonl(fixture_asm, tmp_path, capsys):
 def test_simulate_with_input_file(fixture_asm, tmp_path, capsys):
     inp = generate_inputs(9, 2)[0]
     f = tmp_path / "input.bin"
-    f.write_bytes(dump_input(inp))
+    f.write_bytes(input_blob(inp))
     code = run_cli(["simulate", fixture_asm, "--input-file", str(f)])
     assert code == 0
     lines = capsys.readouterr().out.strip().split("\n")

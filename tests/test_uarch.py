@@ -109,6 +109,18 @@ def test_second_branch_resolves_outer_first():
     assert r.committed_htrace == r.htrace
 
 
+def test_window_stops_at_next_branch():
+    # SBB R0,R0 clears SF, so JNS +4 is taken to the end (raw target 5)
+    # against the weakly-not-taken prediction. Its fall-through issues the
+    # load of [BASE+R2] at pc 2, and the window stops at the JNS at pc 3:
+    # neither that branch nor the load of [BASE+R1] at pc 4 issues.
+    p = parse_program("SBB R0, R0\nJNS +4\nSBB R1, [BASE+R2]\nJNS +1\nSBB R1, [BASE+R1]")
+    r = hw_run(p, make_input(r1=1024, r2=130))
+    assert r.counters == PerfCounters(br_misses=1, uops_issued=3, uops_retired=2)
+    assert r.htrace == 1 << 2  # 130 aligned down to 8 = 128, set 2
+    assert r.committed_htrace == 0
+
+
 def test_squashed_store_rolls_back():
     p = parse_program("SBB R0, R0\nJNS +2\nSBB [BASE+R1], R2")
     inp = make_input(r1=512, r2=1, mem_byte=9)
@@ -478,8 +490,8 @@ LOOP = "SBB R0, R1\nJNS -1\n"
         # the first JNS's mispredicted window reaches the end; the contract
         # trace resumes before the last JNS
         (LOOP + "SBB R1, [BASE+R0]", CT_SEQ, 8, 300, (1, 11, 1, 1), False),
-        # Brent's check finds `SBB R2, R2 / JMP -1` only after the point,
-        # from the snapshot the loop before it left
+        # Brent's check, started afresh at the point, finds
+        # `SBB R2, R2 / JMP -1` after it
         (LOOP + "SBB R2, R2\nJMP -1", CT_SEQ, 0, 300, (3, 13, 3, 13), True),
         # the budget runs out exactly at the point
         (LOOP + "SBB R2, R2\nSBB R0, R0", CT_SEQ, 0, 13, (3, 13, 3, 13), True),
@@ -494,6 +506,46 @@ def test_resume_point_kinds(text, contract, window, budget, expect, last_rejecte
     assert (arch.state.pc, arch.steps, hw.state.pc, hw.committed) == expect
     _, results = _check_resumed_episode(instrs, RESUME_INPUTS, contract, SpecConfig(window), budget)
     assert (results[-1] is REJECTED) == last_rejected
+
+
+@pytest.mark.parametrize("budget", [17, 10_000])
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a loop wholly after the parent's point
+        LOOP + "SBB R2, R2\nJMP -1",
+        # a jump back across the point into the parent's own loop, whose
+        # JNS now falls through every time: SBB R2, R2 leaves R2, CF and SF
+        # as they were
+        LOOP + "SBB R2, R2\nJMP -2",
+    ],
+    ids=["after-point", "across-point"],
+)
+def test_resumed_periodic_run_exits_early(text, budget, monkeypatch):
+    # The last instruction closes a loop that repeats the whole state. The
+    # resumed contract_trace run must find it with the cycle check, as a run
+    # from the reset does, instead of spending the budget.
+    from leaklab import arch
+
+    instrs = parse_program(text).instrs
+    setting = (RESUME_INPUTS, CT_SEQ, SpecConfig(0), budget)
+    assert observe(Program(instrs), *setting) is REJECTED
+    resume = ResumePoints()
+    for i in range(len(instrs)):
+        assert observe(Program(instrs[:i]), *setting, resume=resume) is not REJECTED
+    assert resume.arch[0].steps == 13
+
+    calls = 0
+    step = arch.step_instruction
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(arch, "step_instruction", counting)
+    assert observe(Program(instrs), *setting, resume=resume) is REJECTED
+    assert 0 < calls <= 30
 
 
 def test_resume_points_of_other_programs_or_settings_are_not_used():
