@@ -24,7 +24,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -463,6 +463,18 @@ def _jump_table() -> np.ndarray:
     return table
 
 
+# Boosting expands each sibling stream's sandbox again at every boosted
+# step, and an env has inputs x boosts_per_input streams (40 by default), so
+# next_bytes keeps the 64 most recently used expansions, at most 4 KB each.
+@lru_cache(maxsize=64)
+def _expand(x: int, count: int) -> tuple[bytes, int]:
+    """The next count/8 outputs from state `x` as little-endian bytes, and
+    the state after them, read off the jump table at once."""
+    nibbles = [(x >> shift) & 15 for shift in range(0, 64, 4)]
+    states = np.bitwise_xor.reduce(_jump_table()[_NIBBLE_POS, nibbles, : count // 8], axis=0)
+    return (states * np.uint64(_XS_MULT)).astype("<u8").tobytes(), int(states[-1])
+
+
 class Xorshift64Star:
     """xorshift64* generator: x ^= x>>12; x ^= x<<25; x ^= x>>27;
     output = x * 0x2545F4914F6CDD1D. State is seeded through mix64 so any
@@ -483,14 +495,12 @@ class Xorshift64Star:
     def next_bytes(self, count: int) -> bytes:
         """The next count/8 outputs as little-endian bytes, leaving the state
         where as many next_u64 calls would. `count` is a multiple of 8 up to
-        one sandbox; the words come from the jump table at once."""
+        one sandbox; the words come from the jump table at once, or from a
+        memo of recent expansions keyed by (state, count)."""
         if count % 8 or not 0 < count <= SANDBOX_SIZE:
             raise ValueError(f"count must be a multiple of 8 in 8..{SANDBOX_SIZE}")
-        x = self.state
-        nibbles = [(x >> shift) & 15 for shift in range(0, 64, 4)]
-        states = np.bitwise_xor.reduce(_jump_table()[_NIBBLE_POS, nibbles, : count // 8], axis=0)
-        self.state = int(states[-1])
-        return (states * np.uint64(_XS_MULT)).astype("<u8").tobytes()
+        data, self.state = _expand(self.state, count)
+        return data
 
 
 def input_from_seed(seed: int) -> Input:

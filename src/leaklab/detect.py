@@ -149,20 +149,28 @@ def boost_input(
     agree. So the runs take the same path, emit the same trace and
     terminate alike.
 
+    Every copy writes the base's bytes, so a round's sibling is the
+    generator's bytes with the base's at the addresses copied before it.
+    The agreement test is therefore one set inclusion: the addresses where
+    the generator's bytes differ from the base's must all have been copied.
+
     `cells`, when given, must map every address that the base's contract
     trace loads to the base's 8 bytes there; it saves simulating the base
     and rebuilding that map in each call for one base input.
 
-    Every copy writes the base's bytes, so a round's sibling is the
-    generator's bytes with the base's at the addresses copied before it: for
-    one base and one fresh `rng`, that frozenset identifies the sibling.
-    `points`, when given, is a pair of dicts keyed by it: each simulated
-    round's `contract_trace` resumes from the first dict's TracePoint for its
-    sibling, if there is one, and stores the TracePoint it captures in the
-    second. The first dict must hold points that such rounds captured for a
-    prefix of `p`; the result is then the same as without them. `copied`,
-    when given, is an empty set that ends up holding the returned sibling's
-    copied addresses.
+    `points`, when given, is a pair of dicts keyed by round index, each
+    value (copied addresses, TracePoint, addresses the run loaded before
+    the point). Round k's `contract_trace` resumes from the first dict's
+    entry k if no address that entry's run loaded before its point was
+    copied in one of the two rounds and not in the other; it stores what
+    it captures in the second dict. The first dict must hold entries that
+    such rounds, for the same base and a fresh `rng` of the same seed,
+    captured for a prefix of `p`. The result is then the same as without
+    them: the two siblings hold equal bytes at every address the stored run
+    read before its point, so by the induction above the runs agree up to
+    it, and the runs of a prefix and of `p` agree there too (see
+    `contract_trace`). `copied`, when given, is an empty set that ends up
+    holding the returned sibling's copied addresses.
     """
     if cells is None:
         base_trace = contract_trace(p, base, contract, budget)
@@ -171,28 +179,45 @@ def boost_input(
         cells = _load_cells(base, base_trace)
     if copied is None:
         copied = set()
-    mem = bytearray(rng.next_bytes(SANDBOX_SIZE))
-    for _ in range(BOOST_ROUNDS):
+    fresh = rng.next_bytes(SANDBOX_SIZE)
+    need = {addr for addr, cell in cells.items() if fresh[addr : addr + 8] != cell}
+    mem = bytearray(fresh)
+    for k in range(BOOST_ROUNDS):
         sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
-        if all(mem[addr : addr + 8] == cell for addr, cell in cells.items()):
+        if need <= copied:
             return sibling
-        if points is None:
-            tr = contract_trace(p, sibling, contract, budget)
-        else:
-            key, captured = frozenset(copied), []
-            tr = contract_trace(p, sibling, contract, budget, points[0].get(key), captured)
-            if captured:
-                points[1][key] = captured[0]
+        start, before, resume, captured = 0, frozenset(), None, None
+        if points is not None:
+            captured = []
+            stored = points[0].get(k)
+            if stored is not None and not (copied ^ stored[0]) & stored[2]:
+                _, resume, before = stored
+                _, point_trace, _ = resume
+                start = len(point_trace)
+        tr = contract_trace(p, sibling, contract, budget, resume, captured)
         if tr is NON_TERMINATING:
             # No trace to guide the copy; pull the sibling toward the base's
             # path using the base's own load set instead.
             loads = cells.keys()
+        elif captured:
+            # A resumed run captures its point at or after the one it
+            # resumed from, so the load set of the prefix up to it extends
+            # `before` by the loads between the two.
+            cut = len(captured[0].trace)
+            point_loads = before | _load_set(tr[start:cut])
+            points[1][k] = (frozenset(copied), captured[0], point_loads)
+            loads = point_loads | _load_set(tr[cut:])
         else:
-            loads = {obs[1] for obs in tr if obs[0] == OBS_LOAD}
+            loads = _load_set(tr)
         for addr in loads - copied:
             mem[addr : addr + 8] = base.mem[addr : addr + 8]
         copied.update(loads)
     return None
+
+
+def _load_set(trace: tuple) -> set:
+    """Every address that `trace` loads."""
+    return {obs[1] for obs in trace if obs[0] == OBS_LOAD}
 
 
 def _load_cells(base: Input, base_trace: tuple) -> dict:
@@ -234,8 +259,9 @@ def detect_violation(
     budget on any base input.
 
     `observations`, when given, must be what `observe(p, inputs, contract,
-    cfg, budget)` returns: boosting takes the base inputs' contract traces
-    from it.
+    cfg, budget)` returns for an accepted program, one per input: boosting
+    takes the base inputs' contract traces from it. REJECTED or a list of
+    another length raises ConfigError.
 
     The default mode gates on observability: when no base input shows an
     observable transient cache footprint, boosting is skipped and None
@@ -249,14 +275,20 @@ def detect_violation(
 
     `resume`, when given, lets boosting resume its sibling runs: a call that
     boosts leaves in it, and only in it, the TracePoint of every sibling
-    round it simulated and the HwPoint of every final sibling, keyed by
-    (input index, sibling index, addresses copied so far). Under equal
-    inputs and `seed` that key is the sibling itself (see `boost_input`), so
-    a later call on an extension of `p` with equal inputs, contract, `cfg`,
-    `budget` and `seed` resumes each such run from its point instead of the
-    reset, and gets the same result (see `contract_trace` and `hw_run`).
-    Like every point, these hold no memory: their memory is the write log
-    of the committed path's stores, over the sibling's bytes.
+    round it simulated and the HwPoint of every final sibling. Under equal
+    inputs and `seed`, (input index, sibling index) fixes the generator's
+    bytes, and the addresses copied so far fix the sibling (see
+    `boost_input`). Round points are keyed by (input index, sibling index),
+    then by round index, each with the round's copied addresses and the
+    addresses its run loaded before the point; a later round k may resume
+    from one when the two siblings hold equal bytes at all of those loads.
+    HwPoints are keyed by (input index, sibling index, copied addresses),
+    which is the final sibling itself. So a later call on an extension of
+    `p` with equal inputs, contract, `cfg`, `budget` and `seed` resumes such
+    runs from their points instead of the reset, and gets the same result
+    (see `boost_input`, `contract_trace` and `hw_run`). Like every point,
+    these hold no memory: their memory is the write log of the committed
+    path's stores, over the sibling's bytes.
     """
     if not inputs:
         raise ConfigError("detect_violation needs at least one input")
@@ -266,6 +298,8 @@ def detect_violation(
         observations = observe(p, inputs, contract, cfg, budget)
         if observations is REJECTED:
             return REJECTED
+    elif observations is REJECTED or len(observations) != len(inputs):
+        raise ConfigError("observations must hold one observation per input")
 
     if not exhaustive and _filter_tier(observations) != "observable":
         return None

@@ -257,9 +257,12 @@ class ResumePoints:
     """Where the runs of the last program measured with this store can be
     resumed: the program, the settings it was measured with, and the
     TracePoints (`arch`) and HwPoints (`hw`) its runs captured, each keyed by
-    the input it ran on. The caller keys inputs so that under equal settings
-    equal keys mean identical inputs: `observe` by position in its input
-    list, boosting by base input, sibling stream and copied cells."""
+    the input it ran on. `observe` keys them by position in its input list,
+    so that under equal settings equal keys mean identical inputs, and so
+    does boosting for its HwPoints: base input, sibling stream and copied
+    cells. Boosting keys its TracePoints by base input and sibling stream,
+    then by round index, each with what decides whether a later round may
+    resume from it (see `detect.boost_input`)."""
 
     __slots__ = ("program", "setting", "arch", "hw")
 

@@ -383,6 +383,35 @@ def test_next_bytes_long_and_empty_counts(words):
     assert rng.state == 0x0123456789ABCDEF
 
 
+@pytest.mark.parametrize("advance", [0, 3])
+@pytest.mark.parametrize("words", [1, 5, SANDBOX_SIZE // 8])
+def test_next_bytes_memo_matches_next_u64_loop(advance, words):
+    # a new generator and one already advanced, with the memo cold, then warm
+    from leaklab import arch
+
+    arch._expand.cache_clear()
+    for _ in range(2):
+        fast, slow = Xorshift64Star(77), Xorshift64Star(77)
+        for _ in range(advance):
+            assert fast.next_u64() == slow.next_u64()
+        expected = b"".join(slow.next_u64().to_bytes(8, "little") for _ in range(words))
+        assert fast.next_bytes(8 * words) == expected
+        assert fast.state == slow.state
+        assert fast.next_u64() == slow.next_u64()
+    assert arch._expand.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_next_bytes_memo_stays_within_its_cap():
+    from leaklab import arch
+
+    arch._expand.cache_clear()
+    cap = arch._expand.cache_info().maxsize
+    for seed in list(range(cap + 10)) + [0, 1]:
+        _check_next_bytes_against_loop(Xorshift64Star(seed).state, 16)
+        assert arch._expand.cache_info().currsize <= cap
+    assert arch._expand.cache_info().currsize == cap
+
+
 def test_input_dump_load_round_trip():
     inp = generate_inputs(seed=5, count=2)[1]
     blob = input_blob(inp)

@@ -22,6 +22,7 @@ from leaklab.detect import (
     MAX_BOOSTS_PER_INPUT,
     ViolationReport,
     _filter_tier,
+    _load_cells,
     boost_input,
     detect_violation,
 )
@@ -334,6 +335,16 @@ def test_report_with_out_of_range_register_is_rejected(inputs20):
         ViolationReport.from_json(json.dumps(doc))
 
 
+def test_observations_must_match_the_inputs(inputs20):
+    # a short list used to truncate the class construction and miss the leak
+    inputs = inputs20[:4]
+    observations = observe(PLANTED, inputs)
+    assert isinstance(detect_violation(PLANTED, inputs, observations=observations), ViolationReport)
+    for bad in (observations[:1], observations + observations[:1], REJECTED):
+        with pytest.raises(ConfigError, match="one observation per input"):
+            detect_violation(PLANTED, inputs, observations=bad)
+
+
 def test_boosts_per_input_fits_the_stream_index(inputs20):
     # sibling j of input i draws from stream (i << 8) | j: past 255 two
     # inputs' siblings would share a stream
@@ -484,10 +495,11 @@ class _Poisoned:
 
 
 def _poison(store: ResumePoints) -> int:
-    """Replace every point in `store` by a _Poisoned one; returns how many."""
+    """Replace every point in `store` by a _Poisoned one, keeping each round
+    point's copied and loaded addresses; returns how many."""
     for points in store.arch.values():
-        for key in points:
-            points[key] = _Poisoned()
+        for k, (copied, _, loads) in points.items():
+            points[k] = (copied, _Poisoned(), loads)
     for key in store.hw:
         store.hw[key] = _Poisoned()
     return sum(map(len, store.arch.values())) + len(store.hw)
@@ -520,3 +532,105 @@ def test_sibling_points_of_other_programs_or_settings_are_not_used():
     _poison(store)
     with pytest.raises(AssertionError, match="another program or setting"):
         detect_violation(longer, inputs, resume=store, **base)
+
+
+# --- round points: boost_input resumed by round index ------------------------
+
+# CHAIN_BASE loads 64, whose word makes R2 = 512, then 512. A sibling with
+# fresh bytes at 64 loads some other cell d' instead, so the prefix's round 0
+# copies {64, d'} and its round 1 copies {64, 512}; round 2 agrees.
+CHAIN_PREFIX = parse_program("SBB R2, [BASE+R0]\nSBB R0, [BASE+R2]")
+CHAIN_BASE = Input(r0=64, r1=512, r2=0, mem=bytes(64) + ((1 << 64) - 512).to_bytes(8, "little") + bytes(4024))
+CHAIN_SEED = stream_seed(3, 1)
+
+
+def _boost_from(monkeypatch, p, base, stored):
+    """boost_input of `p` on stream CHAIN_SEED with round points `stored`
+    (None: no points at all). Returns the sibling, the round points it
+    captured, the round of every run that resumed, and the instructions it
+    simulated."""
+    from leaklab import arch, detect
+
+    rounds, steps = [], [0]
+    trace, step = detect.contract_trace, arch.step_instruction
+
+    def counted(*args):
+        steps[0] += 1
+        return step(*args)
+
+    def recorded(p, inp, contract, budget, resume=None, capture=None):
+        rounds.append(resume is not None)
+        return trace(p, inp, contract, budget, resume, capture)
+
+    into = {}
+    cells = _load_cells(base, contract_trace(p, base, CT_SEQ, 300))
+    with monkeypatch.context() as m:
+        m.setattr(arch, "step_instruction", counted)
+        m.setattr(detect, "contract_trace", recorded)
+        sibling = boost_input(p, base, CT_SEQ, Xorshift64Star(CHAIN_SEED), 300, cells=cells,
+                              points=None if stored is None else (stored, into))
+    return sibling, into, [k for k, resumed in enumerate(rounds) if resumed], steps[0]
+
+
+def _check_round_points(monkeypatch, p, base, stored):
+    """boost_input of `p` resumed from `stored` against the unstored call,
+    the call from the reset that captures, and _boost_by_simulation: equal
+    siblings and equal captured points. Returns the resumed call's
+    (round points, resumed rounds, steps) and the unstored call's steps."""
+    sibling, into, resumed, steps = _boost_from(monkeypatch, p, base, stored)
+    plain, _, _, plain_steps = _boost_from(monkeypatch, p, base, None)
+    fresh, fresh_into, _, _ = _boost_from(monkeypatch, p, base, {})
+    slow = _boost_by_simulation(p, base, CT_SEQ, Xorshift64Star(CHAIN_SEED), 300, contract_trace(p, base, CT_SEQ, 300))
+    assert sibling == plain == fresh
+    assert sibling is not None and (sibling.mem, sibling.seed) == (slow.mem, slow.seed)
+    assert into == fresh_into
+    return into, resumed, steps, plain_steps
+
+
+def test_round_points_survive_a_changed_copied_set(monkeypatch):
+    # the extension loads a fresh-valued address f' in round 0, so round 1
+    # has copied {64, d', f'} where the prefix's round 1 had {64, d'}; that
+    # run loaded only 64 and 512 before its point, so it still serves
+    _, stored, _, _ = _boost_from(monkeypatch, CHAIN_PREFIX, CHAIN_BASE, {})
+    assert sorted(stored) == [0, 1] and stored[1][2] == {64, 512}
+    p = CHAIN_PREFIX.append(parse_program("SBB R1, [BASE+R0]").instrs[0])
+    into, resumed, steps, plain_steps = _check_round_points(monkeypatch, p, CHAIN_BASE, stored)
+    assert into[1][0] != stored[1][0]
+    assert not (into[1][0] ^ stored[1][0]) & stored[1][2]
+    assert resumed[:2] == [0, 1]
+    assert steps < plain_steps
+
+
+def test_round_points_whose_loads_were_copied_since_are_not_used(monkeypatch):
+    # the extension loads 512 itself in round 0, so round 1 has the base's
+    # bytes at 512, which the prefix's round-1 run read fresh: that point
+    # must not serve, and a poisoned stand-in shows it is never touched
+    _, stored, _, _ = _boost_from(monkeypatch, CHAIN_PREFIX, CHAIN_BASE, {})
+    p = Program(CHAIN_PREFIX.instrs + parse_program("SBB R2, [BASE+R1]\nSBB R1, [BASE+R0]").instrs)
+    into, resumed, _, _ = _check_round_points(monkeypatch, p, CHAIN_BASE, stored)
+    assert 512 in (into[1][0] ^ stored[1][0]) & stored[1][2]
+    assert resumed[:1] == [0] and 1 not in resumed
+    copied, _, loads = stored[1]
+    poisoned = {**stored, 1: (copied, _Poisoned(), loads)}
+    assert _check_round_points(monkeypatch, p, CHAIN_BASE, poisoned)[0] == into
+    # the round-0 point is used: poisoning it too fails
+    poisoned[0] = (stored[0][0], _Poisoned(), stored[0][2])
+    with pytest.raises(AssertionError, match="another program or setting"):
+        _boost_from(monkeypatch, p, CHAIN_BASE, poisoned)
+
+
+def test_round_points_with_a_coincidence_cell(monkeypatch):
+    # the base's word at 64 equals the generator's there, so 64 is loaded
+    # but never needed: fresh and copied bytes agree at it
+    fresh = Xorshift64Star(CHAIN_SEED).next_bytes(SANDBOX_SIZE)
+    mem = bytearray(CHAIN_BASE.mem)
+    mem[64:72] = fresh[64:72]
+    base = Input(r0=64, r1=512, r2=0, mem=bytes(mem))
+    # a program that loads only 64 agrees before any round is simulated
+    one_load = Program(CHAIN_PREFIX.instrs[:1])
+    sibling, into, _, steps = _boost_from(monkeypatch, one_load, base, {})
+    assert sibling.mem == fresh and into == {} and steps == 0
+    _, stored, _, _ = _boost_from(monkeypatch, CHAIN_PREFIX, base, {})
+    p = CHAIN_PREFIX.append(parse_program("SBB R1, [BASE+R0]").instrs[0])
+    into, resumed, steps, plain_steps = _check_round_points(monkeypatch, p, base, stored)
+    assert resumed and steps < plain_steps

@@ -154,9 +154,10 @@ def test_guarded_growth():
 
 def _points(store):
     """Every resume point in `store`: observe's arch points are keyed by
-    input, boosting's by sibling, then by addresses copied."""
+    input; boosting's by sibling, then by round, each the middle of a
+    (copied, point, loads) triple."""
     for point in store.arch.values():
-        yield from point.values() if isinstance(point, dict) else [point]
+        yield from (entry[1] for entry in point.values()) if isinstance(point, dict) else [point]
     yield from store.hw.values()
 
 
