@@ -11,7 +11,6 @@ from .arch import (
     ContractMode,
     ContractSpec,
     Input,
-    NON_TERMINATING,
     contract_trace,
     generate_inputs,
 )

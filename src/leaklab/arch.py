@@ -37,7 +37,8 @@ __all__ = [
     "MASK64",
     "DEFAULT_STEP_BUDGET",
     "NON_TERMINATING",
-    "NonTerminating",
+    "REJECTED",
+    "Rejected",
     "ContractMode",
     "ContractSpec",
     "Input",
@@ -67,14 +68,17 @@ OBS_STORE = "S"
 OBS_PC = "P"
 
 
-class NonTerminating:
-    """Distinguished result: the step budget ran out before the program halted."""
+class Rejected:
+    """Distinguished result: some run exhausted its simulator's budget or
+    provably never halts, so the program is treated as non-terminating."""
 
     def __repr__(self) -> str:
-        return "NonTerminating"
+        return "Rejected"
 
 
-NON_TERMINATING = NonTerminating()
+REJECTED = Rejected()
+# perfbench's tracer reads this name
+NON_TERMINATING = REJECTED
 
 
 class ContractMode(Enum):
@@ -296,10 +300,10 @@ def contract_trace(
     resume: TracePoint | None = None,
     capture: list | None = None,
 ):
-    """Contract trace of `p` on `inp`, or NON_TERMINATING if the budget runs
+    """Contract trace of `p` on `inp`, or REJECTED if the budget runs
     out before the program falls off the end.
 
-    A run that provably repeats returns NON_TERMINATING before the budget is
+    A run that provably repeats returns REJECTED before the budget is
     spent. The run is a deterministic function of the full architectural
     state (pc, registers, flags, memory); CT_COND exploration restores that
     state. So once the state at some step equals the state at an earlier
@@ -332,7 +336,7 @@ def contract_trace(
     A resumed run starts the cycle check afresh at the point, and still
     returns what the run from the reset returns. The check reports only a
     repeat of the whole state, which proves that the run never halts; so it
-    decides how soon NON_TERMINATING comes, never whether. A snapshot taken
+    decides how soon REJECTED comes, never whether. A snapshot taken
     after the point is a state of the same run, and comparing write logs is
     sound from any start. The step count, which the budget reads, still
     counts from the reset.
@@ -356,7 +360,7 @@ def contract_trace(
     point = instr = None
     while state.pc < n:
         if steps >= step_budget:
-            return NON_TERMINATING
+            return REJECTED
         instr = instrs[state.pc]
         branch_pc = state.pc
         obs = step_instruction(state, instr, n)
@@ -373,7 +377,7 @@ def contract_trace(
         steps += 1
         if state.pc <= branch_pc:
             if snapshot == (state.pc, state.regs, state.sf, state.cf, state.zf, state.written):
-                return NON_TERMINATING
+                return REJECTED
             moves += 1
             if moves == period:
                 snapshot = (state.pc, state.regs[:], state.sf, state.cf, state.zf, dict(state.written))

@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 
 from .agent import train
-from .arch import ContractSpec, NON_TERMINATING, generate_inputs, load_input
+from .arch import REJECTED, ContractSpec, generate_inputs, load_input
 from .detect import ViolationReport, detect_violation
 from .env import EnvConfig, LeakEnv, RewardSpec
 from .errors import ConfigError, ParseError, TrainingFault
@@ -190,7 +190,7 @@ def _build_parser() -> _ArgumentParser:
 def _read_program(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read program: {exc}") from None
     return parse_program(text)
 
@@ -269,7 +269,7 @@ def _cmd_simulate(cfg: ExperimentConfig, program_path: str, input_files: list[st
         inputs = generate_inputs(env_cfg.input_seed, env_cfg.num_inputs)
     for i, inp in enumerate(inputs):
         hw = hw_run(program, inp, env_cfg.spec_config, env_cfg.step_budget)
-        if hw is NON_TERMINATING:
+        if hw is REJECTED:
             print(json.dumps({"input": i, "seed": inp.seed, "non_terminating": True}))
             continue
         print(

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .arch import (
     DEFAULT_STEP_BUDGET,
-    NON_TERMINATING,
     OBS_LOAD,
+    REJECTED,
     ContractSpec,
     Input,
     SANDBOX_SIZE,
@@ -29,7 +29,6 @@ from .errors import ConfigError
 from .isa import Program, parse_program, render_program
 from .uarch import (
     CACHE_SETS,
-    REJECTED,
     InputObservation,
     ResumePoints,
     SpecConfig,
@@ -69,11 +68,11 @@ class ViolationReport:
         a, b = self.witness
         ct_a = contract_trace(self.program, a, self.contract, budget)
         ct_b = contract_trace(self.program, b, self.contract, budget)
-        if ct_a is NON_TERMINATING or ct_b is NON_TERMINATING or ct_a != ct_b:
+        if ct_a is REJECTED or ct_b is REJECTED or ct_a != ct_b:
             return False
         hw_a = hw_run(self.program, a, self.spec_config, budget)
         hw_b = hw_run(self.program, b, self.spec_config, budget)
-        if hw_a is NON_TERMINATING or hw_b is NON_TERMINATING:
+        if hw_a is REJECTED or hw_b is REJECTED:
             return False
         if (hw_a.htrace, hw_b.htrace) != self.htraces:
             return False
@@ -128,8 +127,7 @@ def boost_input(
     rng: Xorshift64Star,
     budget: int = DEFAULT_STEP_BUDGET,
     cells: dict | None = None,
-    points: tuple[dict, dict] | None = None,
-    copied: set | None = None,
+    points: dict | None = None,
 ) -> Input | None:
     """Derive a contract-equivalent sibling of `base` for `p`.
 
@@ -158,27 +156,26 @@ def boost_input(
     trace loads to the base's 8 bytes there; it saves simulating the base
     and rebuilding that map in each call for one base input.
 
-    `points`, when given, is a pair of dicts keyed by round index, each
-    value (copied addresses, TracePoint, addresses the run loaded before
-    the point). Round k's `contract_trace` resumes from the first dict's
-    entry k if no address that entry's run loaded before its point was
-    copied in one of the two rounds and not in the other; it stores what
-    it captures in the second dict. The first dict must hold entries that
-    such rounds, for the same base and a fresh `rng` of the same seed,
-    captured for a prefix of `p`. The result is then the same as without
-    them: the two siblings hold equal bytes at every address the stored run
-    read before its point, so by the induction above the runs agree up to
-    it, and the runs of a prefix and of `p` agree there too (see
-    `contract_trace`). `copied`, when given, is an empty set that ends up
-    holding the returned sibling's copied addresses.
+    `points`, when given, is a dict keyed by round index, each value
+    (copied addresses, TracePoint, addresses the run loaded before the
+    point). Round k's `contract_trace` resumes from entry k if no address
+    that entry's run loaded before its point was copied in one of the two
+    rounds and not in the other, and a round that terminates replaces
+    entry k with what it captures, so the dict holds at most BOOST_ROUNDS
+    entries. Each entry must have been captured by such a round, for the
+    same base and a fresh `rng` of the same seed, on a prefix of `p`; one
+    left by an earlier call on a prefix of `p` qualifies. The result is
+    then the same as without them: the two siblings hold equal bytes at
+    every address the stored run read before its point, so by the
+    induction above the runs agree up to it, and the runs of a prefix and
+    of `p` agree there too (see `contract_trace`).
     """
     if cells is None:
         base_trace = contract_trace(p, base, contract, budget)
-        if base_trace is NON_TERMINATING:
+        if base_trace is REJECTED:
             raise ValueError("boost_input requires a terminating base input")
         cells = _load_cells(base, base_trace)
-    if copied is None:
-        copied = set()
+    copied: set = set()
     fresh = rng.next_bytes(SANDBOX_SIZE)
     need = {addr for addr, cell in cells.items() if fresh[addr : addr + 8] != cell}
     mem = bytearray(fresh)
@@ -189,13 +186,13 @@ def boost_input(
         start, before, resume, captured = 0, frozenset(), None, None
         if points is not None:
             captured = []
-            stored = points[0].get(k)
+            stored = points.get(k)
             if stored is not None and not (copied ^ stored[0]) & stored[2]:
                 _, resume, before = stored
                 _, point_trace, _ = resume
                 start = len(point_trace)
         tr = contract_trace(p, sibling, contract, budget, resume, captured)
-        if tr is NON_TERMINATING:
+        if tr is REJECTED:
             # No trace to guide the copy; pull the sibling toward the base's
             # path using the base's own load set instead.
             loads = cells.keys()
@@ -205,7 +202,7 @@ def boost_input(
             # `before` by the loads between the two.
             cut = len(captured[0].trace)
             point_loads = before | _load_set(tr[start:cut])
-            points[1][k] = (frozenset(copied), captured[0], point_loads)
+            points[k] = (frozenset(copied), captured[0], point_loads)
             loads = point_loads | _load_set(tr[cut:])
         else:
             loads = _load_set(tr)
@@ -273,22 +270,24 @@ def detect_violation(
     miss a violation. `exhaustive=True` disables that gate and always runs
     the full class construction; it exists as a test oracle.
 
-    `resume`, when given, lets boosting resume its sibling runs: a call that
-    boosts leaves in it, and only in it, the TracePoint of every sibling
-    round it simulated and the HwPoint of every final sibling. Under equal
-    inputs and `seed`, (input index, sibling index) fixes the generator's
-    bytes, and the addresses copied so far fix the sibling (see
-    `boost_input`). Round points are keyed by (input index, sibling index),
-    then by round index, each with the round's copied addresses and the
-    addresses its run loaded before the point; a later round k may resume
-    from one when the two siblings hold equal bytes at all of those loads.
-    HwPoints are keyed by (input index, sibling index, copied addresses),
-    which is the final sibling itself. So a later call on an extension of
-    `p` with equal inputs, contract, `cfg`, `budget` and `seed` resumes such
-    runs from their points instead of the reset, and gets the same result
-    (see `boost_input`, `contract_trace` and `hw_run`). Like every point,
-    these hold no memory: their memory is the write log of the committed
-    path's stores, over the sibling's bytes.
+    `resume`, when given, lets boosting resume its sibling runs. It holds
+    one live entry per sibling stream (i, j), input index and sibling
+    index, which a call that boosts updates in place: `arch[(i, j)]` is
+    the stream's round points (see `boost_input`), and `hw[(i, j)]` is
+    (bytes, HwPoint) for its last final sibling, which the next final
+    sibling's `hw_run` resumes from only if its bytes are equal. A later
+    call on an extension of `p` with equal inputs, contract, `cfg`,
+    `budget` and `seed` gets the same result as without the store, since:
+    - an entry that survives from an earlier boosted call was captured on
+      a prefix of the store's program, which each call extends or `usable`
+      hands out empty dicts, so on a prefix of `p`; the round rule is
+      unchanged (see `boost_input`, `contract_trace` and `hw_run`);
+    - a sibling is fixed by base i's registers, stream (i, j)'s seed and
+      its bytes, so equal bytes mean an identical input;
+    - each stream holds at most BOOST_ROUNDS round entries and one
+      hardware entry, and no call builds a second store.
+    Like every point, these hold no memory: their memory is the write log
+    of the committed path's stores, over the sibling's bytes.
     """
     if not inputs:
         raise ConfigError("detect_violation needs at least one input")
@@ -335,28 +334,27 @@ def detect_violation(
     # (input i0, sibling 0), sorts before any sibling (i >= i0, j >= 1).
     if resume is not None:
         setting = (list(inputs), contract, cfg, budget, seed)
-        arch_from, hw_from = resume.usable(p, setting)
-        arch_into, hw_into = {}, {}
-        resume.keep(p, setting, arch_into, hw_into)
-    points = copied = hw_start = hw_points = None
+        rounds, finals = resume.usable(p, setting)
+        resume.keep(p, setting, rounds, finals)
+    points = hw_start = hw_points = None
     for i, (base, base_obs) in enumerate(zip(inputs, observations)):
         first = classes[base_obs.ctrace][0]
         cells = _load_cells(base, base_obs.ctrace)
         for j in range(1, boosts_per_input + 1):
             rng = Xorshift64Star(stream_seed(seed, (i << 8) | j))
             if resume is not None:
-                points = (arch_from.get((i, j), {}), arch_into.setdefault((i, j), {}))
-                copied = set()
-            sibling = boost_input(p, base, contract, rng, budget, cells=cells, points=points, copied=copied)
+                points = rounds.setdefault((i, j), {})
+            sibling = boost_input(p, base, contract, rng, budget, cells=cells, points=points)
             if sibling is None:
                 continue
             if resume is not None:
-                key = (i, j, frozenset(copied))
-                hw_start, hw_points = hw_from.get(key), []
+                held = finals.get((i, j))
+                hw_start = held[1] if held is not None and held[0] == sibling.mem else None
+                hw_points = []
             hw = hw_run(p, sibling, cfg, budget, hw_start, hw_points)
             if hw_points:
-                hw_into[key] = hw_points[0]
-            if hw is NON_TERMINATING:
+                finals[(i, j)] = (sibling.mem, hw_points[0])
+            if hw is REJECTED:
                 continue  # cannot happen for a verified sibling, but stay safe
             if hw.htrace != first[1]:
                 return report_from(first, (sibling, hw.htrace))

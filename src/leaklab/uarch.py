@@ -28,11 +28,12 @@ from typing import NamedTuple
 
 from .arch import (
     DEFAULT_STEP_BUDGET,
-    NON_TERMINATING,
     OBS_PC,
+    REJECTED,
     ArchState,
     ContractSpec,
     Input,
+    Rejected,
     contract_trace,
     excursion,
     step_instruction,
@@ -60,17 +61,6 @@ __all__ = [
 PHT_SIZE = 64
 CACHE_SETS = 64
 LINE_BYTES = 64
-
-
-class Rejected:
-    """Distinguished result: some input made a simulator exceed its budget,
-    so the program is treated as (potentially) non-terminating."""
-
-    def __repr__(self) -> str:
-        return "Rejected"
-
-
-REJECTED = Rejected()
 
 
 @dataclass(frozen=True)
@@ -144,7 +134,7 @@ def hw_run(
 ):
     """Run `p` on the speculative hardware model.
 
-    Returns an HwResult, or NON_TERMINATING once more than `budget`
+    Returns an HwResult, or REJECTED once more than `budget`
     instructions commit. The budget counts committed instructions only, so a
     program terminates here iff it terminates on the architectural simulator
     with the same budget.
@@ -196,7 +186,7 @@ def hw_run(
 
     while state.pc < n:
         if committed >= budget:
-            return NON_TERMINATING
+            return REJECTED
         committed += 1
         pc = state.pc
         instr = instrs[pc]
@@ -256,13 +246,10 @@ class InputObservation(NamedTuple):
 class ResumePoints:
     """Where the runs of the last program measured with this store can be
     resumed: the program, the settings it was measured with, and the
-    TracePoints (`arch`) and HwPoints (`hw`) its runs captured, each keyed by
-    the input it ran on. `observe` keys them by position in its input list,
-    so that under equal settings equal keys mean identical inputs, and so
-    does boosting for its HwPoints: base input, sibling stream and copied
-    cells. Boosting keys its TracePoints by base input and sibling stream,
-    then by round index, each with what decides whether a later round may
-    resume from it (see `detect.boost_input`)."""
+    TracePoints (`arch`) and HwPoints (`hw`) that runs of it or of a prefix
+    of it captured. `observe` keys both by position in its input list, so
+    that under equal settings equal keys mean identical inputs;
+    `detect_violation` documents its own layout."""
 
     __slots__ = ("program", "setting", "arch", "hw")
 
@@ -279,7 +266,8 @@ class ResumePoints:
         return {}, {}
 
     def keep(self, p: Program, setting: tuple, arch: dict, hw: dict) -> None:
-        """Hold the points of `p`'s runs with `setting`, and only those."""
+        """Hold `arch` and `hw` as points of runs of `p`, or of prefixes of
+        it, with `setting`, and nothing else."""
         self.program, self.setting, self.arch, self.hw = p, setting, arch, hw
 
 
@@ -320,10 +308,10 @@ def observe(
     out: list[InputObservation] = []
     for i, inp in enumerate(inputs):
         ct = contract_trace(p, inp, contract, budget, arch_from.get(i), arch_points)
-        if ct is NON_TERMINATING:
+        if ct is REJECTED:
             return REJECTED
         hw = hw_run(p, inp, cfg, budget, hw_from.get(i), hw_points)
-        if hw is NON_TERMINATING:
+        if hw is REJECTED:
             return REJECTED
         counters = hw.counters
         out.append(InputObservation(hw.htrace, ct, counters.br_misses, counters.tran_uops, hw.committed_htrace))

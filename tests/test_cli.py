@@ -106,6 +106,14 @@ def test_usage_error_exits_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["detect", "simulate"])
+def test_program_not_utf8_exits_1(command, tmp_path, capsys):
+    path = tmp_path / "bad.asm"
+    path.write_bytes(b"\xff\xfeSBB R0, R0\n")
+    assert run_cli([command, str(path)]) == 1
+    assert "cannot read program" in capsys.readouterr().err
+
+
 def test_bad_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"unknown_section": 1}')

@@ -496,12 +496,13 @@ class _Poisoned:
 
 def _poison(store: ResumePoints) -> int:
     """Replace every point in `store` by a _Poisoned one, keeping each round
-    point's copied and loaded addresses; returns how many."""
+    point's copied and loaded addresses and each final sibling's bytes;
+    returns how many."""
     for points in store.arch.values():
         for k, (copied, _, loads) in points.items():
             points[k] = (copied, _Poisoned(), loads)
-    for key in store.hw:
-        store.hw[key] = _Poisoned()
+    for key, (mem, _) in store.hw.items():
+        store.hw[key] = (mem, _Poisoned())
     return sum(map(len, store.arch.values())) + len(store.hw)
 
 
@@ -534,6 +535,66 @@ def test_sibling_points_of_other_programs_or_settings_are_not_used():
         detect_violation(longer, inputs, resume=store, **base)
 
 
+def test_round_points_outlive_a_boosted_call_that_did_not_replace_them(monkeypatch):
+    # a fixed default-menu episode in which some sibling round resumes from a
+    # point captured two or more boosted calls back: the store kept it through
+    # a call whose round did not replace it, and the call still equals the
+    # unstored one, sibling runs included
+    from leaklab import detect
+
+    rng = random.Random(8)
+    steps = [MENUS[0][rng.randrange(MENUS[0].size)] for _ in range(30)]
+    inputs = generate_inputs(11, 6)
+    kwargs = dict(boosts_per_input=2, seed=5, budget=300, exhaustive=True)
+    captured_at, used = {}, []
+    trace = detect.contract_trace
+
+    def recorded(p, inp, contract, budget, resume=None, capture=None):
+        if resume is not None:
+            used.append(resume)
+        return trace(p, inp, contract, budget, resume, capture)
+
+    monkeypatch.setattr(detect, "contract_trace", recorded)
+    store, p, calls, outlived = ResumePoints(), Program(), 0, 0
+    for step in steps:
+        candidate = p.append(step)
+        if observe(candidate, inputs, CT_SEQ, SpecConfig(), 300) is REJECTED:
+            continue
+        p = candidate
+        used.clear()
+        resumed, resumed_runs = _detect_with_runs(p, inputs, CT_SEQ, SpecConfig(), resume=store, **kwargs)
+        fresh, fresh_runs = _detect_with_runs(p, inputs, CT_SEQ, SpecConfig(), **kwargs)
+        assert (resumed, resumed_runs) == (fresh, fresh_runs), render_program(p)
+        calls += 1
+        outlived += sum(captured_at[id(point)][0] < calls - 1 for point in used)
+        for points in store.arch.values():
+            for _, point, _ in points.values():
+                # the point itself is held too, so that its id is not reused
+                captured_at.setdefault(id(point), (calls, point))
+    assert outlived > 0
+
+
+def test_held_hw_points_serve_only_equal_bytes():
+    # CHAIN's final siblings are those of its extension by an ALU op, so a
+    # held HwPoint is used exactly when the held bytes are the sibling's
+    chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
+    longer = chain.append(parse_program("SBB R1, R2").instrs[0])
+    inputs = generate_inputs(19, 3)
+    kwargs = dict(contract=CT_SEQ, cfg=SpecConfig(), budget=300, seed=7, exhaustive=True)
+    for same_bytes in (False, True):
+        store = ResumePoints()
+        assert detect_violation(chain, inputs, resume=store, **kwargs) is None
+        assert store.hw
+        for key, (mem, _) in store.hw.items():
+            store.hw[key] = (mem if same_bytes else bytes([mem[0] ^ 1]) + mem[1:], _Poisoned())
+        if same_bytes:
+            with pytest.raises(AssertionError, match="another program or setting"):
+                detect_violation(longer, inputs, resume=store, **kwargs)
+        else:
+            assert detect_violation(longer, inputs, resume=store, **kwargs) == detect_violation(longer, inputs,
+                                                                                                **kwargs)
+
+
 # --- round points: boost_input resumed by round index ------------------------
 
 # CHAIN_BASE loads 64, whose word makes R2 = 512, then 512. A sibling with
@@ -545,10 +606,10 @@ CHAIN_SEED = stream_seed(3, 1)
 
 
 def _boost_from(monkeypatch, p, base, stored):
-    """boost_input of `p` on stream CHAIN_SEED with round points `stored`
-    (None: no points at all). Returns the sibling, the round points it
-    captured, the round of every run that resumed, and the instructions it
-    simulated."""
+    """boost_input of `p` on stream CHAIN_SEED with a copy of the round
+    points `stored` (None: no points at all). Returns the sibling, the round
+    points after the call, the round of every run that resumed, and the
+    instructions it simulated."""
     from leaklab import arch, detect
 
     rounds, steps = [], [0]
@@ -562,28 +623,29 @@ def _boost_from(monkeypatch, p, base, stored):
         rounds.append(resume is not None)
         return trace(p, inp, contract, budget, resume, capture)
 
-    into = {}
+    into = None if stored is None else dict(stored)
     cells = _load_cells(base, contract_trace(p, base, CT_SEQ, 300))
     with monkeypatch.context() as m:
         m.setattr(arch, "step_instruction", counted)
         m.setattr(detect, "contract_trace", recorded)
-        sibling = boost_input(p, base, CT_SEQ, Xorshift64Star(CHAIN_SEED), 300, cells=cells,
-                              points=None if stored is None else (stored, into))
+        sibling = boost_input(p, base, CT_SEQ, Xorshift64Star(CHAIN_SEED), 300, cells=cells, points=into)
     return sibling, into, [k for k, resumed in enumerate(rounds) if resumed], steps[0]
 
 
 def _check_round_points(monkeypatch, p, base, stored):
-    """boost_input of `p` resumed from `stored` against the unstored call,
-    the call from the reset that captures, and _boost_by_simulation: equal
-    siblings and equal captured points. Returns the resumed call's
-    (round points, resumed rounds, steps) and the unstored call's steps."""
+    """boost_input of `p` resumed from the round points `stored` against the
+    unstored call, the call from the reset that captures, and
+    _boost_by_simulation: equal siblings, equal entries for the rounds that
+    ran, and `stored`'s own entries for the rounds that did not. Returns the
+    resumed call's (round points, resumed rounds, steps) and the unstored
+    call's steps."""
     sibling, into, resumed, steps = _boost_from(monkeypatch, p, base, stored)
     plain, _, _, plain_steps = _boost_from(monkeypatch, p, base, None)
     fresh, fresh_into, _, _ = _boost_from(monkeypatch, p, base, {})
     slow = _boost_by_simulation(p, base, CT_SEQ, Xorshift64Star(CHAIN_SEED), 300, contract_trace(p, base, CT_SEQ, 300))
     assert sibling == plain == fresh
     assert sibling is not None and (sibling.mem, sibling.seed) == (slow.mem, slow.seed)
-    assert into == fresh_into
+    assert into == {**stored, **fresh_into}
     return into, resumed, steps, plain_steps
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaklab.arch import ContractMode, ContractSpec
+from leaklab.detect import BOOST_ROUNDS
 from leaklab.env import (
     NO_ACTION,
     EnvConfig,
@@ -15,7 +16,7 @@ from leaklab.env import (
 )
 from leaklab.errors import ConfigError
 from leaklab.isa import Instruction, Opcode, Program, Register, append_action, parse_program
-from leaklab.uarch import InputObservation, SpecConfig, observe
+from leaklab.uarch import HwPoint, InputObservation, SpecConfig, observe
 
 # action ids in the default 40-action space
 SBB_R0_R0 = 0
@@ -153,12 +154,14 @@ def test_guarded_growth():
 
 
 def _points(store):
-    """Every resume point in `store`: observe's arch points are keyed by
-    input; boosting's by sibling, then by round, each the middle of a
-    (copied, point, loads) triple."""
+    """Every resume point in `store`: observe's points are keyed by input;
+    boosting's arch points by sibling stream, then by round, each the middle
+    of a (copied, point, loads) triple, and its hw points by sibling stream,
+    each the second of a (bytes, point) pair."""
     for point in store.arch.values():
         yield from (entry[1] for entry in point.values()) if isinstance(point, dict) else [point]
-    yield from store.hw.values()
+    for point in store.hw.values():
+        yield point if isinstance(point, HwPoint) else point[1]
 
 
 def test_resume_points_hold_no_memory():
@@ -177,6 +180,28 @@ def test_resume_points_hold_no_memory():
                 assert all(point.state.mem is None for point in points)
                 seen[name] += len(points)
     assert seen["observe"] > 0 and seen["siblings"] > 0
+
+
+def test_sibling_store_holds_one_entry_per_stream():
+    # the store is updated in place: after every step each sibling stream
+    # holds at most BOOST_ROUNDS round points and one final sibling's point
+    cfg = EnvConfig(max_len=16, input_seed=5, num_inputs=4, boosts_per_input=3)
+    env = LeakEnv(cfg)
+    streams = {(i, j) for i in range(cfg.num_inputs) for j in range(1, cfg.boosts_per_input + 1)}
+    rng = np.random.default_rng(4)
+    boosted = 0
+    for _ in range(6):
+        env.reset(0)
+        done = False
+        while not done:
+            sr = env.step(int(rng.integers(env.action_space.size)))
+            done = sr.terminated or sr.truncated
+            store = env._sibling_resume
+            assert set(store.arch) <= streams and set(store.hw) <= streams
+            assert all(set(rounds) <= set(range(BOOST_ROUNDS)) for rounds in store.arch.values())
+            assert all(isinstance(mem, bytes) and isinstance(point, HwPoint) for mem, point in store.hw.values())
+            boosted += bool(store.hw)
+    assert boosted > 0
 
 
 def test_prefix_observation_fidelity():

@@ -207,6 +207,19 @@ def test_observe_rejects_self_loop(inputs20):
     assert observe(parse_program("JMP -2"), inputs20[:2]) is REJECTED
 
 
+def test_one_rejected_sentinel(inputs20):
+    from leaklab import arch, uarch
+
+    assert arch.NON_TERMINATING is uarch.REJECTED is arch.REJECTED
+    assert uarch.Rejected is arch.Rejected
+    # perfbench's pinned output digests record type(result).__name__ of
+    # detect_violation's results, so the class keeps this name
+    assert type(REJECTED).__name__ == "Rejected"
+    assert contract_trace(parse_program("JMP -2"), inputs20[0]) is REJECTED
+    assert hw_run(parse_program("SBB R0, R0\nSBB R1, R1"), inputs20[0], budget=1) is REJECTED
+    assert hw_run(parse_program("SBB R0, R0\nSBB R1, R1"), inputs20[0], budget=2) is not REJECTED
+
+
 def test_observe_needs_inputs():
     with pytest.raises(ConfigError):
         observe(Program(), [])
