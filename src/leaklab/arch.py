@@ -278,13 +278,14 @@ class TracePoint(NamedTuple):
     """Where a terminating `contract_trace` run of a program P can be resumed
     for any program that extends P: the run's state, trace and step count at
     the start of the first committed step in which some path moved to a pc
-    >= len(P) (see `contract_trace`). Its state holds no memory (see
-    `ArchState`). It holds nothing of the cycle check, which a resumed run
-    starts afresh."""
+    >= len(P) (see `contract_trace`), and the run's step count when it
+    terminated. Its state holds no memory (see `ArchState`). It holds
+    nothing of the cycle check, which a resumed run starts afresh."""
 
     state: ArchState
     trace: tuple
     steps: int
+    run_steps: int
 
 
 # No instruction has this kind: a CT_COND explored path stops only at its
@@ -318,14 +319,15 @@ def contract_trace(
     period after a run starts repeating it writes no new address, so from
     there on equal memory means equal logs.
 
-    `capture`, when given, is a list to which the run's TracePoint is
-    appended if the run terminates; `resume`, when given, is a TracePoint
-    that such a run of a prefix of `p` captured, and the run starts there
-    instead of at the reset state of `inp`. Resuming is exact. The runs of
-    P and of P + Q agree step for step until some path (the committed path
-    or a CT_COND explored path) first moves to a pc >= len(P): before that
-    every instruction fetched lies in P, and every clamped branch target
-    below len(P) is the same for both lengths. The point is the state, trace
+    `capture`, when given, is a list to which the run's TracePoint, with
+    the run's final step count, is appended if the run terminates;
+    `resume`, when given, is a TracePoint that such a run of a prefix of `p`
+    captured, and the run starts there instead of at the reset state of
+    `inp`. Resuming is exact. The runs of P and of P + Q agree step for
+    step until some path (the committed path or a CT_COND explored path)
+    first moves to a pc >= len(P): before that every instruction fetched
+    lies in P, and every clamped branch target below len(P) is the same for
+    both lengths. The point is the state, trace
     and step count at the start of that committed step. It is taken
     afterwards: a branch changes only the pc (and its exploration rolls
     back), so rewinding the pc and the trace recovers the state before it;
@@ -351,7 +353,7 @@ def contract_trace(
         trace: list = []
         steps = 0
     else:
-        state, trace, steps = resume
+        state, trace, steps, _ = resume
         state = state.copy(bytes(inp.mem))
         trace = list(trace)
     snapshot = None
@@ -373,7 +375,7 @@ def contract_trace(
             if capture is not None and point is None and (reached or state.pc >= n):
                 start = state.copy(None)
                 start.pc = branch_pc
-                point = TracePoint(start, tuple(trace[:before]), steps)
+                point = (start, tuple(trace[:before]), steps)
         steps += 1
         if state.pc <= branch_pc:
             if snapshot == (state.pc, state.regs, state.sf, state.cf, state.zf, state.written):
@@ -391,8 +393,8 @@ def contract_trace(
             if rewind:
                 state.pc = branch_pc
             state.mem = None
-            point = TracePoint(state, trace[: len(trace) - rewind], steps - rewind)
-        capture.append(point)
+            point = (state, trace[: len(trace) - rewind], steps - rewind)
+        capture.append(TracePoint(*point, steps))
     return trace
 
 

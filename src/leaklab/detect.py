@@ -26,7 +26,7 @@ from .arch import (
     stream_seed,
 )
 from .errors import ConfigError
-from .isa import Program, parse_program, render_program
+from .isa import MEM_NONE, Program, parse_program, render_program
 from .uarch import (
     CACHE_SETS,
     InputObservation,
@@ -40,6 +40,7 @@ from .uarch import (
 __all__ = [
     "BOOST_ROUNDS",
     "MAX_BOOSTS_PER_INPUT",
+    "SiblingStream",
     "ViolationReport",
     "boost_input",
     "detect_violation",
@@ -120,6 +121,21 @@ class ViolationReport:
         )
 
 
+class SiblingStream:
+    """One sibling stream's live entry in a `detect_violation` store: its
+    round points, and the last result that rounds derived, with the
+    program length they ran on and the largest step count of their
+    terminating runs (`length` is None until some call derives a result)."""
+
+    __slots__ = ("rounds", "length", "result", "steps")
+
+    def __init__(self):
+        self.rounds: dict = {}
+        self.length: int | None = None
+        self.result: Input | None = None
+        self.steps = 0
+
+
 def boost_input(
     p: Program,
     base: Input,
@@ -127,7 +143,7 @@ def boost_input(
     rng: Xorshift64Star,
     budget: int = DEFAULT_STEP_BUDGET,
     cells: dict | None = None,
-    points: dict | None = None,
+    stream: SiblingStream | None = None,
 ) -> Input | None:
     """Derive a contract-equivalent sibling of `base` for `p`.
 
@@ -156,20 +172,52 @@ def boost_input(
     trace loads to the base's 8 bytes there; it saves simulating the base
     and rebuilding that map in each call for one base input.
 
-    `points`, when given, is a dict keyed by round index, each value
+    `stream`, when given, holds what earlier calls derived for the same
+    base and a fresh `rng` of the same seed, on prefixes of `p`, and this
+    call updates it in place. The result is the same as without it, for
+    two reasons.
+
+    Round points. `stream.rounds` is keyed by round index, each value
     (copied addresses, TracePoint, addresses the run loaded before the
     point). Round k's `contract_trace` resumes from entry k if no address
     that entry's run loaded before its point was copied in one of the two
     rounds and not in the other, and a round that terminates replaces
     entry k with what it captures, so the dict holds at most BOOST_ROUNDS
-    entries. Each entry must have been captured by such a round, for the
-    same base and a fresh `rng` of the same seed, on a prefix of `p`; one
-    left by an earlier call on a prefix of `p` qualifies. The result is
-    then the same as without them: the two siblings hold equal bytes at
-    every address the stored run read before its point, so by the
-    induction above the runs agree up to it, and the runs of a prefix and
-    of `p` agree there too (see `contract_trace`).
+    entries. The two siblings hold equal bytes at every address the stored
+    run read before its point, so by the induction above the runs agree up
+    to it, and the runs of a prefix and of `p` agree there too (see
+    `contract_trace`).
+
+    Neutral suffixes. An instruction is neutral if it is an ALU instruction
+    without a memory operand or a branch with a positive displacement. Let
+    Q be the program of length `stream.length` that the held result was
+    derived on, and p = Q + S with every instruction of S neutral. Every
+    path of a run of p (the committed path, a CT_COND explored path) agrees
+    with the same run of Q until it first moves to a pc >= len(Q) (see
+    `contract_trace`). From there it only moves forward through S, since a
+    neutral instruction falls through or jumps forward, and it never
+    returns into Q; and S reads and writes no memory. So the run of p loads
+    and stores exactly what the run of Q did, and only its PC observations
+    differ. Its committed path takes at most len(S) more steps, so a round
+    run that terminated on Q within `stream.steps` steps terminates on p as
+    well when `stream.steps + len(S) <= budget`, with the same loads. A
+    round run rejected on Q never moves its committed path out of Q, and
+    neither does the run of p, which agrees with it there; so it is
+    rejected on p too. The base's loads, and so `cells`, are those of Q
+    as well. Every round therefore starts with the same agreement and
+    copies the same addresses, and the call returns the held result
+    without running one. Past that step count a round that terminated on
+    Q can exhaust the budget on p and copy the base's loads instead of its
+    own; after a backward branch in S a path can return into Q with other
+    register values and load elsewhere. Neither is carried.
     """
+    if (
+        stream is not None
+        and stream.length is not None
+        and stream.steps + len(p) - stream.length <= budget
+        and _neutral_from(p, stream.length)
+    ):
+        return stream.result
     if cells is None:
         base_trace = contract_trace(p, base, contract, budget)
         if base_trace is REJECTED:
@@ -179,18 +227,20 @@ def boost_input(
     fresh = rng.next_bytes(SANDBOX_SIZE)
     need = {addr for addr, cell in cells.items() if fresh[addr : addr + 8] != cell}
     mem = bytearray(fresh)
+    result = None
+    steps = 0  # the largest step count of a terminating round run
     for k in range(BOOST_ROUNDS):
         sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
         if need <= copied:
-            return sibling
+            result = sibling
+            break
         start, before, resume, captured = 0, frozenset(), None, None
-        if points is not None:
+        if stream is not None:
             captured = []
-            stored = points.get(k)
+            stored = stream.rounds.get(k)
             if stored is not None and not (copied ^ stored[0]) & stored[2]:
                 _, resume, before = stored
-                _, point_trace, _ = resume
-                start = len(point_trace)
+                start = len(resume.trace)
         tr = contract_trace(p, sibling, contract, budget, resume, captured)
         if tr is REJECTED:
             # No trace to guide the copy; pull the sibling toward the base's
@@ -200,16 +250,27 @@ def boost_input(
             # A resumed run captures its point at or after the one it
             # resumed from, so the load set of the prefix up to it extends
             # `before` by the loads between the two.
-            cut = len(captured[0].trace)
+            point = captured[0]
+            cut = len(point.trace)
             point_loads = before | _load_set(tr[start:cut])
-            points[k] = (frozenset(copied), captured[0], point_loads)
+            stream.rounds[k] = (frozenset(copied), point, point_loads)
+            steps = max(steps, point.run_steps)
             loads = point_loads | _load_set(tr[cut:])
         else:
             loads = _load_set(tr)
         for addr in loads - copied:
             mem[addr : addr + 8] = base.mem[addr : addr + 8]
         copied.update(loads)
-    return None
+    if stream is not None:
+        stream.length, stream.result, stream.steps = len(p), result, steps
+    return result
+
+
+def _neutral_from(p: Program, length: int) -> bool:
+    """Whether every instruction of `p` from index `length` on is neutral:
+    an ALU instruction without a memory operand, or a forward branch. A
+    branch decodes with no memory operand, an ALU instruction with disp 0."""
+    return all(instr.decoded[3] == MEM_NONE and instr.decoded[4] >= 0 for instr in p.instrs[length:])
 
 
 def _load_set(trace: tuple) -> set:
@@ -270,22 +331,39 @@ def detect_violation(
     miss a violation. `exhaustive=True` disables that gate and always runs
     the full class construction; it exists as a test oracle.
 
-    `resume`, when given, lets boosting resume its sibling runs. It holds
+    `resume`, when given, lets boosting reuse its sibling runs. It holds
     one live entry per sibling stream (i, j), input index and sibling
-    index, which a call that boosts updates in place: `arch[(i, j)]` is
-    the stream's round points (see `boost_input`), and `hw[(i, j)]` is
-    (bytes, HwPoint) for its last final sibling, which the next final
-    sibling's `hw_run` resumes from only if its bytes are equal. A later
-    call on an extension of `p` with equal inputs, contract, `cfg`,
-    `budget` and `seed` gets the same result as without the store, since:
-    - an entry that survives from an earlier boosted call was captured on
-      a prefix of the store's program, which each call extends or `usable`
-      hands out empty dicts, so on a prefix of `p`; the round rule is
-      unchanged (see `boost_input`, `contract_trace` and `hw_run`);
+    index, which a call that boosts updates in place: `arch[(i, j)]` is the
+    stream's SiblingStream (see `boost_input`), and `hw[(i, j)]` is
+    (length, bytes, HwPoint, probe vector) for the last final sibling whose
+    `hw_run` ran, on a program of that length. The next final sibling with
+    equal bytes takes the held probe vector if every instruction from that
+    length on is neutral (see `boost_input`), and otherwise resumes its
+    `hw_run` from the HwPoint. A later call on an extension of `p` with
+    equal inputs, contract, `cfg`, `budget` and `seed` gets the same result
+    as without the store, since:
+    - an entry that survives from an earlier boosted call was derived on a
+      prefix of the store's program, which each call extends or `usable`
+      hands out empty dicts, so on a prefix of `p`; the round and carry
+      rules hold there (see `boost_input`, `contract_trace` and `hw_run`);
     - a sibling is fixed by base i's registers, stream (i, j)'s seed and
       its bytes, so equal bytes mean an identical input;
-    - each stream holds at most BOOST_ROUNDS round entries and one
-      hardware entry, and no call builds a second store.
+    - the neutral-suffix argument of `boost_input` holds for `hw_run` too.
+      Let p = Q + S, with Q the held entry's program and S neutral. Every
+      path of the run of p, the committed path and each mispredicted
+      window, agrees with Q's until it first moves to a pc >= len(Q). From
+      there it moves only forward through S and never returns into Q, and
+      S touches no memory: a window that reaches S, or opens at a branch
+      in S, runs forward and stops at p's end or at the next conditional
+      branch. So the committed and the transient cache bits are Q's. A
+      branch in S may share a predictor entry (pc mod 64) with a branch in
+      Q, but nothing in Q runs once the committed path has left it. Only
+      the pc, `br_misses` and `tran_uops` can differ, and detection reads
+      the probe vector alone. No budget guard is needed: the sibling is
+      contract-equivalent to the base on p, which terminates within
+      `budget`, and `hw_run` commits exactly the contract path's steps;
+    - each stream holds one SiblingStream, with at most BOOST_ROUNDS round
+      entries, and one hardware entry, and no call builds a second store.
     Like every point, these hold no memory: their memory is the write log
     of the committed path's stores, over the sibling's bytes.
     """
@@ -334,28 +412,31 @@ def detect_violation(
     # (input i0, sibling 0), sorts before any sibling (i >= i0, j >= 1).
     if resume is not None:
         setting = (list(inputs), contract, cfg, budget, seed)
-        rounds, finals = resume.usable(p, setting)
-        resume.keep(p, setting, rounds, finals)
-    points = hw_start = hw_points = None
+        streams, finals = resume.usable(p, setting)
+        resume.keep(p, setting, streams, finals)
+    stream = held = same = hw_points = None
     for i, (base, base_obs) in enumerate(zip(inputs, observations)):
         first = classes[base_obs.ctrace][0]
         cells = _load_cells(base, base_obs.ctrace)
         for j in range(1, boosts_per_input + 1):
             rng = Xorshift64Star(stream_seed(seed, (i << 8) | j))
             if resume is not None:
-                points = rounds.setdefault((i, j), {})
-            sibling = boost_input(p, base, contract, rng, budget, cells=cells, points=points)
+                stream = streams.setdefault((i, j), SiblingStream())
+            sibling = boost_input(p, base, contract, rng, budget, cells=cells, stream=stream)
             if sibling is None:
                 continue
             if resume is not None:
-                held = finals.get((i, j))
-                hw_start = held[1] if held is not None and held[0] == sibling.mem else None
-                hw_points = []
-            hw = hw_run(p, sibling, cfg, budget, hw_start, hw_points)
-            if hw_points:
-                finals[(i, j)] = (sibling.mem, hw_points[0])
-            if hw is REJECTED:
-                continue  # cannot happen for a verified sibling, but stay safe
-            if hw.htrace != first[1]:
-                return report_from(first, (sibling, hw.htrace))
+                held, hw_points = finals.get((i, j)), []
+                same = held is not None and held[1] == sibling.mem
+            if same and _neutral_from(p, held[0]):
+                htrace = held[3]
+            else:
+                hw = hw_run(p, sibling, cfg, budget, held[2] if same else None, hw_points)
+                if hw is REJECTED:
+                    continue  # cannot happen for a verified sibling, but stay safe
+                htrace = hw.htrace
+                if hw_points:
+                    finals[(i, j)] = (len(p), sibling.mem, hw_points[0], htrace)
+            if htrace != first[1]:
+                return report_from(first, (sibling, htrace))
     return None

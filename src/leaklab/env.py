@@ -6,7 +6,9 @@ simulators, from a microarchitectural reset per input, resumed from where
 the current program's runs reached its end), throws the instruction away if
 any input fails the termination guard, and otherwise runs leak detection,
 whose boosted siblings resume from where the same siblings' runs reached the
-end of the last program that was boosted.
+end of the last program that was boosted, or carry over with their probe
+vectors unchanged when every instruction appended since is neutral (an ALU
+instruction without a memory operand, or a forward branch).
 Rewards are tiered: a detected leak, then observable misspeculation, then
 unobservable misspeculation, then no misspeculation at all, plus a small
 per-step cost.

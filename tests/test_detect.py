@@ -20,6 +20,7 @@ from leaklab.arch import (
 from leaklab.detect import (
     BOOST_ROUNDS,
     MAX_BOOSTS_PER_INPUT,
+    SiblingStream,
     ViolationReport,
     _filter_tier,
     _load_cells,
@@ -35,7 +36,7 @@ from leaklab.isa import (
     parse_program,
     render_program,
 )
-from leaklab.uarch import REJECTED, ResumePoints, SpecConfig, observe
+from leaklab.uarch import REJECTED, ResumePoints, SpecConfig, hw_run, observe
 
 from conftest import make_input
 
@@ -393,36 +394,65 @@ SBB R1, [BASE+R2]
 
 
 def _detect_with_runs(*args, **kwargs):
-    """detect_violation's result, and the result of every contract_trace and
-    hw_run call it made, in order."""
+    """detect_violation's result, the result of every boost_input call it
+    made, and (function, input, result) for every contract_trace and hw_run
+    call it made, in order."""
     from leaklab import detect
 
-    runs = []
+    boosts, runs = [], []
 
-    def recorded(fn):
-        def wrapper(*a):
-            result = fn(*a)
-            runs.append(result)
+    def recorded(fn, name):
+        def wrapper(*a, **kw):
+            result = fn(*a, **kw)
+            if name is None:
+                boosts.append(result)
+            else:
+                runs.append((name, a[1], result))
             return result
 
         return wrapper
 
-    saved = detect.contract_trace, detect.hw_run
-    detect.contract_trace, detect.hw_run = map(recorded, saved)
+    saved = detect.boost_input, detect.contract_trace, detect.hw_run
+    detect.boost_input, detect.contract_trace, detect.hw_run = map(recorded, saved, (None, "trace", "hw"))
     try:
-        return detect_violation(*args, **kwargs), runs
+        return detect_violation(*args, **kwargs), boosts, runs
     finally:
-        detect.contract_trace, detect.hw_run = saved
+        detect.boost_input, detect.contract_trace, detect.hw_run = saved
 
 
-def _check_resumed_detection(steps, inputs, contract, cfg, budget, seed, boosts, exhaustive):
+def _check_detection_call(p, inputs, contract, cfg, store, **kwargs):
+    """detect_violation of `p` with the sibling store `store` against the
+    same call without it: equal results and equal boost_input results for
+    every stream; every simulator call the stored call still made equals
+    that call without the store (a wrong sibling can still give the same
+    report); and every final sibling's held probe vector, carried or not,
+    equals a fresh hw_run of it. Returns the stored call's simulator runs."""
+    resumed, resumed_boosts, resumed_runs = _detect_with_runs(p, inputs, contract, cfg, resume=store, **kwargs)
+    fresh, fresh_boosts, fresh_runs = _detect_with_runs(p, inputs, contract, cfg, **kwargs)
+    text = render_program(p)
+    assert resumed == fresh, text
+    if fresh is None or fresh is REJECTED:
+        assert resumed is fresh
+    assert resumed_boosts == fresh_boosts, text
+    fresh_by_call = {(name, inp): result for name, inp, result in fresh_runs}
+    for name, inp, result in resumed_runs:
+        assert fresh_by_call[name, inp] == result, text
+    boosts = kwargs["boosts_per_input"]
+    for k, sibling in enumerate(resumed_boosts):
+        if sibling is not None:
+            length, mem, _, htrace = store.hw[k // boosts, k % boosts + 1]
+            assert length <= len(p) and mem == sibling.mem, text
+            assert htrace == hw_run(p, sibling, cfg, kwargs["budget"]).htrace, text
+    return resumed_runs
+
+
+def _check_resumed_detection(steps, inputs, contract, cfg, budget, seed, boosts, exhaustive, check_from=0):
     """Drive detection as LeakEnv does: grow a program one instruction at a
     time (RESET starts it over), measure each candidate with the current
     program's resume points, and run detect_violation on every accepted
-    one with one sibling store for the whole episode. Every call must equal
-    the same call without the store, and so must every sibling run it made
-    (a wrong sibling can still give the same report). Returns how many calls
-    boosted."""
+    one with one sibling store for the whole episode. Every call on a
+    program of at least `check_from` instructions must pass
+    _check_detection_call. Returns how many calls boosted."""
     resume, siblings = ResumePoints(), ResumePoints()
     args = (contract, cfg, budget)
     p = Program()
@@ -439,32 +469,64 @@ def _check_resumed_detection(steps, inputs, contract, cfg, budget, seed, boosts,
         p = candidate
         kwargs = dict(boosts_per_input=boosts, seed=seed, budget=budget, exhaustive=exhaustive,
                       observations=records)
-        resumed, resumed_runs = _detect_with_runs(p, inputs, contract, cfg, resume=siblings, **kwargs)
-        fresh, fresh_runs = _detect_with_runs(p, inputs, contract, cfg, **kwargs)
-        assert resumed == fresh, render_program(p)
-        assert resumed_runs == fresh_runs, render_program(p)
-        if fresh is None or fresh is REJECTED:
-            assert resumed is fresh
+        if len(p) >= check_from:
+            _check_detection_call(p, inputs, contract, cfg, siblings, **kwargs)
+        else:
+            detect_violation(p, inputs, contract, cfg, resume=siblings, **kwargs)
         boosted += siblings.program is p
     return boosted
 
 
+# Neutral instructions (ALU without a memory operand, forward branches)
+# mixed with loads, a read-modify-write and a backward branch, so that a
+# result is often carried across neutral suffixes and often is not.
+NEUTRAL_MENU = build_action_space(ActionSpaceConfig(parse_program("""
+SBB R0, R0
+SBB R1, R2
+IMUL R2, R0
+JNS +2
+JMP +1
+JNS +3
+SBB R1, [BASE+R0]
+SBB [BASE+R2], R1
+JNS -2
+""").instrs))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    menu=st.sampled_from(MENUS + [CHAIN_MENU]),
+    menu=st.sampled_from(MENUS + [CHAIN_MENU, NEUTRAL_MENU]),
     picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=30),
     contract=st.sampled_from([CT_SEQ] + [ContractSpec(ContractMode.CT_COND, d) for d in range(1, 9)]),
     window=st.sampled_from([0, 1, 2, 3, 8]),
-    budget=st.sampled_from([1, 2, 17, 300, 10_000]),
+    budget=st.sampled_from([1, 2, 5, 9, 17, 40, 300, 10_000]),
     seed=st.integers(0, (1 << 64) - 1),
     boosts=st.integers(1, 3),
     exhaustive=st.booleans(),
 )
 def test_resumed_siblings_match_from_scratch(menu, picks, contract, window, budget, seed, boosts, exhaustive):
-    # one pick in eight resets the episode; budgets 1 and 2 reject most steps
+    # one pick in eight resets the episode; budgets 1 and 2 reject most
+    # steps, and budgets 5, 9 and 40 put carried results near the budget
     steps = [RESET if k % 8 == 7 else menu[k % menu.size] for k in picks]
     _check_resumed_detection(steps, generate_inputs(seed, 3), contract, SpecConfig(window=window), budget,
                              seed, boosts, exhaustive)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, NEUTRAL_MENU.size - 1), min_size=70, max_size=110),
+    contract=st.sampled_from([CT_SEQ, ContractSpec(ContractMode.CT_COND, 3)]),
+    window=st.sampled_from([2, 8]),
+    budget=st.sampled_from([300, 10_000]),
+    seed=st.integers(0, (1 << 64) - 1),
+)
+def test_resumed_siblings_match_from_scratch_past_the_predictor(picks, contract, window, budget, seed):
+    # from 65 instructions on, a neutral branch appended to the program
+    # shares a predictor entry (pc mod 64) with a branch of the program it
+    # extends
+    steps = [NEUTRAL_MENU[k] for k in picks]
+    _check_resumed_detection(steps, generate_inputs(seed, 3), contract, SpecConfig(window=window), budget,
+                             seed, 1, True, check_from=65)
 
 
 def test_resumed_siblings_cover_gated_rejected_and_boosted_steps():
@@ -487,23 +549,74 @@ def test_sibling_points_do_not_outlive_their_episode():
     assert boosted == len(steps) - 1
 
 
-class _Poisoned:
-    """A stand-in resume point: any use of it fails."""
+# Two zero-memory bases: R0 = 1 makes the first SBB clear SF on the base, so
+# JNS +3 jumps to the end, while a sibling whose fresh word at R1 is large
+# sets SF and falls through to the next load.
+EDGE_INPUTS = [Input(r0=1, r1=8 * k, r2=16 + 8 * k, mem=bytes(SANDBOX_SIZE)) for k in range(2)]
+EDGE_Q = "SBB R0, [BASE+R1]\nJNS +3\nSBB R2, [BASE+R2]\nSBB R0, R0"
 
-    def __iter__(self):
+
+@pytest.mark.parametrize(
+    "prefix, budget, suffix",
+    [(EDGE_Q, 4, "SBB R1, R1"), ("\n".join(EDGE_Q.splitlines()[:3]), 17, "JMP -3")],
+    ids=["budget-edge", "backward-branch"],
+)
+def test_results_not_carried_past_the_budget_or_a_backward_branch(prefix, budget, suffix):
+    # budget edge: a sibling that falls through runs 4 steps, the whole
+    # budget, and 5 after the neutral suffix, so its round is rejected and
+    # copies the base's loads instead of its own. Backward branch: a sibling
+    # that falls through jumps back to the first load with other registers.
+    # Either way a carried result would be another sibling.
+    q = parse_program(prefix)
+    p = Program(q.instrs + parse_program(suffix).instrs)
+    kwargs = dict(boosts_per_input=1, budget=budget, exhaustive=True)
+    for seed in range(200):
+        store = ResumePoints()
+        _detect_with_runs(q, EDGE_INPUTS, CT_SEQ, SpecConfig(), resume=store, seed=seed, **kwargs)
+        resumed = _detect_with_runs(p, EDGE_INPUTS, CT_SEQ, SpecConfig(), resume=store, seed=seed, **kwargs)
+        fresh = _detect_with_runs(p, EDGE_INPUTS, CT_SEQ, SpecConfig(), seed=seed, **kwargs)
+        assert resumed[:2] == fresh[:2], seed
+
+
+def test_neutral_suffix_carries_results_and_probe_vectors():
+    # CHAIN's extension by neutral instructions, a forward branch among
+    # them, boosts and measures nothing, and still equals the unstored call
+    chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
+    inputs = generate_inputs(19, 3)
+    kwargs = dict(boosts_per_input=2, budget=300, seed=7, exhaustive=True)
+    store = ResumePoints()
+    assert detect_violation(chain, inputs, CT_SEQ, SpecConfig(), resume=store, **kwargs) is None
+    p = chain
+    for line in ("SBB R1, R2", "JNS +2", "IMUL R0, R2", "JMP +1"):
+        p = p.append(parse_program(line).instrs[0])
+        runs = _check_detection_call(p, inputs, CT_SEQ, SpecConfig(), store, **kwargs)
+        assert runs == [], line
+    assert all(stream.length == len(chain) for stream in store.arch.values())
+
+
+class _Poisoned:
+    """A stand-in resume point, boost result or probe vector: any use of it
+    fails."""
+
+    def _fail(self, *args):
         raise AssertionError("a resume point of another program or setting was used")
+
+    __iter__ = __eq__ = __ne__ = __getattr__ = _fail
+    __hash__ = object.__hash__
 
 
 def _poison(store: ResumePoints) -> int:
-    """Replace every point in `store` by a _Poisoned one, keeping each round
-    point's copied and loaded addresses and each final sibling's bytes;
-    returns how many."""
-    for points in store.arch.values():
-        for k, (copied, _, loads) in points.items():
-            points[k] = (copied, _Poisoned(), loads)
-    for key, (mem, _) in store.hw.items():
-        store.hw[key] = (mem, _Poisoned())
-    return sum(map(len, store.arch.values())) + len(store.hw)
+    """Replace every point, held boost result and held probe vector in
+    `store` by a _Poisoned one, keeping each round point's copied and loaded
+    addresses, each held result's length and step count, and each final
+    sibling's length and bytes; returns how many points."""
+    for stream in store.arch.values():
+        for k, (copied, _, loads) in stream.rounds.items():
+            stream.rounds[k] = (copied, _Poisoned(), loads)
+        stream.result = _Poisoned()
+    for key, (length, mem, _, _) in store.hw.items():
+        store.hw[key] = (length, mem, _Poisoned(), _Poisoned())
+    return sum(len(stream.rounds) for stream in store.arch.values()) + len(store.hw)
 
 
 def test_sibling_points_of_other_programs_or_settings_are_not_used():
@@ -527,12 +640,14 @@ def test_sibling_points_of_other_programs_or_settings_are_not_used():
         assert _poison(store) > 0
         kwargs = {**base, **change}
         assert detect_violation(p, case_inputs, resume=store, **kwargs) == detect_violation(p, case_inputs, **kwargs)
-    # the same store does serve an extension of CHAIN with equal settings
-    store = ResumePoints()
-    detect_violation(chain, inputs, resume=store, **base)
-    _poison(store)
-    with pytest.raises(AssertionError, match="another program or setting"):
-        detect_violation(longer, inputs, resume=store, **base)
+    # the same store does serve extensions of CHAIN with equal settings: a
+    # neutral one takes the held results, one with a load the round points
+    for extension in ("SBB R1, R2", "SBB R1, [BASE+R2]"):
+        store = ResumePoints()
+        detect_violation(chain, inputs, resume=store, **base)
+        _poison(store)
+        with pytest.raises(AssertionError, match="another program or setting"):
+            detect_violation(chain.append(parse_program(extension).instrs[0]), inputs, resume=store, **base)
 
 
 def test_round_points_outlive_a_boosted_call_that_did_not_replace_them(monkeypatch):
@@ -562,37 +677,39 @@ def test_round_points_outlive_a_boosted_call_that_did_not_replace_them(monkeypat
             continue
         p = candidate
         used.clear()
-        resumed, resumed_runs = _detect_with_runs(p, inputs, CT_SEQ, SpecConfig(), resume=store, **kwargs)
-        fresh, fresh_runs = _detect_with_runs(p, inputs, CT_SEQ, SpecConfig(), **kwargs)
-        assert (resumed, resumed_runs) == (fresh, fresh_runs), render_program(p)
+        _check_detection_call(p, inputs, CT_SEQ, SpecConfig(), store, **kwargs)
         calls += 1
         outlived += sum(captured_at[id(point)][0] < calls - 1 for point in used)
-        for points in store.arch.values():
-            for _, point, _ in points.values():
+        for stream in store.arch.values():
+            for _, point, _ in stream.rounds.values():
                 # the point itself is held too, so that its id is not reused
                 captured_at.setdefault(id(point), (calls, point))
     assert outlived > 0
 
 
 def test_held_hw_points_serve_only_equal_bytes():
-    # CHAIN's final siblings are those of its extension by an ALU op, so a
-    # held HwPoint is used exactly when the held bytes are the sibling's
+    # CHAIN's final siblings are those of both extensions: an ALU op, and a
+    # load of the address CHAIN's last load read. A held entry is used
+    # exactly when the held bytes are the sibling's: its probe vector after
+    # the neutral extension, its HwPoint after the other
     chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
-    longer = chain.append(parse_program("SBB R1, R2").instrs[0])
     inputs = generate_inputs(19, 3)
     kwargs = dict(contract=CT_SEQ, cfg=SpecConfig(), budget=300, seed=7, exhaustive=True)
-    for same_bytes in (False, True):
-        store = ResumePoints()
-        assert detect_violation(chain, inputs, resume=store, **kwargs) is None
-        assert store.hw
-        for key, (mem, _) in store.hw.items():
-            store.hw[key] = (mem if same_bytes else bytes([mem[0] ^ 1]) + mem[1:], _Poisoned())
-        if same_bytes:
-            with pytest.raises(AssertionError, match="another program or setting"):
-                detect_violation(longer, inputs, resume=store, **kwargs)
-        else:
-            assert detect_violation(longer, inputs, resume=store, **kwargs) == detect_violation(longer, inputs,
-                                                                                                **kwargs)
+    for extension, carried in (("SBB R1, R2", True), ("SBB R2, [BASE+R0]", False)):
+        longer = chain.append(parse_program(extension).instrs[0])
+        for same_bytes in (False, True):
+            store = ResumePoints()
+            assert detect_violation(chain, inputs, resume=store, **kwargs) is None
+            assert store.hw
+            for key, (length, mem, point, htrace) in store.hw.items():
+                mem = mem if same_bytes else bytes([mem[0] ^ 1]) + mem[1:]
+                store.hw[key] = (length, mem, point, _Poisoned()) if carried else (length, mem, _Poisoned(), htrace)
+            if same_bytes:
+                with pytest.raises(AssertionError, match="another program or setting"):
+                    detect_violation(longer, inputs, resume=store, **kwargs)
+            else:
+                assert detect_violation(longer, inputs, resume=store, **kwargs) == detect_violation(longer, inputs,
+                                                                                                    **kwargs)
 
 
 # --- round points: boost_input resumed by round index ------------------------
@@ -605,10 +722,18 @@ CHAIN_BASE = Input(r0=64, r1=512, r2=0, mem=bytes(64) + ((1 << 64) - 512).to_byt
 CHAIN_SEED = stream_seed(3, 1)
 
 
+def _copy(stream: SiblingStream, rounds: dict = {}) -> SiblingStream:
+    """A copy of `stream`, with the round entries in `rounds` replaced."""
+    out = SiblingStream()
+    out.rounds = {**stream.rounds, **rounds}
+    out.length, out.result, out.steps = stream.length, stream.result, stream.steps
+    return out
+
+
 def _boost_from(monkeypatch, p, base, stored):
-    """boost_input of `p` on stream CHAIN_SEED with a copy of the round
-    points `stored` (None: no points at all). Returns the sibling, the round
-    points after the call, the round of every run that resumed, and the
+    """boost_input of `p` on stream CHAIN_SEED with a copy of the stream
+    entry `stored` (None: no entry at all). Returns the sibling, the entry
+    after the call, the round of every run that resumed, and the
     instructions it simulated."""
     from leaklab import arch, detect
 
@@ -623,42 +748,43 @@ def _boost_from(monkeypatch, p, base, stored):
         rounds.append(resume is not None)
         return trace(p, inp, contract, budget, resume, capture)
 
-    into = None if stored is None else dict(stored)
+    into = None if stored is None else _copy(stored)
     cells = _load_cells(base, contract_trace(p, base, CT_SEQ, 300))
     with monkeypatch.context() as m:
         m.setattr(arch, "step_instruction", counted)
         m.setattr(detect, "contract_trace", recorded)
-        sibling = boost_input(p, base, CT_SEQ, Xorshift64Star(CHAIN_SEED), 300, cells=cells, points=into)
+        sibling = boost_input(p, base, CT_SEQ, Xorshift64Star(CHAIN_SEED), 300, cells=cells, stream=into)
     return sibling, into, [k for k, resumed in enumerate(rounds) if resumed], steps[0]
 
 
 def _check_round_points(monkeypatch, p, base, stored):
-    """boost_input of `p` resumed from the round points `stored` against the
-    unstored call, the call from the reset that captures, and
-    _boost_by_simulation: equal siblings, equal entries for the rounds that
-    ran, and `stored`'s own entries for the rounds that did not. Returns the
-    resumed call's (round points, resumed rounds, steps) and the unstored
-    call's steps."""
+    """boost_input of `p` resumed from the stream entry `stored` against the
+    unstored call, the call from an empty entry, and _boost_by_simulation:
+    equal siblings, equal round entries for the rounds that ran, and
+    `stored`'s own entries for the rounds that did not. Returns the resumed
+    call's (round points, resumed rounds, steps) and the unstored call's
+    steps."""
     sibling, into, resumed, steps = _boost_from(monkeypatch, p, base, stored)
     plain, _, _, plain_steps = _boost_from(monkeypatch, p, base, None)
-    fresh, fresh_into, _, _ = _boost_from(monkeypatch, p, base, {})
+    fresh, fresh_into, _, _ = _boost_from(monkeypatch, p, base, SiblingStream())
     slow = _boost_by_simulation(p, base, CT_SEQ, Xorshift64Star(CHAIN_SEED), 300, contract_trace(p, base, CT_SEQ, 300))
     assert sibling == plain == fresh
     assert sibling is not None and (sibling.mem, sibling.seed) == (slow.mem, slow.seed)
-    assert into == {**stored, **fresh_into}
-    return into, resumed, steps, plain_steps
+    assert into.rounds == {**stored.rounds, **fresh_into.rounds}
+    assert (into.length, into.result, into.steps) == (fresh_into.length, fresh_into.result, fresh_into.steps)
+    return into.rounds, resumed, steps, plain_steps
 
 
 def test_round_points_survive_a_changed_copied_set(monkeypatch):
     # the extension loads a fresh-valued address f' in round 0, so round 1
     # has copied {64, d', f'} where the prefix's round 1 had {64, d'}; that
     # run loaded only 64 and 512 before its point, so it still serves
-    _, stored, _, _ = _boost_from(monkeypatch, CHAIN_PREFIX, CHAIN_BASE, {})
-    assert sorted(stored) == [0, 1] and stored[1][2] == {64, 512}
+    _, stored, _, _ = _boost_from(monkeypatch, CHAIN_PREFIX, CHAIN_BASE, SiblingStream())
+    assert sorted(stored.rounds) == [0, 1] and stored.rounds[1][2] == {64, 512}
     p = CHAIN_PREFIX.append(parse_program("SBB R1, [BASE+R0]").instrs[0])
     into, resumed, steps, plain_steps = _check_round_points(monkeypatch, p, CHAIN_BASE, stored)
-    assert into[1][0] != stored[1][0]
-    assert not (into[1][0] ^ stored[1][0]) & stored[1][2]
+    assert into[1][0] != stored.rounds[1][0]
+    assert not (into[1][0] ^ stored.rounds[1][0]) & stored.rounds[1][2]
     assert resumed[:2] == [0, 1]
     assert steps < plain_steps
 
@@ -667,16 +793,16 @@ def test_round_points_whose_loads_were_copied_since_are_not_used(monkeypatch):
     # the extension loads 512 itself in round 0, so round 1 has the base's
     # bytes at 512, which the prefix's round-1 run read fresh: that point
     # must not serve, and a poisoned stand-in shows it is never touched
-    _, stored, _, _ = _boost_from(monkeypatch, CHAIN_PREFIX, CHAIN_BASE, {})
+    _, stored, _, _ = _boost_from(monkeypatch, CHAIN_PREFIX, CHAIN_BASE, SiblingStream())
     p = Program(CHAIN_PREFIX.instrs + parse_program("SBB R2, [BASE+R1]\nSBB R1, [BASE+R0]").instrs)
     into, resumed, _, _ = _check_round_points(monkeypatch, p, CHAIN_BASE, stored)
-    assert 512 in (into[1][0] ^ stored[1][0]) & stored[1][2]
+    assert 512 in (into[1][0] ^ stored.rounds[1][0]) & stored.rounds[1][2]
     assert resumed[:1] == [0] and 1 not in resumed
-    copied, _, loads = stored[1]
-    poisoned = {**stored, 1: (copied, _Poisoned(), loads)}
+    (copied0, _, loads0), (copied1, _, loads1) = stored.rounds[0], stored.rounds[1]
+    poisoned = _copy(stored, {1: (copied1, _Poisoned(), loads1)})
     assert _check_round_points(monkeypatch, p, CHAIN_BASE, poisoned)[0] == into
     # the round-0 point is used: poisoning it too fails
-    poisoned[0] = (stored[0][0], _Poisoned(), stored[0][2])
+    poisoned = _copy(poisoned, {0: (copied0, _Poisoned(), loads0)})
     with pytest.raises(AssertionError, match="another program or setting"):
         _boost_from(monkeypatch, p, CHAIN_BASE, poisoned)
 
@@ -690,9 +816,25 @@ def test_round_points_with_a_coincidence_cell(monkeypatch):
     base = Input(r0=64, r1=512, r2=0, mem=bytes(mem))
     # a program that loads only 64 agrees before any round is simulated
     one_load = Program(CHAIN_PREFIX.instrs[:1])
-    sibling, into, _, steps = _boost_from(monkeypatch, one_load, base, {})
-    assert sibling.mem == fresh and into == {} and steps == 0
-    _, stored, _, _ = _boost_from(monkeypatch, CHAIN_PREFIX, base, {})
+    sibling, into, _, steps = _boost_from(monkeypatch, one_load, base, SiblingStream())
+    assert sibling.mem == fresh and into.rounds == {} and steps == 0
+    assert (into.length, into.result, into.steps) == (1, sibling, 0)
+    _, stored, _, _ = _boost_from(monkeypatch, CHAIN_PREFIX, base, SiblingStream())
     p = CHAIN_PREFIX.append(parse_program("SBB R1, [BASE+R0]").instrs[0])
     into, resumed, steps, plain_steps = _check_round_points(monkeypatch, p, base, stored)
     assert resumed and steps < plain_steps
+
+
+def test_neutral_suffix_carries_the_boost_result(monkeypatch):
+    # the prefix's rounds terminate within 2 steps: its result serves every
+    # extension by neutral instructions that fits the budget, without a run
+    _, stored, _, _ = _boost_from(monkeypatch, CHAIN_PREFIX, CHAIN_BASE, SiblingStream())
+    assert (stored.length, stored.steps) == (2, 2)
+    neutral = Program(CHAIN_PREFIX.instrs + parse_program("SBB R1, R2\nJNS +2\nJMP +1").instrs)
+    sibling, into, resumed, steps = _boost_from(monkeypatch, neutral, CHAIN_BASE, stored)
+    assert sibling == stored.result and steps == 0 and resumed == []
+    assert (into.length, into.steps) == (2, 2)
+    # after a backward branch or a memory operand the rounds run again
+    for suffix in ("SBB R0, R2\nJNS -1", "SBB R1, [BASE+R1]", "SBB [BASE+R1], R1"):
+        p = Program(CHAIN_PREFIX.instrs + parse_program(suffix).instrs)
+        assert _boost_from(monkeypatch, p, CHAIN_BASE, stored)[3] > 0, suffix

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaklab.arch import ContractMode, ContractSpec
-from leaklab.detect import BOOST_ROUNDS
+from leaklab.detect import BOOST_ROUNDS, SiblingStream
 from leaklab.env import (
     NO_ACTION,
     EnvConfig,
@@ -155,13 +155,14 @@ def test_guarded_growth():
 
 def _points(store):
     """Every resume point in `store`: observe's points are keyed by input;
-    boosting's arch points by sibling stream, then by round, each the middle
-    of a (copied, point, loads) triple, and its hw points by sibling stream,
-    each the second of a (bytes, point) pair."""
-    for point in store.arch.values():
-        yield from (entry[1] for entry in point.values()) if isinstance(point, dict) else [point]
-    for point in store.hw.values():
-        yield point if isinstance(point, HwPoint) else point[1]
+    boosting's arch entries by sibling stream, each a SiblingStream whose
+    round points are keyed by round, each the middle of a (copied, point,
+    loads) triple, and its hw entries by sibling stream, each the third of
+    a (length, bytes, point, probe vector) tuple."""
+    for entry in store.arch.values():
+        yield from (rnd[1] for rnd in entry.rounds.values()) if isinstance(entry, SiblingStream) else [entry]
+    for entry in store.hw.values():
+        yield entry if isinstance(entry, HwPoint) else entry[2]
 
 
 def test_resume_points_hold_no_memory():
@@ -184,7 +185,9 @@ def test_resume_points_hold_no_memory():
 
 def test_sibling_store_holds_one_entry_per_stream():
     # the store is updated in place: after every step each sibling stream
-    # holds at most BOOST_ROUNDS round points and one final sibling's point
+    # holds one SiblingStream, with at most BOOST_ROUNDS round points and a
+    # result derived on a prefix of the program, and one final sibling's
+    # entry, derived on a prefix too
     cfg = EnvConfig(max_len=16, input_seed=5, num_inputs=4, boosts_per_input=3)
     env = LeakEnv(cfg)
     streams = {(i, j) for i in range(cfg.num_inputs) for j in range(1, cfg.boosts_per_input + 1)}
@@ -198,8 +201,13 @@ def test_sibling_store_holds_one_entry_per_stream():
             done = sr.terminated or sr.truncated
             store = env._sibling_resume
             assert set(store.arch) <= streams and set(store.hw) <= streams
-            assert all(set(rounds) <= set(range(BOOST_ROUNDS)) for rounds in store.arch.values())
-            assert all(isinstance(mem, bytes) and isinstance(point, HwPoint) for mem, point in store.hw.values())
+            for entry in store.arch.values():
+                assert isinstance(entry, SiblingStream)
+                assert set(entry.rounds) <= set(range(BOOST_ROUNDS))
+                assert entry.length is None or entry.length <= len(store.program)
+            for length, mem, point, htrace in store.hw.values():
+                assert length <= len(store.program)
+                assert isinstance(mem, bytes) and isinstance(point, HwPoint) and isinstance(htrace, int)
             boosted += bool(store.hw)
     assert boosted > 0
 
