@@ -195,10 +195,9 @@ def _read_program(path: str):
     return parse_program(text)
 
 
-def _cmd_train(cfg: ExperimentConfig) -> int:
+def _cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     env = LeakEnv(cfg.env)
     log = train(env, cfg.trainer)
-    out = Path(cfg.out_dir)
     log.save(out)
     print(f"steps={log.total_steps} iterations={len(log.iterations)} leaks={len(log.leaks)}")
     if log.first_leak_step is not None:
@@ -207,10 +206,8 @@ def _cmd_train(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_fuzz(cfg: ExperimentConfig) -> int:
+def _cmd_fuzz(cfg: ExperimentConfig, out: Path) -> int:
     stats, rows = fuzz_campaign(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "fuzz.csv"
     path.write_text(rows_to_csv(rows))
     for s in stats:
@@ -222,10 +219,8 @@ def _cmd_fuzz(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_scaling(cfg: ExperimentConfig) -> int:
+def _cmd_scaling(cfg: ExperimentConfig, out: Path) -> int:
     rows = scaling_study(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "scaling.csv"
     path.write_text(rows_to_csv(rows))
     print(f"wrote {path} ({len(rows)} rows)")
@@ -296,17 +291,18 @@ def run_cli(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_experiment_config(args.config, args.seed, args.out)
-        if args.command == "train":
-            return _cmd_train(cfg)
-        if args.command == "fuzz":
-            return _cmd_fuzz(cfg)
-        if args.command == "scaling":
-            return _cmd_scaling(cfg)
         if args.command == "detect":
             return _cmd_detect(cfg, args.program)
         if args.command == "simulate":
             return _cmd_simulate(cfg, args.program, args.input_file)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # The other commands write to the output directory. It is created
+        # before the work, so that one that cannot be written fails at once.
+        out = Path(cfg.out_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from None
+        return {"train": _cmd_train, "fuzz": _cmd_fuzz, "scaling": _cmd_scaling}[args.command](cfg, out)
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -123,17 +123,19 @@ class ViolationReport:
 
 class SiblingStream:
     """One sibling stream's live entry in a `detect_violation` store: its
-    round points, and the last result that rounds derived, with the
-    program length they ran on and the largest step count of their
-    terminating runs (`length` is None until some call derives a result)."""
+    round points; the last result that rounds derived, with the program
+    length they ran on and the largest step count of their terminating
+    runs (`length` is None until some call derives a result); and the
+    HwPoint and probe vector of that result's `hw_run`, on that length."""
 
-    __slots__ = ("rounds", "length", "result", "steps")
+    __slots__ = ("rounds", "length", "result", "steps", "hw_point", "htrace")
 
     def __init__(self):
         self.rounds: dict = {}
         self.length: int | None = None
         self.result: Input | None = None
         self.steps = 0
+        self.hw_point = self.htrace = None
 
 
 def boost_input(
@@ -142,7 +144,7 @@ def boost_input(
     contract: ContractSpec,
     rng: Xorshift64Star,
     budget: int = DEFAULT_STEP_BUDGET,
-    cells: dict | None = None,
+    base_trace: tuple | None = None,
     stream: SiblingStream | None = None,
 ) -> Input | None:
     """Derive a contract-equivalent sibling of `base` for `p`.
@@ -168,14 +170,14 @@ def boost_input(
     The agreement test is therefore one set inclusion: the addresses where
     the generator's bytes differ from the base's must all have been copied.
 
-    `cells`, when given, must map every address that the base's contract
-    trace loads to the base's 8 bytes there; it saves simulating the base
-    and rebuilding that map in each call for one base input.
+    `base_trace`, when given, must be the base's contract trace of `p`; it
+    saves simulating the base.
 
     `stream`, when given, holds what earlier calls derived for the same
     base and a fresh `rng` of the same seed, on prefixes of `p`, and this
-    call updates it in place. The result is the same as without it, for
-    two reasons.
+    call updates its round points and held result in place (its HwPoint
+    and probe vector are `detect_violation`'s to keep). The result is the
+    same as without it, for two reasons.
 
     Round points. `stream.rounds` is keyed by round index, each value
     (copied addresses, TracePoint, addresses the run loaded before the
@@ -203,13 +205,13 @@ def boost_input(
     well when `stream.steps + len(S) <= budget`, with the same loads. A
     round run rejected on Q never moves its committed path out of Q, and
     neither does the run of p, which agrees with it there; so it is
-    rejected on p too. The base's loads, and so `cells`, are those of Q
-    as well. Every round therefore starts with the same agreement and
-    copies the same addresses, and the call returns the held result
-    without running one. Past that step count a round that terminated on
-    Q can exhaust the budget on p and copy the base's loads instead of its
-    own; after a backward branch in S a path can return into Q with other
-    register values and load elsewhere. Neither is carried.
+    rejected on p too. The base's loads are those of Q as well. Every
+    round therefore starts with the same agreement and copies the same
+    addresses, and the call returns the held result without running one.
+    Past that step count a round that terminated on Q can exhaust the
+    budget on p and copy the base's loads instead of its own; after a
+    backward branch in S a path can return into Q with other register
+    values and load elsewhere. Neither is carried.
     """
     if (
         stream is not None
@@ -218,14 +220,14 @@ def boost_input(
         and _neutral_from(p, stream.length)
     ):
         return stream.result
-    if cells is None:
+    if base_trace is None:
         base_trace = contract_trace(p, base, contract, budget)
         if base_trace is REJECTED:
             raise ValueError("boost_input requires a terminating base input")
-        cells = _load_cells(base, base_trace)
+    base_loads = _load_set(base_trace)
     copied: set = set()
     fresh = rng.next_bytes(SANDBOX_SIZE)
-    need = {addr for addr, cell in cells.items() if fresh[addr : addr + 8] != cell}
+    need = {addr for addr in base_loads if fresh[addr : addr + 8] != base.mem[addr : addr + 8]}
     mem = bytearray(fresh)
     result = None
     steps = 0  # the largest step count of a terminating round run
@@ -245,7 +247,7 @@ def boost_input(
         if tr is REJECTED:
             # No trace to guide the copy; pull the sibling toward the base's
             # path using the base's own load set instead.
-            loads = cells.keys()
+            loads = base_loads
         elif captured:
             # A resumed run captures its point at or after the one it
             # resumed from, so the load set of the prefix up to it extends
@@ -276,11 +278,6 @@ def _neutral_from(p: Program, length: int) -> bool:
 def _load_set(trace: tuple) -> set:
     """Every address that `trace` loads."""
     return {obs[1] for obs in trace if obs[0] == OBS_LOAD}
-
-
-def _load_cells(base: Input, base_trace: tuple) -> dict:
-    """The base's 8 bytes at every address its contract trace loads."""
-    return {obs[1]: base.mem[obs[1] : obs[1] + 8] for obs in base_trace if obs[0] == OBS_LOAD}
 
 
 def _filter_tier(observations: list[InputObservation]) -> str:
@@ -331,39 +328,41 @@ def detect_violation(
     miss a violation. `exhaustive=True` disables that gate and always runs
     the full class construction; it exists as a test oracle.
 
-    `resume`, when given, lets boosting reuse its sibling runs. It holds
-    one live entry per sibling stream (i, j), input index and sibling
-    index, which a call that boosts updates in place: `arch[(i, j)]` is the
-    stream's SiblingStream (see `boost_input`), and `hw[(i, j)]` is
-    (length, bytes, HwPoint, probe vector) for the last final sibling whose
-    `hw_run` ran, on a program of that length. The next final sibling with
-    equal bytes takes the held probe vector if every instruction from that
-    length on is neutral (see `boost_input`), and otherwise resumes its
-    `hw_run` from the HwPoint. A later call on an extension of `p` with
-    equal inputs, contract, `cfg`, `budget` and `seed` gets the same result
-    as without the store, since:
+    `resume`, when given, lets boosting reuse its sibling runs. Its
+    entries map each sibling stream (i, j), input index and sibling index,
+    to the stream's SiblingStream (see `boost_input`), which a call that
+    boosts updates in place. When `boost_input` returns the held result
+    object itself, detection takes the held probe vector; a sibling it
+    derived afresh with the held result's bytes resumes its `hw_run` from
+    the held HwPoint, and any other sibling runs from the reset. A later
+    call on an extension of `p` with equal inputs, contract, `cfg`,
+    `budget` and `seed` gets the same result as without the store, since:
     - an entry that survives from an earlier boosted call was derived on a
       prefix of the store's program, which each call extends or `usable`
-      hands out empty dicts, so on a prefix of `p`; the round and carry
+      hands out an empty dict, so on a prefix of `p`; the round and carry
       rules hold there (see `boost_input`, `contract_trace` and `hw_run`);
     - a sibling is fixed by base i's registers, stream (i, j)'s seed and
-      its bytes, so equal bytes mean an identical input;
-    - the neutral-suffix argument of `boost_input` holds for `hw_run` too.
-      Let p = Q + S, with Q the held entry's program and S neutral. Every
-      path of the run of p, the committed path and each mispredicted
-      window, agrees with Q's until it first moves to a pc >= len(Q). From
-      there it moves only forward through S and never returns into Q, and
-      S touches no memory: a window that reaches S, or opens at a branch
-      in S, runs forward and stops at p's end or at the next conditional
-      branch. So the committed and the transient cache bits are Q's. A
-      branch in S may share a predictor entry (pc mod 64) with a branch in
-      Q, but nothing in Q runs once the committed path has left it. Only
-      the pc, `br_misses` and `tran_uops` can differ, and detection reads
-      the probe vector alone. No budget guard is needed: the sibling is
-      contract-equivalent to the base on p, which terminates within
-      `budget`, and `hw_run` commits exactly the contract path's steps;
+      its bytes, so equal bytes mean an identical input, and the held
+      HwPoint and probe vector are those of the held result's `hw_run` on
+      the program of length `length` it was derived on;
+    - the neutral-suffix argument of `boost_input` holds for `hw_run` too,
+      so a carried result's probe vector is carried with it. Let p = Q + S,
+      with Q the held result's program and S neutral. Every path of the
+      run of p, the committed path and each mispredicted window, agrees
+      with Q's until it first moves to a pc >= len(Q). From there it moves
+      only forward through S and never returns into Q, and S touches no
+      memory: a window that reaches S, or opens at a branch in S, runs
+      forward and stops at p's end or at the next conditional branch. So
+      the committed and the transient cache bits are Q's. A branch in S
+      may share a predictor entry (pc mod 64) with a branch in Q, but
+      nothing in Q runs once the committed path has left it. Only the pc,
+      `br_misses` and `tran_uops` can differ, and detection reads the
+      probe vector alone. The carried sibling is contract-equivalent to
+      the base on p, which terminates within `budget`, and `hw_run`
+      commits exactly the contract path's steps, so the run of p
+      terminates too;
     - each stream holds one SiblingStream, with at most BOOST_ROUNDS round
-      entries, and one hardware entry, and no call builds a second store.
+      entries, and no call builds a second store.
     Like every point, these hold no memory: their memory is the write log
     of the committed path's stores, over the sibling's bytes.
     """
@@ -410,33 +409,35 @@ def detect_violation(
     # pass 2: boosted siblings, in (input index, sibling index) order. After
     # pass 1 a class shares its first member's htrace, and that member, at
     # (input i0, sibling 0), sorts before any sibling (i >= i0, j >= 1).
+    streams = {}
     if resume is not None:
         setting = (list(inputs), contract, cfg, budget, seed)
-        streams, finals = resume.usable(p, setting)
-        resume.keep(p, setting, streams, finals)
-    stream = held = same = hw_points = None
+        streams = resume.usable(p, setting)
+        resume.keep(p, setting, streams)
+    stream = held = hw_points = None
     for i, (base, base_obs) in enumerate(zip(inputs, observations)):
         first = classes[base_obs.ctrace][0]
-        cells = _load_cells(base, base_obs.ctrace)
         for j in range(1, boosts_per_input + 1):
             rng = Xorshift64Star(stream_seed(seed, (i << 8) | j))
             if resume is not None:
                 stream = streams.setdefault((i, j), SiblingStream())
-            sibling = boost_input(p, base, contract, rng, budget, cells=cells, stream=stream)
+                held, hw_points = stream.result, []
+            sibling = boost_input(p, base, contract, rng, budget, base_obs.ctrace, stream)
             if sibling is None:
                 continue
-            if resume is not None:
-                held, hw_points = finals.get((i, j)), []
-                same = held is not None and held[1] == sibling.mem
-            if same and _neutral_from(p, held[0]):
-                htrace = held[3]
+            if sibling is held:
+                htrace = stream.htrace
             else:
-                hw = hw_run(p, sibling, cfg, budget, held[2] if same else None, hw_points)
+                same = held is not None and held.mem == sibling.mem
+                hw = hw_run(p, sibling, cfg, budget, stream.hw_point if same else None, hw_points)
                 if hw is REJECTED:
-                    continue  # cannot happen for a verified sibling, but stay safe
+                    # cannot happen for a verified sibling, but stay safe:
+                    # drop the entry, whose result now has no probe vector
+                    streams.pop((i, j), None)
+                    continue
                 htrace = hw.htrace
                 if hw_points:
-                    finals[(i, j)] = (len(p), sibling.mem, hw_points[0], htrace)
+                    stream.hw_point, stream.htrace = hw_points[0], htrace
             if htrace != first[1]:
                 return report_from(first, (sibling, htrace))
     return None

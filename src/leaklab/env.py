@@ -4,11 +4,12 @@ One episode grows an attack program instruction by instruction. Each step
 appends the chosen action, measures the candidate on a fixed input set (both
 simulators, from a microarchitectural reset per input, resumed from where
 the current program's runs reached its end), throws the instruction away if
-any input fails the termination guard, and otherwise runs leak detection,
-whose boosted siblings resume from where the same siblings' runs reached the
-end of the last program that was boosted, or carry over with their probe
-vectors unchanged when every instruction appended since is neutral (an ALU
-instruction without a memory operand, or a forward branch).
+any input fails the termination guard, and otherwise runs leak detection.
+Detection keeps one entry per sibling stream: its boosted siblings resume
+from where the same siblings' runs reached the end of the last program that
+was boosted, or carry over, each with its probe vector, when every
+instruction appended since is neutral (an ALU instruction without a memory
+operand, or a forward branch).
 Rewards are tiered: a detected leak, then observable misspeculation, then
 unobservable misspeculation, then no misspeculation at all, plus a small
 per-step cost.
@@ -247,8 +248,10 @@ def encode_observation(
     (classes numbered by first occurrence).
     """
     n = len(obs.records)
-    t_scale = 1.0 / (max_len * max(window, 1))
-    b_scale = 1.0 / max_len
+    # int true division: correctly rounded for any ints, 0.0 past the float
+    # range, where 1.0 / x would raise OverflowError
+    t_scale = 1 / (max_len * max(window, 1))
+    b_scale = 1 / max_len
     out = np.zeros(encoded_length(space_size, n), dtype=np.float64)
     per_input = out[: n * 66].reshape(n, 66)
     htraces = np.array([rec.htrace for rec in obs.records], dtype="<u8")

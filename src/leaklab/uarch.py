@@ -245,30 +245,31 @@ class InputObservation(NamedTuple):
 
 class ResumePoints:
     """Where the runs of the last program measured with this store can be
-    resumed: the program, the settings it was measured with, and the
-    TracePoints (`arch`) and HwPoints (`hw`) that runs of it or of a prefix
-    of it captured. `observe` keys both by position in its input list, so
-    that under equal settings equal keys mean identical inputs;
-    `detect_violation` documents its own layout."""
+    resumed: the program, the settings it was measured with, and one entry
+    per run or stream, captured by runs of that program or of a prefix of
+    it. `observe` maps each position in its input list to the input's
+    (TracePoint, HwPoint), so that under equal settings equal keys mean
+    identical inputs; `detect_violation` maps each sibling stream to its
+    SiblingStream."""
 
-    __slots__ = ("program", "setting", "arch", "hw")
+    __slots__ = ("program", "setting", "entries")
 
     def __init__(self):
         self.program = self.setting = None
-        self.arch, self.hw = {}, {}
+        self.entries = {}
 
-    def usable(self, p: Program, setting: tuple) -> tuple[dict, dict]:
-        """The (arch, hw) points, if they were captured on a prefix of `p`
-        with `setting`; otherwise two empty dicts."""
+    def usable(self, p: Program, setting: tuple) -> dict:
+        """The entries, if they were captured on a prefix of `p` with
+        `setting`; otherwise an empty dict."""
         prefix = self.program
         if self.setting == setting and p.instrs[: len(prefix)] == prefix.instrs:
-            return self.arch, self.hw
-        return {}, {}
+            return self.entries
+        return {}
 
-    def keep(self, p: Program, setting: tuple, arch: dict, hw: dict) -> None:
-        """Hold `arch` and `hw` as points of runs of `p`, or of prefixes of
-        it, with `setting`, and nothing else."""
-        self.program, self.setting, self.arch, self.hw = p, setting, arch, hw
+    def keep(self, p: Program, setting: tuple, entries: dict) -> None:
+        """Hold `entries` as those of runs of `p`, or of prefixes of it,
+        with `setting`, and nothing else."""
+        self.program, self.setting, self.entries = p, setting, entries
 
 
 def observe(
@@ -286,35 +287,37 @@ def observe(
     infinite-loop guard).
 
     `resume`, when given, saves re-simulating what an earlier call already
-    did. If it holds the points of a prefix of `p` measured with the same
-    inputs and settings, every run resumes from its input's points instead
-    of starting from the reset; when no input is rejected, it then holds
-    `p`'s own points. The results are the same either way: the runs of a
-    program P and of P + Q agree until some path first moves to a pc >=
-    len(P), and each point is the state of both simulators at the start of
-    that committed step, less the contract cycle check's, which a resumed
-    run starts afresh (see `contract_trace` and `hw_run`). An
+    did. Its entries map each input's position to the input's (TracePoint,
+    HwPoint). If they were captured on a prefix of `p` with the same inputs
+    and settings, both of an input's runs resume from its entry instead of
+    starting from the reset; when no input is rejected, the store then
+    holds `p`'s own entries. The results are the same either way: the runs
+    of a program P and of P + Q agree until some path first moves to a pc
+    >= len(P), and each point is the state of both simulators at the start
+    of that committed step, less the contract cycle check's, which a
+    resumed run starts afresh (see `contract_trace` and `hw_run`). An
     environment that grows a program one instruction at a time therefore
     simulates each step only from where its parent's runs reached the end.
     """
     if not inputs:
         raise ConfigError("observe needs at least one input")
-    arch_from = hw_from = {}
+    points = {}
     arch_points = hw_points = None
     if resume is not None:
         setting = (list(inputs), contract, cfg, budget)
-        arch_from, hw_from = resume.usable(p, setting)
+        points = resume.usable(p, setting)
         arch_points, hw_points = [], []
     out: list[InputObservation] = []
     for i, inp in enumerate(inputs):
-        ct = contract_trace(p, inp, contract, budget, arch_from.get(i), arch_points)
+        arch_from, hw_from = points.get(i, (None, None))
+        ct = contract_trace(p, inp, contract, budget, arch_from, arch_points)
         if ct is REJECTED:
             return REJECTED
-        hw = hw_run(p, inp, cfg, budget, hw_from.get(i), hw_points)
+        hw = hw_run(p, inp, cfg, budget, hw_from, hw_points)
         if hw is REJECTED:
             return REJECTED
         counters = hw.counters
         out.append(InputObservation(hw.htrace, ct, counters.br_misses, counters.tran_uops, hw.committed_htrace))
     if resume is not None:
-        resume.keep(p, setting, dict(enumerate(arch_points)), dict(enumerate(hw_points)))
+        resume.keep(p, setting, dict(enumerate(zip(arch_points, hw_points))))
     return out

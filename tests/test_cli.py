@@ -207,6 +207,28 @@ def test_malformed_config_exits_1(keys, value, named, tmp_path, capsys, monkeypa
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["max_len", "window"])
+def test_huge_max_len_or_window_trains(key, tmp_path, capsys):
+    # past the float range the observation's scale factors round to 0.0
+    doc = copy.deepcopy(TINY_CONFIG)
+    doc["env"][key] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["train", "fuzz", "scaling"])
+def test_unwritable_output_exits_1_before_the_campaign(command, tiny_config, tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    with mock.patch.multiple(
+        "leaklab.cli", train=_no_campaign, fuzz_campaign=_no_campaign, scaling_study=_no_campaign
+    ):
+        assert run_cli([command, "--config", tiny_config, "--out", str(not_a_dir / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
 def test_config_without_env_gives_default_env(tmp_path):
     assert load_experiment_config(None, None, None).env == EnvConfig()
     path = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -23,7 +24,6 @@ from leaklab.detect import (
     SiblingStream,
     ViolationReport,
     _filter_tier,
-    _load_cells,
     boost_input,
     detect_violation,
 )
@@ -175,7 +175,7 @@ def test_boost_without_loads_simulates_nothing(monkeypatch):
     calls = []
     monkeypatch.setattr(detect, "contract_trace", lambda *args: calls.append(args))
     # the base's trace loads nothing, so it has no cells to copy
-    assert boost_input(p, base, CT_SEQ, Xorshift64Star(4), cells={}) is not None
+    assert boost_input(p, base, CT_SEQ, Xorshift64Star(4), base_trace=base_trace) is not None
     assert calls == []
 
 
@@ -440,9 +440,9 @@ def _check_detection_call(p, inputs, contract, cfg, store, **kwargs):
     boosts = kwargs["boosts_per_input"]
     for k, sibling in enumerate(resumed_boosts):
         if sibling is not None:
-            length, mem, _, htrace = store.hw[k // boosts, k % boosts + 1]
-            assert length <= len(p) and mem == sibling.mem, text
-            assert htrace == hw_run(p, sibling, cfg, kwargs["budget"]).htrace, text
+            stream = store.entries[k // boosts, k % boosts + 1]
+            assert stream.result is sibling and stream.length <= len(p), text
+            assert stream.htrace == hw_run(p, sibling, cfg, kwargs["budget"]).htrace, text
     return resumed_runs
 
 
@@ -591,7 +591,7 @@ def test_neutral_suffix_carries_results_and_probe_vectors():
         p = p.append(parse_program(line).instrs[0])
         runs = _check_detection_call(p, inputs, CT_SEQ, SpecConfig(), store, **kwargs)
         assert runs == [], line
-    assert all(stream.length == len(chain) for stream in store.arch.values())
+    assert all(stream.length == len(chain) for stream in store.entries.values())
 
 
 class _Poisoned:
@@ -606,17 +606,17 @@ class _Poisoned:
 
 
 def _poison(store: ResumePoints) -> int:
-    """Replace every point, held boost result and held probe vector in
-    `store` by a _Poisoned one, keeping each round point's copied and loaded
-    addresses, each held result's length and step count, and each final
-    sibling's length and bytes; returns how many points."""
-    for stream in store.arch.values():
+    """Replace every point, held boost result, held HwPoint and held probe
+    vector in `store` by a _Poisoned one, keeping each round point's copied
+    and loaded addresses and each held result's length and step count;
+    returns how many points."""
+    points = 0
+    for stream in store.entries.values():
+        points += len(stream.rounds) + (stream.hw_point is not None)
         for k, (copied, _, loads) in stream.rounds.items():
             stream.rounds[k] = (copied, _Poisoned(), loads)
-        stream.result = _Poisoned()
-    for key, (length, mem, _, _) in store.hw.items():
-        store.hw[key] = (length, mem, _Poisoned(), _Poisoned())
-    return sum(len(stream.rounds) for stream in store.arch.values()) + len(store.hw)
+        stream.result, stream.hw_point, stream.htrace = _Poisoned(), _Poisoned(), _Poisoned()
+    return points
 
 
 def test_sibling_points_of_other_programs_or_settings_are_not_used():
@@ -680,7 +680,7 @@ def test_round_points_outlive_a_boosted_call_that_did_not_replace_them(monkeypat
         _check_detection_call(p, inputs, CT_SEQ, SpecConfig(), store, **kwargs)
         calls += 1
         outlived += sum(captured_at[id(point)][0] < calls - 1 for point in used)
-        for stream in store.arch.values():
+        for stream in store.entries.values():
             for _, point, _ in stream.rounds.values():
                 # the point itself is held too, so that its id is not reused
                 captured_at.setdefault(id(point), (calls, point))
@@ -688,28 +688,98 @@ def test_round_points_outlive_a_boosted_call_that_did_not_replace_them(monkeypat
 
 
 def test_held_hw_points_serve_only_equal_bytes():
-    # CHAIN's final siblings are those of both extensions: an ALU op, and a
-    # load of the address CHAIN's last load read. A held entry is used
-    # exactly when the held bytes are the sibling's: its probe vector after
-    # the neutral extension, its HwPoint after the other
+    # CHAIN's final siblings are those of both extensions: a neutral ALU op
+    # carries each held result with its probe vector and never touches the
+    # held HwPoint; a load of the address CHAIN's last load read derives the
+    # held bytes afresh, resumes from the held HwPoint and never reads the
+    # held probe vector. A sibling with other bytes uses neither.
     chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
     inputs = generate_inputs(19, 3)
     kwargs = dict(contract=CT_SEQ, cfg=SpecConfig(), budget=300, seed=7, exhaustive=True)
-    for extension, carried in (("SBB R1, R2", True), ("SBB R2, [BASE+R0]", False)):
-        longer = chain.append(parse_program(extension).instrs[0])
-        for same_bytes in (False, True):
-            store = ResumePoints()
-            assert detect_violation(chain, inputs, resume=store, **kwargs) is None
-            assert store.hw
-            for key, (length, mem, point, htrace) in store.hw.items():
-                mem = mem if same_bytes else bytes([mem[0] ^ 1]) + mem[1:]
-                store.hw[key] = (length, mem, point, _Poisoned()) if carried else (length, mem, _Poisoned(), htrace)
-            if same_bytes:
-                with pytest.raises(AssertionError, match="another program or setting"):
-                    detect_violation(longer, inputs, resume=store, **kwargs)
-            else:
-                assert detect_violation(longer, inputs, resume=store, **kwargs) == detect_violation(longer, inputs,
-                                                                                                    **kwargs)
+
+    def boosted_chain(poison):
+        store = ResumePoints()
+        assert detect_violation(chain, inputs, resume=store, **kwargs) is None
+        assert all(stream.result is not None for stream in store.entries.values())
+        for stream in store.entries.values():
+            poison(stream)
+        return store
+
+    def poison_point(stream):
+        stream.hw_point = _Poisoned()
+
+    def poison_probe(stream):
+        stream.htrace = _Poisoned()
+
+    def other_bytes(stream):
+        mem = stream.result.mem
+        stream.result = dataclasses.replace(stream.result, mem=bytes([mem[0] ^ 1]) + mem[1:])
+        stream.hw_point, stream.htrace = _Poisoned(), _Poisoned()
+
+    neutral = chain.append(parse_program("SBB R1, R2").instrs[0])
+    load = chain.append(parse_program("SBB R2, [BASE+R0]").instrs[0])
+    for p, poison in ((neutral, poison_point), (load, poison_probe), (load, other_bytes)):
+        result, _, runs = _detect_with_runs(p, inputs, resume=boosted_chain(poison), **kwargs)
+        assert result == detect_violation(p, inputs, **kwargs), poison.__name__
+        assert (runs == []) == (p is neutral), poison.__name__
+    with pytest.raises(AssertionError, match="another program or setting"):
+        detect_violation(load, inputs, resume=boosted_chain(poison_point), **kwargs)
+
+
+def test_rejected_final_sibling_leaves_no_probe_vector(monkeypatch):
+    # hw_run cannot reject a verified sibling; if it did, the stream's entry
+    # must not hand a later carry the probe vector of another result
+    from leaklab import detect
+
+    chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
+    inputs = generate_inputs(19, 3)
+    kwargs = dict(contract=CT_SEQ, cfg=SpecConfig(), budget=300, seed=7, exhaustive=True)
+    store = ResumePoints()
+    with monkeypatch.context() as m:
+        m.setattr(detect, "hw_run", lambda *args: REJECTED)
+        assert detect_violation(chain, inputs, resume=store, **kwargs) is None
+    assert store.entries == {}
+    neutral = chain.append(parse_program("SBB R1, R2").instrs[0])
+    assert detect_violation(neutral, inputs, resume=store, **kwargs) == detect_violation(neutral, inputs, **kwargs)
+
+
+class _ReadCountingTrace(tuple):
+    """A base contract trace that counts how often it is read through."""
+
+    reads = 0
+
+    def __iter__(self):
+        type(self).reads += 1
+        return super().__iter__()
+
+
+def test_carried_streams_build_no_load_map_and_draw_no_bytes(monkeypatch):
+    # a boosted step on which every stream carries its result still calls
+    # boost_input once per stream, and none of those calls reads the base's
+    # trace for its loads or draws the stream's fresh bytes
+    from leaklab import detect
+
+    chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
+    inputs = generate_inputs(19, 3)
+    kwargs = dict(boosts_per_input=2, budget=300, seed=7, exhaustive=True)
+    store = ResumePoints()
+    assert detect_violation(chain, inputs, CT_SEQ, SpecConfig(), resume=store, **kwargs) is None
+    neutral = chain.append(parse_program("SBB R1, R2").instrs[0])
+    records = [o._replace(ctrace=_ReadCountingTrace(o.ctrace)) for o in observe(neutral, inputs, CT_SEQ)]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+
+        return wrapper
+
+    monkeypatch.setattr(detect, "boost_input", counted("boost_input", detect.boost_input))
+    monkeypatch.setattr(Xorshift64Star, "next_bytes", counted("next_bytes", Xorshift64Star.next_bytes))
+    assert detect_violation(neutral, inputs, CT_SEQ, SpecConfig(), observations=records, resume=store, **kwargs) is None
+    assert calls == ["boost_input"] * (len(inputs) * 2)
+    assert _ReadCountingTrace.reads == 0
 
 
 # --- round points: boost_input resumed by round index ------------------------
@@ -727,6 +797,7 @@ def _copy(stream: SiblingStream, rounds: dict = {}) -> SiblingStream:
     out = SiblingStream()
     out.rounds = {**stream.rounds, **rounds}
     out.length, out.result, out.steps = stream.length, stream.result, stream.steps
+    out.hw_point, out.htrace = stream.hw_point, stream.htrace
     return out
 
 
@@ -749,11 +820,11 @@ def _boost_from(monkeypatch, p, base, stored):
         return trace(p, inp, contract, budget, resume, capture)
 
     into = None if stored is None else _copy(stored)
-    cells = _load_cells(base, contract_trace(p, base, CT_SEQ, 300))
+    base_trace = contract_trace(p, base, CT_SEQ, 300)
     with monkeypatch.context() as m:
         m.setattr(arch, "step_instruction", counted)
         m.setattr(detect, "contract_trace", recorded)
-        sibling = boost_input(p, base, CT_SEQ, Xorshift64Star(CHAIN_SEED), 300, cells=cells, stream=into)
+        sibling = boost_input(p, base, CT_SEQ, Xorshift64Star(CHAIN_SEED), 300, base_trace, into)
     return sibling, into, [k for k, resumed in enumerate(rounds) if resumed], steps[0]
 
 

@@ -153,16 +153,20 @@ def test_guarded_growth():
     assert len(env.program) <= 12
 
 
-def _points(store):
-    """Every resume point in `store`: observe's points are keyed by input;
-    boosting's arch entries by sibling stream, each a SiblingStream whose
-    round points are keyed by round, each the middle of a (copied, point,
-    loads) triple, and its hw entries by sibling stream, each the third of
-    a (length, bytes, point, probe vector) tuple."""
-    for entry in store.arch.values():
-        yield from (rnd[1] for rnd in entry.rounds.values()) if isinstance(entry, SiblingStream) else [entry]
-    for entry in store.hw.values():
-        yield entry if isinstance(entry, HwPoint) else entry[2]
+def _points(env):
+    """Every resume point `env` holds, with the name of its store: observe's
+    entries are an input's (TracePoint, HwPoint); boosting's are one
+    SiblingStream per sibling stream, with round points keyed by round,
+    each the middle of a (copied, point, loads) triple, and its held
+    result's HwPoint once that result has run."""
+    for arch, hw in env._resume.entries.values():
+        yield "observe", arch
+        yield "observe", hw
+    for stream in env._sibling_resume.entries.values():
+        for _, point, _ in stream.rounds.values():
+            yield "siblings", point
+        if stream.hw_point is not None:
+            yield "siblings", stream.hw_point
 
 
 def test_resume_points_hold_no_memory():
@@ -176,18 +180,17 @@ def test_resume_points_hold_no_memory():
         while not done:
             sr = env.step(int(rng.integers(env.action_space.size)))
             done = sr.terminated or sr.truncated
-            for name, store in (("observe", env._resume), ("siblings", env._sibling_resume)):
-                points = list(_points(store))
-                assert all(point.state.mem is None for point in points)
-                seen[name] += len(points)
+            for name, point in _points(env):
+                assert point.state.mem is None
+                seen[name] += 1
     assert seen["observe"] > 0 and seen["siblings"] > 0
 
 
 def test_sibling_store_holds_one_entry_per_stream():
     # the store is updated in place: after every step each sibling stream
     # holds one SiblingStream, with at most BOOST_ROUNDS round points and a
-    # result derived on a prefix of the program, and one final sibling's
-    # entry, derived on a prefix too
+    # result derived on a prefix of the program, with that result's HwPoint
+    # and probe vector
     cfg = EnvConfig(max_len=16, input_seed=5, num_inputs=4, boosts_per_input=3)
     env = LeakEnv(cfg)
     streams = {(i, j) for i in range(cfg.num_inputs) for j in range(1, cfg.boosts_per_input + 1)}
@@ -200,15 +203,14 @@ def test_sibling_store_holds_one_entry_per_stream():
             sr = env.step(int(rng.integers(env.action_space.size)))
             done = sr.terminated or sr.truncated
             store = env._sibling_resume
-            assert set(store.arch) <= streams and set(store.hw) <= streams
-            for entry in store.arch.values():
+            assert set(store.entries) <= streams
+            for entry in store.entries.values():
                 assert isinstance(entry, SiblingStream)
                 assert set(entry.rounds) <= set(range(BOOST_ROUNDS))
                 assert entry.length is None or entry.length <= len(store.program)
-            for length, mem, point, htrace in store.hw.values():
-                assert length <= len(store.program)
-                assert isinstance(mem, bytes) and isinstance(point, HwPoint) and isinstance(htrace, int)
-            boosted += bool(store.hw)
+                if entry.result is not None:
+                    assert isinstance(entry.hw_point, HwPoint) and isinstance(entry.htrace, int)
+                    boosted += 1
     assert boosted > 0
 
 

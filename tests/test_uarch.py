@@ -515,7 +515,7 @@ def test_resume_point_kinds(text, contract, window, budget, expect, last_rejecte
     instrs = parse_program(text).instrs
     resume, results = _check_resumed_episode(instrs[:-1], RESUME_INPUTS, contract, SpecConfig(window), budget)
     assert REJECTED not in results
-    arch, hw = resume.arch[0], resume.hw[0]
+    arch, hw = resume.entries[0]
     assert (arch.state.pc, arch.steps, hw.state.pc, hw.committed) == expect
     _, results = _check_resumed_episode(instrs, RESUME_INPUTS, contract, SpecConfig(window), budget)
     assert (results[-1] is REJECTED) == last_rejected
@@ -546,7 +546,7 @@ def test_resumed_periodic_run_exits_early(text, budget, monkeypatch):
     resume = ResumePoints()
     for i in range(len(instrs)):
         assert observe(Program(instrs[:i]), *setting, resume=resume) is not REJECTED
-    assert resume.arch[0].steps == 13
+    assert resume.entries[0][0].steps == 13
 
     calls = 0
     step = arch.step_instruction
