@@ -15,6 +15,7 @@ import sys
 import traceback
 import types
 import typing
+from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
 
@@ -195,10 +196,20 @@ def _read_program(path: str):
     return parse_program(text)
 
 
+@contextmanager
+def _writing_output():
+    """Report a failed write to the output directory as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
+
+
 def _cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     env = LeakEnv(cfg.env)
     log = train(env, cfg.trainer)
-    log.save(out)
+    with _writing_output():
+        log.save(out)
     print(f"steps={log.total_steps} iterations={len(log.iterations)} leaks={len(log.leaks)}")
     if log.first_leak_step is not None:
         print(f"first leak at step {log.first_leak_step}")
@@ -209,7 +220,8 @@ def _cmd_train(cfg: ExperimentConfig, out: Path) -> int:
 def _cmd_fuzz(cfg: ExperimentConfig, out: Path) -> int:
     stats, rows = fuzz_campaign(cfg)
     path = out / "fuzz.csv"
-    path.write_text(rows_to_csv(rows))
+    with _writing_output():
+        path.write_text(rows_to_csv(rows))
     for s in stats:
         print(
             f"n={s.program_size} median={s.median:g} mean={s.mean:g} "
@@ -222,7 +234,8 @@ def _cmd_fuzz(cfg: ExperimentConfig, out: Path) -> int:
 def _cmd_scaling(cfg: ExperimentConfig, out: Path) -> int:
     rows = scaling_study(cfg)
     path = out / "scaling.csv"
-    path.write_text(rows_to_csv(rows))
+    with _writing_output():
+        path.write_text(rows_to_csv(rows))
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -295,14 +308,25 @@ def run_cli(argv: list[str] | None = None) -> int:
             return _cmd_detect(cfg, args.program)
         if args.command == "simulate":
             return _cmd_simulate(cfg, args.program, args.input_file)
-        # The other commands write to the output directory. It is created
-        # before the work, so that one that cannot be written fails at once.
+        # The other commands write a file into the output directory. Both
+        # are checked before the work, so that one that cannot be written
+        # fails at once: the directory is created, and the file opened for
+        # appending (and removed again if that created it).
+        run, name = {
+            "train": (_cmd_train, "training.jsonl"),
+            "fuzz": (_cmd_fuzz, "fuzz.csv"),
+            "scaling": (_cmd_scaling, "scaling.csv"),
+        }[args.command]
         out = Path(cfg.out_dir)
-        try:
+        path = out / name
+        with _writing_output():
             out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output: {exc}") from None
-        return {"train": _cmd_train, "fuzz": _cmd_fuzz, "scaling": _cmd_scaling}[args.command](cfg, out)
+            existed = path.exists()
+            with open(path, "a"):
+                pass
+            if not existed:
+                path.unlink()
+        return run(cfg, out)
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

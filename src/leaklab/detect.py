@@ -2,17 +2,19 @@
 
 A speculative leak is witnessed by two inputs with equal contract traces but
 unequal hardware traces. Random inputs rarely share a contract trace once a
-program reads memory, so each input is "boosted": a sibling is derived with
-the same registers, fresh random memory, and the bytes the program actually
-loads copied over from the original, iterated until the sibling provably
-produces the same contract trace. Hardware-trace divergence inside such a
-class is a violation.
+program reads memory, so each input is "boosted" (as in Revizor): a sibling
+is derived with the same registers and fresh random memory, with the
+original's bytes copied over at every address the original's contract trace
+loads, so that the sibling provably produces the same contract trace.
+Hardware-trace divergence inside such a class is a violation.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from .arch import (
     DEFAULT_STEP_BUDGET,
@@ -38,7 +40,6 @@ from .uarch import (
 )
 
 __all__ = [
-    "BOOST_ROUNDS",
     "MAX_BOOSTS_PER_INPUT",
     "SiblingStream",
     "ViolationReport",
@@ -46,7 +47,6 @@ __all__ = [
     "detect_violation",
 ]
 
-BOOST_ROUNDS = 10
 # Sibling j of input i draws from stream (i << 8) | j, which is one stream per
 # sibling only while j fits in 8 bits.
 MAX_BOOSTS_PER_INPUT = 255
@@ -122,150 +122,81 @@ class ViolationReport:
 
 
 class SiblingStream:
-    """One sibling stream's live entry in a `detect_violation` store: its
-    round points; the last result that rounds derived, with the program
-    length they ran on and the largest step count of their terminating
-    runs (`length` is None until some call derives a result); and the
-    HwPoint and probe vector of that result's `hw_run`, on that length."""
+    """One sibling stream's live entry in a `detect_violation` store: the
+    last sibling `boost_input` derived and the length of the program it was
+    derived on (`length` is None until some call derives one), and the
+    HwPoint and probe vector of that sibling's `hw_run` on that length."""
 
-    __slots__ = ("rounds", "length", "result", "steps", "hw_point", "htrace")
+    __slots__ = ("length", "result", "hw_point", "htrace")
 
     def __init__(self):
-        self.rounds: dict = {}
-        self.length: int | None = None
-        self.result: Input | None = None
-        self.steps = 0
-        self.hw_point = self.htrace = None
+        self.length = self.result = self.hw_point = self.htrace = None
 
 
 def boost_input(
     p: Program,
     base: Input,
     contract: ContractSpec,
-    rng: Xorshift64Star,
+    rng: Xorshift64Star | Callable[[], Xorshift64Star],
     budget: int = DEFAULT_STEP_BUDGET,
     base_trace: tuple | None = None,
     stream: SiblingStream | None = None,
-) -> Input | None:
+) -> Input:
     """Derive a contract-equivalent sibling of `base` for `p`.
 
-    The sibling keeps the base's registers and gets fresh random memory. Each
-    round first returns the sibling if its memory equals the base's at every
-    address the base's contract trace loads; otherwise it simulates the
-    sibling and copies the base's bytes at every address the sibling's own
-    trace loads. Returns None if no round starts with that agreement within
-    BOOST_ROUNDS rounds.
+    The sibling keeps the base's registers and takes the generator's next
+    SANDBOX_SIZE bytes as memory, with the base's bytes written over them at
+    every address the base's contract trace loads. Boosting never fails,
+    and given the base's trace it simulates nothing.
 
-    The agreement proves the sibling's contract trace equals the base's
-    without simulating it. Both runs start from the same registers, and
-    every memory read (CT_COND's explored paths included) emits a load
-    observation. By induction over steps, the runs read equal values at
-    equal addresses, since stores write equal values to equal addresses
-    and every other address read holds its initial value, on which the two
-    agree. So the runs take the same path, emit the same trace and
-    terminate alike.
+    The sibling's contract trace equals the base's. Both runs start from the
+    same registers, and every memory read (CT_COND's explored paths
+    included) emits a load observation. By induction over steps, the runs
+    read equal values at equal addresses: stores write equal values to equal
+    addresses, and every other address read is one the base's trace loads,
+    where the two start with equal bytes. So the runs take the same path,
+    emit the same trace and terminate alike.
 
-    Every copy writes the base's bytes, so a round's sibling is the
-    generator's bytes with the base's at the addresses copied before it.
-    The agreement test is therefore one set inclusion: the addresses where
-    the generator's bytes differ from the base's must all have been copied.
+    `rng` is the stream's generator, or a function of no arguments that
+    builds it, called only when a sibling is derived. `base_trace`, when
+    given, must be the base's contract trace of `p`.
 
-    `base_trace`, when given, must be the base's contract trace of `p`; it
-    saves simulating the base.
-
-    `stream`, when given, holds what earlier calls derived for the same
-    base and a fresh `rng` of the same seed, on prefixes of `p`, and this
-    call updates its round points and held result in place (its HwPoint
-    and probe vector are `detect_violation`'s to keep). The result is the
-    same as without it, for two reasons.
-
-    Round points. `stream.rounds` is keyed by round index, each value
-    (copied addresses, TracePoint, addresses the run loaded before the
-    point). Round k's `contract_trace` resumes from entry k if no address
-    that entry's run loaded before its point was copied in one of the two
-    rounds and not in the other, and a round that terminates replaces
-    entry k with what it captures, so the dict holds at most BOOST_ROUNDS
-    entries. The two siblings hold equal bytes at every address the stored
-    run read before its point, so by the induction above the runs agree up
-    to it, and the runs of a prefix and of `p` agree there too (see
-    `contract_trace`).
-
-    Neutral suffixes. An instruction is neutral if it is an ALU instruction
-    without a memory operand or a branch with a positive displacement. Let
-    Q be the program of length `stream.length` that the held result was
-    derived on, and p = Q + S with every instruction of S neutral. Every
-    path of a run of p (the committed path, a CT_COND explored path) agrees
-    with the same run of Q until it first moves to a pc >= len(Q) (see
-    `contract_trace`). From there it only moves forward through S, since a
-    neutral instruction falls through or jumps forward, and it never
-    returns into Q; and S reads and writes no memory. So the run of p loads
-    and stores exactly what the run of Q did, and only its PC observations
-    differ. Its committed path takes at most len(S) more steps, so a round
-    run that terminated on Q within `stream.steps` steps terminates on p as
-    well when `stream.steps + len(S) <= budget`, with the same loads. A
-    round run rejected on Q never moves its committed path out of Q, and
-    neither does the run of p, which agrees with it there; so it is
-    rejected on p too. The base's loads are those of Q as well. Every
-    round therefore starts with the same agreement and copies the same
-    addresses, and the call returns the held result without running one.
-    Past that step count a round that terminated on Q can exhaust the
-    budget on p and copy the base's loads instead of its own; after a
-    backward branch in S a path can return into Q with other register
-    values and load elsewhere. Neither is carried.
+    `stream`, when given, holds what an earlier call derived for the same
+    base and a generator of the same seed on a prefix Q of `p`, and this
+    call replaces it with the sibling it derives (its HwPoint and probe
+    vector are `detect_violation`'s to keep). An instruction is neutral if
+    it is an ALU instruction without a memory operand or a branch with a
+    positive displacement. When every instruction of `p` from len(Q) on is
+    neutral, the call returns the held sibling object itself, without
+    reading `base_trace` or building the generator; it does not check that
+    the base terminates on `p`. The held sibling is the one the call would
+    derive, because the base's run of `p` loads exactly what its run of Q
+    did. Every path of it (the committed path, a CT_COND explored path)
+    agrees with the same run of Q until it first moves to a pc >= len(Q)
+    (see `contract_trace`). From there it only moves forward through the
+    suffix, since a neutral instruction falls through or jumps forward, and
+    never returns into Q; and the suffix reads and writes no memory.
     """
-    if (
-        stream is not None
-        and stream.length is not None
-        and stream.steps + len(p) - stream.length <= budget
-        and _neutral_from(p, stream.length)
-    ):
+    if stream is not None and stream.length is not None and _neutral_from(p, stream.length):
         return stream.result
     if base_trace is None:
         base_trace = contract_trace(p, base, contract, budget)
         if base_trace is REJECTED:
             raise ValueError("boost_input requires a terminating base input")
-    base_loads = _load_set(base_trace)
-    copied: set = set()
-    fresh = rng.next_bytes(SANDBOX_SIZE)
-    need = {addr for addr in base_loads if fresh[addr : addr + 8] != base.mem[addr : addr + 8]}
-    mem = bytearray(fresh)
-    result = None
-    steps = 0  # the largest step count of a terminating round run
-    for k in range(BOOST_ROUNDS):
-        sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
-        if need <= copied:
-            result = sibling
-            break
-        start, before, resume, captured = 0, frozenset(), None, None
-        if stream is not None:
-            captured = []
-            stored = stream.rounds.get(k)
-            if stored is not None and not (copied ^ stored[0]) & stored[2]:
-                _, resume, before = stored
-                start = len(resume.trace)
-        tr = contract_trace(p, sibling, contract, budget, resume, captured)
-        if tr is REJECTED:
-            # No trace to guide the copy; pull the sibling toward the base's
-            # path using the base's own load set instead.
-            loads = base_loads
-        elif captured:
-            # A resumed run captures its point at or after the one it
-            # resumed from, so the load set of the prefix up to it extends
-            # `before` by the loads between the two.
-            point = captured[0]
-            cut = len(point.trace)
-            point_loads = before | _load_set(tr[start:cut])
-            stream.rounds[k] = (frozenset(copied), point, point_loads)
-            steps = max(steps, point.run_steps)
-            loads = point_loads | _load_set(tr[cut:])
-        else:
-            loads = _load_set(tr)
-        for addr in loads - copied:
-            mem[addr : addr + 8] = base.mem[addr : addr + 8]
-        copied.update(loads)
+    if callable(rng):
+        rng = rng()
+    mem = bytearray(rng.next_bytes(SANDBOX_SIZE))
+    for addr in _load_set(base_trace):
+        mem[addr : addr + 8] = base.mem[addr : addr + 8]
+    sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
     if stream is not None:
-        stream.length, stream.result, stream.steps = len(p), result, steps
-    return result
+        stream.length, stream.result = len(p), sibling
+    return sibling
+
+
+def _stream_generator(seed: int, index: int) -> Xorshift64Star:
+    """Sibling stream `index`'s generator under detection seed `seed`."""
+    return Xorshift64Star(stream_seed(seed, index))
 
 
 def _neutral_from(p: Program, length: int) -> bool:
@@ -331,23 +262,23 @@ def detect_violation(
     `resume`, when given, lets boosting reuse its sibling runs. Its
     entries map each sibling stream (i, j), input index and sibling index,
     to the stream's SiblingStream (see `boost_input`), which a call that
-    boosts updates in place. When `boost_input` returns the held result
+    boosts updates in place. When `boost_input` returns the held sibling
     object itself, detection takes the held probe vector; a sibling it
-    derived afresh with the held result's bytes resumes its `hw_run` from
+    derived afresh with the held sibling's bytes resumes its `hw_run` from
     the held HwPoint, and any other sibling runs from the reset. A later
     call on an extension of `p` with equal inputs, contract, `cfg`,
     `budget` and `seed` gets the same result as without the store, since:
     - an entry that survives from an earlier boosted call was derived on a
       prefix of the store's program, which each call extends or `usable`
-      hands out an empty dict, so on a prefix of `p`; the round and carry
-      rules hold there (see `boost_input`, `contract_trace` and `hw_run`);
+      hands out an empty dict, so on a prefix of `p`; the carry rule holds
+      there (see `boost_input`, `contract_trace` and `hw_run`);
     - a sibling is fixed by base i's registers, stream (i, j)'s seed and
       its bytes, so equal bytes mean an identical input, and the held
-      HwPoint and probe vector are those of the held result's `hw_run` on
+      HwPoint and probe vector are those of the held sibling's `hw_run` on
       the program of length `length` it was derived on;
     - the neutral-suffix argument of `boost_input` holds for `hw_run` too,
-      so a carried result's probe vector is carried with it. Let p = Q + S,
-      with Q the held result's program and S neutral. Every path of the
+      so a carried sibling's probe vector is carried with it. Let p = Q + S,
+      with Q the held sibling's program and S neutral. Every path of the
       run of p, the committed path and each mispredicted window, agrees
       with Q's until it first moves to a pc >= len(Q). From there it moves
       only forward through S and never returns into Q, and S touches no
@@ -361,8 +292,8 @@ def detect_violation(
       the base on p, which terminates within `budget`, and `hw_run`
       commits exactly the contract path's steps, so the run of p
       terminates too;
-    - each stream holds one SiblingStream, with at most BOOST_ROUNDS round
-      entries, and no call builds a second store.
+    - each stream holds one SiblingStream, and no call builds a second
+      store.
     Like every point, these hold no memory: their memory is the write log
     of the committed path's stores, over the sibling's bytes.
     """
@@ -418,13 +349,11 @@ def detect_violation(
     for i, (base, base_obs) in enumerate(zip(inputs, observations)):
         first = classes[base_obs.ctrace][0]
         for j in range(1, boosts_per_input + 1):
-            rng = Xorshift64Star(stream_seed(seed, (i << 8) | j))
+            rng = partial(_stream_generator, seed, (i << 8) | j)
             if resume is not None:
                 stream = streams.setdefault((i, j), SiblingStream())
                 held, hw_points = stream.result, []
             sibling = boost_input(p, base, contract, rng, budget, base_obs.ctrace, stream)
-            if sibling is None:
-                continue
             if sibling is held:
                 htrace = stream.htrace
             else:

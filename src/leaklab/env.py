@@ -5,11 +5,12 @@ appends the chosen action, measures the candidate on a fixed input set (both
 simulators, from a microarchitectural reset per input, resumed from where
 the current program's runs reached its end), throws the instruction away if
 any input fails the termination guard, and otherwise runs leak detection.
-Detection keeps one entry per sibling stream: its boosted siblings resume
-from where the same siblings' runs reached the end of the last program that
-was boosted, or carry over, each with its probe vector, when every
-instruction appended since is neutral (an ALU instruction without a memory
-operand, or a forward branch).
+Detection keeps one entry per sibling stream, its last boosted sibling: a
+sibling derived with the same bytes resumes its hardware run from where the
+held one's reached the end of the last program that was boosted, and the
+held sibling carries over with its probe vector when every instruction
+appended since is neutral (an ALU instruction without a memory operand, or a
+forward branch).
 Rewards are tiered: a detected leak, then observable misspeculation, then
 unobservable misspeculation, then no misspeculation at all, plus a small
 per-step cost.

@@ -229,6 +229,31 @@ def test_unwritable_output_exits_1_before_the_campaign(command, tiny_config, tmp
     assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
 
+@pytest.mark.parametrize("command", ["train", "fuzz", "scaling"])
+def test_unwritable_output_file_exits_1_before_the_campaign(command, tiny_config, tmp_path, capsys):
+    # the output directory exists, but its output file is a directory
+    out = tmp_path / "out"
+    (out / {"train": "training.jsonl", "fuzz": "fuzz.csv", "scaling": "scaling.csv"}[command]).mkdir(parents=True)
+    with mock.patch.multiple(
+        "leaklab.cli", train=_no_campaign, fuzz_campaign=_no_campaign, scaling_study=_no_campaign
+    ):
+        assert run_cli([command, "--config", tiny_config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and "Traceback" not in err
+
+
+def test_output_probe_leaves_no_file(tmp_path, capsys):
+    # a run that fails after the probe (here PPO diverges) leaves no empty
+    # output file behind
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"trainer": {"learning_rate": 1e300, "total_steps": 8, "horizon": 4,
+                                            "minibatch_size": 2}, "env": {"max_len": 3, "num_inputs": 2}}))
+    out = tmp_path / "out"
+    assert run_cli(["train", "--config", str(path), "--out", str(out)]) == 1
+    assert "training diverged" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_config_without_env_gives_default_env(tmp_path):
     assert load_experiment_config(None, None, None).env == EnvConfig()
     path = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaklab.arch import (
+    DEFAULT_STEP_BUDGET,
     SANDBOX_SIZE,
     ContractMode,
     ContractSpec,
@@ -19,7 +20,6 @@ from leaklab.arch import (
     stream_seed,
 )
 from leaklab.detect import (
-    BOOST_ROUNDS,
     MAX_BOOSTS_PER_INPUT,
     SiblingStream,
     ViolationReport,
@@ -75,14 +75,13 @@ def test_boost_single_load():
 
 
 def test_boost_chained_loads_converges():
-    # load value flows into the next load's address: needs > 1 round
+    # each load's value flows into the next load's address, and one copy of
+    # the base's loaded cells still fixes the whole chain
     p = parse_program("SBB R1, [BASE+R2]\nSBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
     rng = random.Random(0)
     for trial in range(20):
         base = input_from_seed(rng.randrange(1 << 32))
         sib = boost_input(p, base, CT_SEQ, Xorshift64Star(trial))
-        if sib is None:
-            continue
         assert contract_trace(p, sib, CT_SEQ) == contract_trace(p, base, CT_SEQ)
 
 
@@ -111,27 +110,17 @@ def _terminating_programs(rng, space, contract, count, max_len=10, budget=300):
     return out
 
 
-def _boost_by_simulation(p, base, contract, rng, budget, base_trace):
-    """boost_input's fixpoint loop checked by re-simulation alone: a round
-    returns the sibling once its own trace equals the base's and copying
-    changes nothing."""
-    mem = bytearray(rng.next_bytes(SANDBOX_SIZE))
-    sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
-    for _ in range(BOOST_ROUNDS):
-        tr = contract_trace(p, sibling, contract, budget)
-        guide = base_trace if tr is NON_TERMINATING else tr
-        changed = False
-        for obs in guide:
-            if obs[0] == "L":
-                addr = obs[1]
-                cell = base.mem[addr : addr + 8]
-                if mem[addr : addr + 8] != cell:
-                    mem[addr : addr + 8] = cell
-                    changed = True
-        if not changed and tr == base_trace:
-            return sibling
-        sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
-    return None
+def _loads(trace) -> set:
+    """Every address that a contract trace loads."""
+    return {obs[1] for obs in trace if obs[0] == "L"}
+
+
+def _is_simulated_fixpoint(p, base, sibling, contract, budget, base_trace):
+    """Whether simulating `sibling` and copying the base's bytes at every
+    address its own trace loads would change nothing, and its trace is the
+    base's: the fixpoint that a copy-and-resimulate search stops at."""
+    tr = contract_trace(p, sibling, contract, budget)
+    return tr == base_trace and all(sibling.mem[a : a + 8] == base.mem[a : a + 8] for a in _loads(tr))
 
 
 @pytest.mark.parametrize(
@@ -139,30 +128,25 @@ def _boost_by_simulation(p, base, contract, rng, budget, base_trace):
 )
 @pytest.mark.parametrize("space", [build_action_space(), CHAINED_LOADS], ids=["default", "chained"])
 def test_boost_matches_simulated_fixpoint(contract, space):
+    # one copy of the base's loads lands on the fixpoint at once, on chains
+    # of dependent loads too
     rng = random.Random(23)
-    won = 0
     for k, (p, base, trace) in enumerate(_terminating_programs(rng, space, contract, 150, max_len=24)):
-        seed = stream_seed(k, 1)
-        fast = boost_input(p, base, contract, Xorshift64Star(seed), 300)
-        slow = _boost_by_simulation(p, base, contract, Xorshift64Star(seed), 300, trace)
-        assert (fast is None) == (slow is None)
-        if fast is not None:
-            won += 1
-            assert (fast.mem, fast.seed) == (slow.mem, slow.seed)
-            assert contract_trace(p, fast, contract, 300) == trace
-    assert won > 0
-    if space is CHAINED_LOADS:
-        assert won < 150  # some chains outlast BOOST_ROUNDS
+        sibling = boost_input(p, base, contract, Xorshift64Star(stream_seed(k, 1)), 300)
+        assert _is_simulated_fixpoint(p, base, sibling, contract, 300, trace), render_program(p)
 
 
-@pytest.mark.parametrize("length, wins", [(9, True), (10, False)])
-def test_boost_round_limit(length, wins):
-    # each copy moves the next load, so k chained loads first agree after
-    # copy k: round 10 starts agreeing at k = 9, and k = 10 is out of rounds
+@pytest.mark.parametrize("length", [9, 10, 40])
+def test_dependent_load_chains_boost(length):
+    # each load's value is the next load's address (the Spectre pattern);
+    # a search that copies only what the sibling loaded moves the next load
+    # with every copy, while one copy of the base's loads fixes them all
     p = parse_program("\n".join(["SBB R0, [BASE+R0]"] * length))
     base = generate_inputs(3, 2)[0]
+    trace = contract_trace(p, base, CT_SEQ)
     sibling = boost_input(p, base, CT_SEQ, Xorshift64Star(stream_seed(5, 1)))
-    assert (sibling is not None) == wins
+    assert len(_loads(trace)) >= length - 2  # the chain reads new addresses
+    assert _is_simulated_fixpoint(p, base, sibling, CT_SEQ, DEFAULT_STEP_BUDGET, trace)
 
 
 def test_boost_without_loads_simulates_nothing(monkeypatch):
@@ -357,8 +341,8 @@ def test_boosts_per_input_fits_the_stream_index(inputs20):
 
 
 def test_boost_success_rate_sane():
-    # quick version of the acceptance criterion: most random terminating
-    # programs can be boosted, and every sibling is verified
+    # quick version of the acceptance criterion: every random terminating
+    # program can be boosted, and every sibling is verified
     rng = random.Random(99)
     space = build_action_space()
     attempts = 0
@@ -370,10 +354,37 @@ def test_boost_success_rate_sane():
             continue
         attempts += 1
         sib = boost_input(p, base, CT_SEQ, Xorshift64Star(attempts), budget=300)
-        if sib is not None:
+        if contract_trace(p, sib, CT_SEQ, 300) == contract_trace(p, base, CT_SEQ, 300):
             succeeded += 1
-            assert contract_trace(p, sib, CT_SEQ, 300) == contract_trace(p, base, CT_SEQ, 300)
-    assert succeeded >= 90
+    assert succeeded == attempts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    space=st.sampled_from([build_action_space(), CHAINED_LOADS, build_action_space(scaling_action_config())]),
+    picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=24),
+    contract=st.sampled_from([CT_SEQ] + [ContractSpec(ContractMode.CT_COND, d) for d in (1, 4, 8)]),
+    budget=st.sampled_from([5, 9, 17, 40, 300, 10_000]),
+    base_seed=st.integers(0, (1 << 64) - 1),
+    seed=st.integers(0, (1 << 64) - 1),
+)
+def test_sibling_is_the_stream_bytes_with_the_base_loads(space, picks, contract, budget, base_seed, seed):
+    p = Program(tuple(space[k % space.size] for k in picks))
+    base = input_from_seed(base_seed)
+    trace = contract_trace(p, base, contract, budget)
+    if trace is REJECTED:
+        with pytest.raises(ValueError):
+            boost_input(p, base, contract, Xorshift64Star(seed), budget)
+        return
+    sibling = boost_input(p, base, contract, Xorshift64Star(seed), budget)
+    fresh = Xorshift64Star(seed).next_bytes(SANDBOX_SIZE)
+    loads = _loads(trace)
+    for addr in range(0, SANDBOX_SIZE, 8):
+        source = base.mem if addr in loads else fresh
+        assert sibling.mem[addr : addr + 8] == source[addr : addr + 8], addr
+    assert (sibling.r0, sibling.r1, sibling.r2) == (base.r0, base.r1, base.r2)
+    assert sibling.seed == Xorshift64Star(seed).seed
+    assert contract_trace(p, sibling, contract, budget) == trace
 
 
 # --- boosted siblings resumed from the last boosted step --------------------
@@ -439,10 +450,9 @@ def _check_detection_call(p, inputs, contract, cfg, store, **kwargs):
         assert fresh_by_call[name, inp] == result, text
     boosts = kwargs["boosts_per_input"]
     for k, sibling in enumerate(resumed_boosts):
-        if sibling is not None:
-            stream = store.entries[k // boosts, k % boosts + 1]
-            assert stream.result is sibling and stream.length <= len(p), text
-            assert stream.htrace == hw_run(p, sibling, cfg, kwargs["budget"]).htrace, text
+        stream = store.entries[k // boosts, k % boosts + 1]
+        assert stream.result is sibling and stream.length <= len(p), text
+        assert stream.htrace == hw_run(p, sibling, cfg, kwargs["budget"]).htrace, text
     return resumed_runs
 
 
@@ -541,32 +551,31 @@ def test_resumed_siblings_cover_gated_rejected_and_boosted_steps():
 
 def test_sibling_points_do_not_outlive_their_episode():
     # the episode after the reset boosts first a program without loads, whose
-    # siblings agree before any simulation and capture nothing, then one with
-    # a load, whose siblings' first rounds must start from the reset
+    # siblings are their streams' fresh bytes, then programs with loads; no
+    # sibling or HwPoint held from the first episode may serve the second
     text = "SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]\nSBB R1, [BASE+R2]\n"
     steps = [*parse_program(text).instrs, RESET, *parse_program("SBB R1, R2\n" + text).instrs]
     boosted = _check_resumed_detection(steps, generate_inputs(23, 4), CT_SEQ, SpecConfig(), 300, 9, 2, True)
     assert boosted == len(steps) - 1
 
 
-# Two zero-memory bases: R0 = 1 makes the first SBB clear SF on the base, so
-# JNS +3 jumps to the end, while a sibling whose fresh word at R1 is large
-# sets SF and falls through to the next load.
+# Two zero-memory bases with R0 = 1, R1 = 0 and R1 = 8.
 EDGE_INPUTS = [Input(r0=1, r1=8 * k, r2=16 + 8 * k, mem=bytes(SANDBOX_SIZE)) for k in range(2)]
 EDGE_Q = "SBB R0, [BASE+R1]\nJNS +3\nSBB R2, [BASE+R2]\nSBB R0, R0"
 
 
 @pytest.mark.parametrize(
     "prefix, budget, suffix",
-    [(EDGE_Q, 4, "SBB R1, R1"), ("\n".join(EDGE_Q.splitlines()[:3]), 17, "JMP -3")],
+    [(EDGE_Q, 2, "SBB R1, R1"), ("SBB R2, [BASE+R1]\nSBB R1, R0", 300, "JNS -2")],
     ids=["budget-edge", "backward-branch"],
 )
 def test_results_not_carried_past_the_budget_or_a_backward_branch(prefix, budget, suffix):
-    # budget edge: a sibling that falls through runs 4 steps, the whole
-    # budget, and 5 after the neutral suffix, so its round is rejected and
-    # copies the base's loads instead of its own. Backward branch: a sibling
-    # that falls through jumps back to the first load with other registers.
-    # Either way a carried result would be another sibling.
+    # budget edge: the first SBB clears SF, so JNS +3 jumps to the end; the
+    # bases run 2 steps on the prefix, the whole budget, and 3 after the
+    # neutral suffix, so the extension is rejected before any boost.
+    # Backward branch: on the second base JNS -2 returns to the first load
+    # with R1 = 7, 6, ..., 0, which loads address 0 as well as 8, so a
+    # carried result would lack the base's bytes at 0.
     q = parse_program(prefix)
     p = Program(q.instrs + parse_program(suffix).instrs)
     kwargs = dict(boosts_per_input=1, budget=budget, exhaustive=True)
@@ -606,15 +615,12 @@ class _Poisoned:
 
 
 def _poison(store: ResumePoints) -> int:
-    """Replace every point, held boost result, held HwPoint and held probe
-    vector in `store` by a _Poisoned one, keeping each round point's copied
-    and loaded addresses and each held result's length and step count;
-    returns how many points."""
+    """Replace every held sibling, held HwPoint and held probe vector in
+    `store` by a _Poisoned one, keeping each held sibling's length; returns
+    how many HwPoints."""
     points = 0
     for stream in store.entries.values():
-        points += len(stream.rounds) + (stream.hw_point is not None)
-        for k, (copied, _, loads) in stream.rounds.items():
-            stream.rounds[k] = (copied, _Poisoned(), loads)
+        points += stream.hw_point is not None
         stream.result, stream.hw_point, stream.htrace = _Poisoned(), _Poisoned(), _Poisoned()
     return points
 
@@ -641,7 +647,8 @@ def test_sibling_points_of_other_programs_or_settings_are_not_used():
         kwargs = {**base, **change}
         assert detect_violation(p, case_inputs, resume=store, **kwargs) == detect_violation(p, case_inputs, **kwargs)
     # the same store does serve extensions of CHAIN with equal settings: a
-    # neutral one takes the held results, one with a load the round points
+    # neutral one takes the held siblings, one with a load compares its
+    # siblings' bytes with the held ones
     for extension in ("SBB R1, R2", "SBB R1, [BASE+R2]"):
         store = ResumePoints()
         detect_violation(chain, inputs, resume=store, **base)
@@ -650,27 +657,27 @@ def test_sibling_points_of_other_programs_or_settings_are_not_used():
             detect_violation(chain.append(parse_program(extension).instrs[0]), inputs, resume=store, **base)
 
 
-def test_round_points_outlive_a_boosted_call_that_did_not_replace_them(monkeypatch):
-    # a fixed default-menu episode in which some sibling round resumes from a
-    # point captured two or more boosted calls back: the store kept it through
-    # a call whose round did not replace it, and the call still equals the
-    # unstored one, sibling runs included
+def test_held_hw_points_serve_later_boosted_calls(monkeypatch):
+    # a fixed default-menu episode in which some sibling derived afresh has
+    # its stream's held bytes and resumes its hw_run from the HwPoint held
+    # since the last boosted call, and every call still equals the unstored
+    # one, sibling runs included
     from leaklab import detect
 
     rng = random.Random(8)
     steps = [MENUS[0][rng.randrange(MENUS[0].size)] for _ in range(30)]
     inputs = generate_inputs(11, 6)
     kwargs = dict(boosts_per_input=2, seed=5, budget=300, exhaustive=True)
-    captured_at, used = {}, []
-    trace = detect.contract_trace
+    used = []
+    run = detect.hw_run
 
-    def recorded(p, inp, contract, budget, resume=None, capture=None):
+    def recorded(p, inp, cfg, budget, resume=None, capture=None):
         if resume is not None:
             used.append(resume)
-        return trace(p, inp, contract, budget, resume, capture)
+        return run(p, inp, cfg, budget, resume, capture)
 
-    monkeypatch.setattr(detect, "contract_trace", recorded)
-    store, p, calls, outlived = ResumePoints(), Program(), 0, 0
+    monkeypatch.setattr(detect, "hw_run", recorded)
+    store, p, held, resumed = ResumePoints(), Program(), [], 0
     for step in steps:
         candidate = p.append(step)
         if observe(candidate, inputs, CT_SEQ, SpecConfig(), 300) is REJECTED:
@@ -678,13 +685,10 @@ def test_round_points_outlive_a_boosted_call_that_did_not_replace_them(monkeypat
         p = candidate
         used.clear()
         _check_detection_call(p, inputs, CT_SEQ, SpecConfig(), store, **kwargs)
-        calls += 1
-        outlived += sum(captured_at[id(point)][0] < calls - 1 for point in used)
-        for stream in store.entries.values():
-            for _, point, _ in stream.rounds.values():
-                # the point itself is held too, so that its id is not reused
-                captured_at.setdefault(id(point), (calls, point))
-    assert outlived > 0
+        assert all(any(point is h for h in held) for point in used)
+        resumed += len(used)
+        held = [stream.hw_point for stream in store.entries.values()]
+    assert resumed > 0
 
 
 def test_held_hw_points_serve_only_equal_bytes():
@@ -756,7 +760,8 @@ class _ReadCountingTrace(tuple):
 def test_carried_streams_build_no_load_map_and_draw_no_bytes(monkeypatch):
     # a boosted step on which every stream carries its result still calls
     # boost_input once per stream, and none of those calls reads the base's
-    # trace for its loads or draws the stream's fresh bytes
+    # trace for its loads, derives the stream's seed, builds its generator
+    # or draws its fresh bytes
     from leaklab import detect
 
     chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
@@ -777,135 +782,105 @@ def test_carried_streams_build_no_load_map_and_draw_no_bytes(monkeypatch):
 
     monkeypatch.setattr(detect, "boost_input", counted("boost_input", detect.boost_input))
     monkeypatch.setattr(Xorshift64Star, "next_bytes", counted("next_bytes", Xorshift64Star.next_bytes))
+    monkeypatch.setattr(detect, "stream_seed", counted("stream_seed", detect.stream_seed))
+    monkeypatch.setattr(detect, "Xorshift64Star", counted("Xorshift64Star", detect.Xorshift64Star))
     assert detect_violation(neutral, inputs, CT_SEQ, SpecConfig(), observations=records, resume=store, **kwargs) is None
     assert calls == ["boost_input"] * (len(inputs) * 2)
     assert _ReadCountingTrace.reads == 0
 
 
-# --- round points: boost_input resumed by round index ------------------------
+# --- the one-shot rule on one stream -----------------------------------------
 
-# CHAIN_BASE loads 64, whose word makes R2 = 512, then 512. A sibling with
-# fresh bytes at 64 loads some other cell d' instead, so the prefix's round 0
-# copies {64, d'} and its round 1 copies {64, 512}; round 2 agrees.
+# CHAIN_BASE loads 64, whose word makes R2 = 512, then 512; after CHAIN_PREFIX
+# R0 = 63 and R1 = 512.
 CHAIN_PREFIX = parse_program("SBB R2, [BASE+R0]\nSBB R0, [BASE+R2]")
 CHAIN_BASE = Input(r0=64, r1=512, r2=0, mem=bytes(64) + ((1 << 64) - 512).to_bytes(8, "little") + bytes(4024))
 CHAIN_SEED = stream_seed(3, 1)
 
 
-def _copy(stream: SiblingStream, rounds: dict = {}) -> SiblingStream:
-    """A copy of `stream`, with the round entries in `rounds` replaced."""
-    out = SiblingStream()
-    out.rounds = {**stream.rounds, **rounds}
-    out.length, out.result, out.steps = stream.length, stream.result, stream.steps
-    out.hw_point, out.htrace = stream.hw_point, stream.htrace
-    return out
+def _boost_on(p, base, stream=None, base_trace=None):
+    """boost_input of `p` on stream CHAIN_SEED, given the base's trace."""
+    if base_trace is None:
+        base_trace = contract_trace(p, base, CT_SEQ, 300)
+    return boost_input(p, base, CT_SEQ, Xorshift64Star(CHAIN_SEED), 300, base_trace, stream)
 
 
-def _boost_from(monkeypatch, p, base, stored):
-    """boost_input of `p` on stream CHAIN_SEED with a copy of the stream
-    entry `stored` (None: no entry at all). Returns the sibling, the entry
-    after the call, the round of every run that resumed, and the
-    instructions it simulated."""
-    from leaklab import arch, detect
+def test_boost_given_the_base_trace_simulates_nothing(monkeypatch):
+    from leaklab import detect
 
-    rounds, steps = [], [0]
-    trace, step = detect.contract_trace, arch.step_instruction
+    p = parse_program("\n".join(["SBB R0, [BASE+R0]"] * 10))
+    base = generate_inputs(3, 2)[0]
+    trace = contract_trace(p, base, CT_SEQ)
 
-    def counted(*args):
-        steps[0] += 1
-        return step(*args)
+    def fail(*args):
+        raise AssertionError("boost_input simulated a run")
 
-    def recorded(p, inp, contract, budget, resume=None, capture=None):
-        rounds.append(resume is not None)
-        return trace(p, inp, contract, budget, resume, capture)
-
-    into = None if stored is None else _copy(stored)
-    base_trace = contract_trace(p, base, CT_SEQ, 300)
     with monkeypatch.context() as m:
-        m.setattr(arch, "step_instruction", counted)
-        m.setattr(detect, "contract_trace", recorded)
-        sibling = boost_input(p, base, CT_SEQ, Xorshift64Star(CHAIN_SEED), 300, base_trace, into)
-    return sibling, into, [k for k, resumed in enumerate(rounds) if resumed], steps[0]
+        m.setattr(detect, "contract_trace", fail)
+        m.setattr(detect, "hw_run", fail)
+        sibling = boost_input(p, base, CT_SEQ, Xorshift64Star(4), base_trace=trace)
+    assert contract_trace(p, sibling, CT_SEQ) == trace
 
 
-def _check_round_points(monkeypatch, p, base, stored):
-    """boost_input of `p` resumed from the stream entry `stored` against the
-    unstored call, the call from an empty entry, and _boost_by_simulation:
-    equal siblings, equal round entries for the rounds that ran, and
-    `stored`'s own entries for the rounds that did not. Returns the resumed
-    call's (round points, resumed rounds, steps) and the unstored call's
-    steps."""
-    sibling, into, resumed, steps = _boost_from(monkeypatch, p, base, stored)
-    plain, _, _, plain_steps = _boost_from(monkeypatch, p, base, None)
-    fresh, fresh_into, _, _ = _boost_from(monkeypatch, p, base, SiblingStream())
-    slow = _boost_by_simulation(p, base, CT_SEQ, Xorshift64Star(CHAIN_SEED), 300, contract_trace(p, base, CT_SEQ, 300))
-    assert sibling == plain == fresh
-    assert sibling is not None and (sibling.mem, sibling.seed) == (slow.mem, slow.seed)
-    assert into.rounds == {**stored.rounds, **fresh_into.rounds}
-    assert (into.length, into.result, into.steps) == (fresh_into.length, fresh_into.result, fresh_into.steps)
-    return into.rounds, resumed, steps, plain_steps
+def test_loads_of_loaded_addresses_derive_the_held_bytes():
+    # an extension whose new load reads an address the base already loads
+    # (R1 = 512) derives its sibling afresh, and it equals the held one
+    stream = SiblingStream()
+    held = _boost_on(CHAIN_PREFIX, CHAIN_BASE, stream)
+    assert (stream.length, stream.result) == (2, held)
+    p = CHAIN_PREFIX.append(parse_program("SBB R1, [BASE+R1]").instrs[0])
+    sibling = _boost_on(p, CHAIN_BASE, stream)
+    assert sibling is not held and sibling == held
+    assert (stream.length, stream.result) == (3, sibling)
 
 
-def test_round_points_survive_a_changed_copied_set(monkeypatch):
-    # the extension loads a fresh-valued address f' in round 0, so round 1
-    # has copied {64, d', f'} where the prefix's round 1 had {64, d'}; that
-    # run loaded only 64 and 512 before its point, so it still serves
-    _, stored, _, _ = _boost_from(monkeypatch, CHAIN_PREFIX, CHAIN_BASE, SiblingStream())
-    assert sorted(stored.rounds) == [0, 1] and stored.rounds[1][2] == {64, 512}
+def test_a_new_load_derives_other_bytes():
+    # an extension that loads an address the base did not (R0 = 63 reads the
+    # word at 56) copies the base's bytes there over the fresh ones
+    stream = SiblingStream()
+    held = _boost_on(CHAIN_PREFIX, CHAIN_BASE, stream)
     p = CHAIN_PREFIX.append(parse_program("SBB R1, [BASE+R0]").instrs[0])
-    into, resumed, steps, plain_steps = _check_round_points(monkeypatch, p, CHAIN_BASE, stored)
-    assert into[1][0] != stored.rounds[1][0]
-    assert not (into[1][0] ^ stored.rounds[1][0]) & stored.rounds[1][2]
-    assert resumed[:2] == [0, 1]
-    assert steps < plain_steps
+    assert _loads(contract_trace(p, CHAIN_BASE, CT_SEQ)) == {64, 512, 56}
+    sibling = _boost_on(p, CHAIN_BASE, stream)
+    fresh = Xorshift64Star(CHAIN_SEED).next_bytes(SANDBOX_SIZE)
+    assert held.mem[56:64] == fresh[56:64] != bytes(8) == sibling.mem[56:64]
+    assert sibling.mem[:56] + sibling.mem[64:] == held.mem[:56] + held.mem[64:]
+    assert (stream.length, stream.result) == (3, sibling)
 
 
-def test_round_points_whose_loads_were_copied_since_are_not_used(monkeypatch):
-    # the extension loads 512 itself in round 0, so round 1 has the base's
-    # bytes at 512, which the prefix's round-1 run read fresh: that point
-    # must not serve, and a poisoned stand-in shows it is never touched
-    _, stored, _, _ = _boost_from(monkeypatch, CHAIN_PREFIX, CHAIN_BASE, SiblingStream())
-    p = Program(CHAIN_PREFIX.instrs + parse_program("SBB R2, [BASE+R1]\nSBB R1, [BASE+R0]").instrs)
-    into, resumed, _, _ = _check_round_points(monkeypatch, p, CHAIN_BASE, stored)
-    assert 512 in (into[1][0] ^ stored.rounds[1][0]) & stored.rounds[1][2]
-    assert resumed[:1] == [0] and 1 not in resumed
-    (copied0, _, loads0), (copied1, _, loads1) = stored.rounds[0], stored.rounds[1]
-    poisoned = _copy(stored, {1: (copied1, _Poisoned(), loads1)})
-    assert _check_round_points(monkeypatch, p, CHAIN_BASE, poisoned)[0] == into
-    # the round-0 point is used: poisoning it too fails
-    poisoned = _copy(poisoned, {0: (copied0, _Poisoned(), loads0)})
-    with pytest.raises(AssertionError, match="another program or setting"):
-        _boost_from(monkeypatch, p, CHAIN_BASE, poisoned)
-
-
-def test_round_points_with_a_coincidence_cell(monkeypatch):
+def test_boost_with_a_coincidence_cell():
     # the base's word at 64 equals the generator's there, so 64 is loaded
-    # but never needed: fresh and copied bytes agree at it
+    # and copied without changing a byte: a program that loads only 64
+    # boosts to the stream's fresh bytes
     fresh = Xorshift64Star(CHAIN_SEED).next_bytes(SANDBOX_SIZE)
     mem = bytearray(CHAIN_BASE.mem)
     mem[64:72] = fresh[64:72]
     base = Input(r0=64, r1=512, r2=0, mem=bytes(mem))
-    # a program that loads only 64 agrees before any round is simulated
     one_load = Program(CHAIN_PREFIX.instrs[:1])
-    sibling, into, _, steps = _boost_from(monkeypatch, one_load, base, SiblingStream())
-    assert sibling.mem == fresh and into.rounds == {} and steps == 0
-    assert (into.length, into.result, into.steps) == (1, sibling, 0)
-    _, stored, _, _ = _boost_from(monkeypatch, CHAIN_PREFIX, base, SiblingStream())
-    p = CHAIN_PREFIX.append(parse_program("SBB R1, [BASE+R0]").instrs[0])
-    into, resumed, steps, plain_steps = _check_round_points(monkeypatch, p, base, stored)
-    assert resumed and steps < plain_steps
+    assert _boost_on(one_load, base).mem == fresh
+    # the chain then reads the fresh word's address, whose base bytes differ
+    sibling = _boost_on(CHAIN_PREFIX, base)
+    loads = _loads(contract_trace(CHAIN_PREFIX, base, CT_SEQ))
+    assert 64 in loads and sibling.mem != fresh
+    assert _is_simulated_fixpoint(CHAIN_PREFIX, base, sibling, CT_SEQ, 300, contract_trace(CHAIN_PREFIX, base, CT_SEQ))
 
 
-def test_neutral_suffix_carries_the_boost_result(monkeypatch):
-    # the prefix's rounds terminate within 2 steps: its result serves every
-    # extension by neutral instructions that fits the budget, without a run
-    _, stored, _, _ = _boost_from(monkeypatch, CHAIN_PREFIX, CHAIN_BASE, SiblingStream())
-    assert (stored.length, stored.steps) == (2, 2)
+def test_neutral_suffix_carries_the_boost_result():
+    # the prefix's sibling serves every extension by neutral instructions as
+    # the same object, without reading the base's trace
+    stream = SiblingStream()
+    held = _boost_on(CHAIN_PREFIX, CHAIN_BASE, stream)
     neutral = Program(CHAIN_PREFIX.instrs + parse_program("SBB R1, R2\nJNS +2\nJMP +1").instrs)
-    sibling, into, resumed, steps = _boost_from(monkeypatch, neutral, CHAIN_BASE, stored)
-    assert sibling == stored.result and steps == 0 and resumed == []
-    assert (into.length, into.steps) == (2, 2)
-    # after a backward branch or a memory operand the rounds run again
+    trace = _ReadCountingTrace(contract_trace(neutral, CHAIN_BASE, CT_SEQ, 300))
+    reads = _ReadCountingTrace.reads
+    assert _boost_on(neutral, CHAIN_BASE, stream, trace) is held
+    assert _ReadCountingTrace.reads == reads and (stream.length, stream.result) == (2, held)
+    assert held == _boost_on(neutral, CHAIN_BASE)
+    # after a backward branch or a memory operand the sibling is derived afresh
     for suffix in ("SBB R0, R2\nJNS -1", "SBB R1, [BASE+R1]", "SBB [BASE+R1], R1"):
         p = Program(CHAIN_PREFIX.instrs + parse_program(suffix).instrs)
-        assert _boost_from(monkeypatch, p, CHAIN_BASE, stored)[3] > 0, suffix
+        into = SiblingStream()
+        into.length, into.result = stream.length, held
+        sibling = _boost_on(p, CHAIN_BASE, into)
+        assert sibling is not held and (into.length, into.result) == (len(p), sibling), suffix
+        assert sibling == _boost_on(p, CHAIN_BASE), suffix

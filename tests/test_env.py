@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaklab.arch import ContractMode, ContractSpec
-from leaklab.detect import BOOST_ROUNDS, SiblingStream
+from leaklab.detect import SiblingStream
 from leaklab.env import (
     NO_ACTION,
     EnvConfig,
@@ -156,15 +156,12 @@ def test_guarded_growth():
 def _points(env):
     """Every resume point `env` holds, with the name of its store: observe's
     entries are an input's (TracePoint, HwPoint); boosting's are one
-    SiblingStream per sibling stream, with round points keyed by round,
-    each the middle of a (copied, point, loads) triple, and its held
-    result's HwPoint once that result has run."""
+    SiblingStream per sibling stream, with its held sibling's HwPoint once
+    that sibling has run."""
     for arch, hw in env._resume.entries.values():
         yield "observe", arch
         yield "observe", hw
     for stream in env._sibling_resume.entries.values():
-        for _, point, _ in stream.rounds.values():
-            yield "siblings", point
         if stream.hw_point is not None:
             yield "siblings", stream.hw_point
 
@@ -188,9 +185,8 @@ def test_resume_points_hold_no_memory():
 
 def test_sibling_store_holds_one_entry_per_stream():
     # the store is updated in place: after every step each sibling stream
-    # holds one SiblingStream, with at most BOOST_ROUNDS round points and a
-    # result derived on a prefix of the program, with that result's HwPoint
-    # and probe vector
+    # holds one SiblingStream, with a sibling derived on a prefix of the
+    # program, and that sibling's HwPoint and probe vector
     cfg = EnvConfig(max_len=16, input_seed=5, num_inputs=4, boosts_per_input=3)
     env = LeakEnv(cfg)
     streams = {(i, j) for i in range(cfg.num_inputs) for j in range(1, cfg.boosts_per_input + 1)}
@@ -206,7 +202,6 @@ def test_sibling_store_holds_one_entry_per_stream():
             assert set(store.entries) <= streams
             for entry in store.entries.values():
                 assert isinstance(entry, SiblingStream)
-                assert set(entry.rounds) <= set(range(BOOST_ROUNDS))
                 assert entry.length is None or entry.length <= len(store.program)
                 if entry.result is not None:
                     assert isinstance(entry.hw_point, HwPoint) and isinstance(entry.htrace, int)
