@@ -124,13 +124,13 @@ class ViolationReport:
 class SiblingStream:
     """One sibling stream's live entry in a `detect_violation` store: the
     last sibling `boost_input` derived and the length of the program it was
-    derived on (`length` is None until some call derives one), and the
-    HwPoint and probe vector of that sibling's `hw_run` on that length."""
+    derived on (`length` is None until some call derives one), and that
+    sibling's probe vector on that length."""
 
-    __slots__ = ("length", "result", "hw_point", "htrace")
+    __slots__ = ("length", "result", "htrace")
 
     def __init__(self):
-        self.length = self.result = self.hw_point = self.htrace = None
+        self.length = self.result = self.htrace = None
 
 
 def boost_input(
@@ -141,6 +141,7 @@ def boost_input(
     budget: int = DEFAULT_STEP_BUDGET,
     base_trace: tuple | None = None,
     stream: SiblingStream | None = None,
+    loads: Callable[[], set] | None = None,
 ) -> Input:
     """Derive a contract-equivalent sibling of `base` for `p`.
 
@@ -159,12 +160,15 @@ def boost_input(
 
     `rng` is the stream's generator, or a function of no arguments that
     builds it, called only when a sibling is derived. `base_trace`, when
-    given, must be the base's contract trace of `p`.
+    given, must be the base's contract trace of `p`. `loads`, when given,
+    is a function of no arguments that returns the set of addresses that
+    trace loads, called only when a sibling is derived; then `base_trace`
+    is not read.
 
     `stream`, when given, holds what an earlier call derived for the same
     base and a generator of the same seed on a prefix Q of `p`, and this
-    call replaces it with the sibling it derives (its HwPoint and probe
-    vector are `detect_violation`'s to keep). An instruction is neutral if
+    call replaces it with the sibling it derives (its probe vector is
+    `detect_violation`'s to keep). An instruction is neutral if
     it is an ALU instruction without a memory operand or a branch with a
     positive displacement. When every instruction of `p` from len(Q) on is
     neutral, the call returns the held sibling object itself, without
@@ -179,14 +183,18 @@ def boost_input(
     """
     if stream is not None and stream.length is not None and _neutral_from(p, stream.length):
         return stream.result
-    if base_trace is None:
-        base_trace = contract_trace(p, base, contract, budget)
-        if base_trace is REJECTED:
-            raise ValueError("boost_input requires a terminating base input")
+    if loads is None:
+        if base_trace is None:
+            base_trace = contract_trace(p, base, contract, budget)
+            if base_trace is REJECTED:
+                raise ValueError("boost_input requires a terminating base input")
+        addrs = _load_set(base_trace)
+    else:
+        addrs = loads()
     if callable(rng):
         rng = rng()
     mem = bytearray(rng.next_bytes(SANDBOX_SIZE))
-    for addr in _load_set(base_trace):
+    for addr in addrs:
         mem[addr : addr + 8] = base.mem[addr : addr + 8]
     sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
     if stream is not None:
@@ -209,6 +217,19 @@ def _neutral_from(p: Program, length: int) -> bool:
 def _load_set(trace: tuple) -> set:
     """Every address that `trace` loads."""
     return {obs[1] for obs in trace if obs[0] == OBS_LOAD}
+
+
+def _lazy_load_set(trace: tuple) -> Callable[[], set]:
+    """A function of no arguments that returns `_load_set(trace)`, built on
+    its first call."""
+    held = []
+
+    def loads() -> set:
+        if not held:
+            held.append(_load_set(trace))
+        return held[0]
+
+    return loads
 
 
 def _filter_tier(observations: list[InputObservation]) -> str:
@@ -246,8 +267,8 @@ def detect_violation(
 
     `observations`, when given, must be what `observe(p, inputs, contract,
     cfg, budget)` returns for an accepted program, one per input: boosting
-    takes the base inputs' contract traces from it. REJECTED or a list of
-    another length raises ConfigError.
+    takes the base inputs' contract traces and chain points from it.
+    REJECTED or a list of another length raises ConfigError.
 
     The default mode gates on observability: when no base input shows an
     observable transient cache footprint, boosting is skipped and None
@@ -259,43 +280,45 @@ def detect_violation(
     miss a violation. `exhaustive=True` disables that gate and always runs
     the full class construction; it exists as a test oracle.
 
-    `resume`, when given, lets boosting reuse its sibling runs. Its
+    A sibling's probe vector comes from its base's observation, never from
+    a run from the reset. The sibling has the base's registers and the
+    base's bytes at every address the base's contract trace loads, so (see
+    `hw_run`) its hardware run equals the base's, except in memory, up to
+    the base's first mispredicted chain window. With no chain
+    (`base_obs.chain` is None) the sibling's probe vector is the base's;
+    otherwise it is that of the sibling's `hw_run` resumed from the chain
+    point. That run terminates, since it commits the base's path, which
+    terminates within `budget`.
+
+    `resume`, when given, keeps boosting's results across calls. Its
     entries map each sibling stream (i, j), input index and sibling index,
     to the stream's SiblingStream (see `boost_input`), which a call that
     boosts updates in place. When `boost_input` returns the held sibling
-    object itself, detection takes the held probe vector; a sibling it
-    derived afresh with the held sibling's bytes resumes its `hw_run` from
-    the held HwPoint, and any other sibling runs from the reset. A later
-    call on an extension of `p` with equal inputs, contract, `cfg`,
-    `budget` and `seed` gets the same result as without the store, since:
+    object itself, detection takes the held probe vector. A later call on
+    an extension of `p` with equal inputs, contract, `cfg`, `budget` and
+    `seed` gets the same result as without the store, since:
     - an entry that survives from an earlier boosted call was derived on a
       prefix of the store's program, which each call extends or `usable`
       hands out an empty dict, so on a prefix of `p`; the carry rule holds
-      there (see `boost_input`, `contract_trace` and `hw_run`);
-    - a sibling is fixed by base i's registers, stream (i, j)'s seed and
-      its bytes, so equal bytes mean an identical input, and the held
-      HwPoint and probe vector are those of the held sibling's `hw_run` on
-      the program of length `length` it was derived on;
-    - the neutral-suffix argument of `boost_input` holds for `hw_run` too,
-      so a carried sibling's probe vector is carried with it. Let p = Q + S,
-      with Q the held sibling's program and S neutral. Every path of the
-      run of p, the committed path and each mispredicted window, agrees
-      with Q's until it first moves to a pc >= len(Q). From there it moves
-      only forward through S and never returns into Q, and S touches no
-      memory: a window that reaches S, or opens at a branch in S, runs
-      forward and stops at p's end or at the next conditional branch. So
-      the committed and the transient cache bits are Q's. A branch in S
-      may share a predictor entry (pc mod 64) with a branch in Q, but
-      nothing in Q runs once the committed path has left it. Only the pc,
-      `br_misses` and `tran_uops` can differ, and detection reads the
-      probe vector alone. The carried sibling is contract-equivalent to
-      the base on p, which terminates within `budget`, and `hw_run`
-      commits exactly the contract path's steps, so the run of p
-      terminates too;
+      there (see `boost_input` and `contract_trace`);
+    - the held probe vector is the held sibling's on the program of length
+      `length` it was derived on, and the neutral-suffix argument of
+      `boost_input` holds for `hw_run` too, so a carried sibling's probe
+      vector is carried with it. Let p = Q + S, with Q the held sibling's
+      program and S neutral. Every path of the run of p, the committed
+      path and each mispredicted window, agrees with Q's until it first
+      moves to a pc >= len(Q). From there it moves only forward through S
+      and never returns into Q, and S touches no memory: a window that
+      reaches S, or opens at a branch in S, runs forward and stops at p's
+      end or at the next conditional branch. So the committed and the
+      transient cache bits are Q's. A branch in S may share a predictor
+      entry (pc mod 64) with a branch in Q, but nothing in Q runs once the
+      committed path has left it. Only the pc, `br_misses` and `tran_uops`
+      can differ, and detection reads the probe vector alone;
     - each stream holds one SiblingStream, and no call builds a second
       store.
-    Like every point, these hold no memory: their memory is the write log
-    of the committed path's stores, over the sibling's bytes.
+    Each base's load set is built at most once per call, for all its
+    streams, and only if one of them derives a sibling.
     """
     if not inputs:
         raise ConfigError("detect_violation needs at least one input")
@@ -345,28 +368,25 @@ def detect_violation(
         setting = (list(inputs), contract, cfg, budget, seed)
         streams = resume.usable(p, setting)
         resume.keep(p, setting, streams)
-    stream = held = hw_points = None
+    stream = held = None
     for i, (base, base_obs) in enumerate(zip(inputs, observations)):
         first = classes[base_obs.ctrace][0]
+        loads = _lazy_load_set(base_obs.ctrace)
         for j in range(1, boosts_per_input + 1):
             rng = partial(_stream_generator, seed, (i << 8) | j)
             if resume is not None:
                 stream = streams.setdefault((i, j), SiblingStream())
-                held, hw_points = stream.result, []
-            sibling = boost_input(p, base, contract, rng, budget, base_obs.ctrace, stream)
+                held = stream.result
+            sibling = boost_input(p, base, contract, rng, budget, stream=stream, loads=loads)
             if sibling is held:
                 htrace = stream.htrace
             else:
-                same = held is not None and held.mem == sibling.mem
-                hw = hw_run(p, sibling, cfg, budget, stream.hw_point if same else None, hw_points)
-                if hw is REJECTED:
-                    # cannot happen for a verified sibling, but stay safe:
-                    # drop the entry, whose result now has no probe vector
-                    streams.pop((i, j), None)
-                    continue
-                htrace = hw.htrace
-                if hw_points:
-                    stream.hw_point, stream.htrace = hw_points[0], htrace
+                if base_obs.chain is None:
+                    htrace = base_obs.htrace
+                else:
+                    htrace = hw_run(p, sibling, cfg, budget, base_obs.chain).htrace
+                if stream is not None:
+                    stream.htrace = htrace
             if htrace != first[1]:
                 return report_from(first, (sibling, htrace))
     return None

@@ -5,12 +5,12 @@ appends the chosen action, measures the candidate on a fixed input set (both
 simulators, from a microarchitectural reset per input, resumed from where
 the current program's runs reached its end), throws the instruction away if
 any input fails the termination guard, and otherwise runs leak detection.
-Detection keeps one entry per sibling stream, its last boosted sibling: a
-sibling derived with the same bytes resumes its hardware run from where the
-held one's reached the end of the last program that was boosted, and the
-held sibling carries over with its probe vector when every instruction
-appended since is neutral (an ALU instruction without a memory operand, or a
-forward branch).
+A boosted sibling takes its base's probe vector when the base's hardware run
+has no chain window, and otherwise runs from the base's chain point (see
+`uarch.hw_run`), never from the reset. Detection keeps one entry per sibling
+stream, its last boosted sibling and that sibling's probe vector, which
+carry over when every instruction appended since is neutral (an ALU
+instruction without a memory operand, or a forward branch).
 Rewards are tiered: a detected leak, then observable misspeculation, then
 unobservable misspeculation, then no misspeculation at all, plus a small
 per-step cost.
@@ -126,7 +126,7 @@ class LeakEnv:
         self._detect_seed = mix64(config.input_seed ^ 0xDE7EC7)
         self.program = Program()
         # where the current program's runs can be resumed for a candidate,
-        # and where the last boosted program's sibling runs can
+        # and the last boosted program's sibling streams
         self._resume = ResumePoints()
         self._sibling_resume = ResumePoints()
         self._done = True

@@ -31,6 +31,7 @@ from .arch import (
     OBS_PC,
     REJECTED,
     ArchState,
+    ContractMode,
     ContractSpec,
     Input,
     Rejected,
@@ -39,7 +40,7 @@ from .arch import (
     step_instruction,
 )
 from .errors import ConfigError
-from .isa import KIND_JMP, KIND_JNS, Program
+from .isa import KIND_JMP, KIND_JNS, KIND_SBB, MEM_DST, MEM_NONE, MEM_SRC, Program
 
 __all__ = [
     "PHT_SIZE",
@@ -61,6 +62,9 @@ __all__ = [
 PHT_SIZE = 64
 CACHE_SETS = 64
 LINE_BYTES = 64
+# hw_run reads this on every call; a global is faster to look up than an
+# enum member
+_CT_COND = ContractMode.CT_COND
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,8 @@ class HwResult:
     # Probe vector induced by committed accesses alone; equals the HTrace a
     # window=0 run would produce (transient accesses excluded).
     committed_htrace: int
+    # Where the run's first chain window opens (see `hw_run`), or None.
+    chain: HwPoint | None = None
 
 
 def _access_bits(obs) -> int:
@@ -110,10 +116,12 @@ def _access_bits(obs) -> int:
 
 
 class HwPoint(NamedTuple):
-    """Where a terminating `hw_run` of a program P can be resumed for any
-    program that extends P: the run's full state at the start of the first
-    committed step in which some path moved to a pc >= len(P) (see
-    `hw_run`). Its state holds no memory (see `ArchState`)."""
+    """The full state of an `hw_run` at the start of a committed step: where
+    a terminating run of a program P can be resumed for any program that
+    extends P (the first committed step in which some path moved to a pc >=
+    len(P)), or where its first chain window opens (see `hw_run`). `chain`
+    is the chain point of the run before this point, or None. Its state
+    holds no memory (see `ArchState`)."""
 
     state: ArchState
     pht: list
@@ -122,6 +130,40 @@ class HwPoint(NamedTuple):
     committed: int
     transient: int
     br_misses: int
+    chain: HwPoint | None = None
+
+
+def _is_chain(instrs, pc: int, ran: int, covered: int, n: int) -> bool:
+    """Whether the window of `ran` instructions from `pc` is a chain: some
+    access's address register is tainted. A load at window offset >=
+    `covered` taints its result, and an ALU result is tainted iff a source
+    is (CF too, for SBB); BASE is never written, so never tainted. A stored
+    value needs no taint: one stored before offset `covered` is untainted,
+    and a load that reads back one stored later taints its result anyway."""
+    tainted = 0  # bit r: register r; bit 4: CF
+    for k in range(ran):
+        kind, dst, src, mem, disp = instrs[pc].decoded
+        if kind == KIND_JMP:
+            pc = min(max(pc + disp, 0), n)
+            continue
+        pc += 1
+        if mem == MEM_SRC:
+            if tainted >> src & 1:
+                return True
+            t = k >= covered or tainted >> dst & 1
+        elif mem == MEM_DST:
+            if tainted >> dst & 1:
+                return True
+            t = k >= covered or tainted >> src & 1
+        else:
+            t = (tainted >> dst | tainted >> src) & 1
+        if kind == KIND_SBB and tainted & 16:
+            t = True
+        if t:
+            tainted |= 16 if mem == MEM_DST else 16 | 1 << dst
+        else:
+            tainted &= ~16 if mem == MEM_DST else ~(16 | 1 << dst)
+    return False
 
 
 def hw_run(
@@ -131,6 +173,7 @@ def hw_run(
     budget: int = DEFAULT_STEP_BUDGET,
     resume: HwPoint | None = None,
     capture: list | None = None,
+    contract: ContractSpec | None = None,
 ):
     """Run `p` on the speculative hardware model.
 
@@ -153,20 +196,43 @@ def hw_run(
     budget at resolution (c0 + k > budget) iff one of them meets it on issue
     (c0 + i >= budget for some i < k).
 
+    `contract`, when given, makes the result's `chain` the HwPoint at the
+    start of the committed step of the first branch whose mispredicted
+    window is a chain under that contract, or None if no window is. Let
+    `covered` be 0 under CT_SEQ and `spec_depth` under CT_COND. A window is
+    a chain when some access's address register is tainted, where a load at
+    window offset >= `covered` taints its result and the flags, and an ALU
+    result is tainted iff a source is (or CF is, for SBB). A window's
+    instructions are fixed by its start, since a JNS ends it and JMP targets
+    are static, so this is a property of the instructions alone. It matters
+    for a boosted sibling: an input with the run's registers and its bytes
+    at every address the contract trace of the run's input loads. Both runs
+    commit the same path, update the predictor alike and open the same
+    windows from equal registers and an equal write log. Inside a window a
+    value can differ only if a load at offset >= `covered` produced it: the
+    first `covered` instructions are those of the CT_COND explored path from
+    the same state, whose loads boosting copied. So up to the chain point
+    the sibling's run equals this one except in memory, and from there it
+    is the sibling's `hw_run` resumed from that point; with no chain, the
+    two runs have the same probe vector.
+
     `capture`, when given, is a list to which the run's HwPoint is appended
     if the run terminates; `resume`, when given, is an HwPoint that such a
-    run of a prefix of `p` captured, and the run continues from there
-    instead of from the reset with `inp`. Resuming is exact. The runs of P
-    and of P + Q agree step for step until some path (the committed path or
-    a mispredicted window) first moves to a pc >= len(P): before that every
-    instruction fetched lies in P, and every clamped branch target below
-    len(P) is the same for both lengths. The point is the full state at the
-    start of that committed step, and no window is open there. A
-    conditional branch's point is taken before it runs, as its window is
-    known only afterwards; a JMP's is recovered afterwards, since it changes
-    only the pc; an ALU instruction at len(P) - 1 gives the state after it,
-    which P + Q reaches too. A branch whose raw target exceeds len(P) is
-    resumed from before it, because P + Q clamps that target differently.
+    run of a prefix of `p` captured, or a chain point, and the run continues
+    from there instead of from the reset with `inp`. Resuming is exact. The
+    runs of P and of P + Q agree step for step until some path (the
+    committed path or a mispredicted window) first moves to a pc >= len(P):
+    before that every instruction fetched lies in P, and every clamped
+    branch target below len(P) is the same for both lengths. The point is
+    the full state at the start of that committed step, and no window is
+    open there. A conditional branch's point is taken before it runs, as
+    its window is known only afterwards; a JMP's is recovered afterwards,
+    since it changes only the pc; an ALU instruction at len(P) - 1 gives the
+    state after it, which P + Q reaches too. A branch whose raw target
+    exceeds len(P) is resumed from before it, because P + Q clamps that
+    target differently. The point keeps the chain point found before it; a
+    window from the point's step on, one that reaches len(P) included, is
+    checked again by the resumed run.
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
@@ -178,10 +244,17 @@ def hw_run(
         # bit s set iff cache set s holds a victim line, split by who evicted it
         committed_victim = transient_victim = 0
         committed = transient = br_misses = 0  # instructions retired / squashed, mispredictions
+        chain = None
     else:
-        state, pht, committed_victim, transient_victim, committed, transient, br_misses = resume
+        state, pht, committed_victim, transient_victim, committed, transient, br_misses, chain = resume
         state = state.copy(bytes(inp.mem))
         pht = pht[:]
+    search = False
+    if contract is not None and chain is None:
+        # the CT_COND explored path runs a window's first spec_depth
+        # instructions; a chain needs a tainting load and a later access
+        covered = contract.spec_depth if contract.mode is _CT_COND else 0
+        search = cfg.window > covered + 1
     point = instr = None
 
     while state.pc < n:
@@ -198,12 +271,16 @@ def hw_run(
             mispredicted = (pht[idx] >= 2) != taken
             if mispredicted:
                 squashed = []
-                issued, reached = excursion(instrs, state, pc + 1 if taken else target, cfg.window, n, KIND_JNS,
-                                            squashed)
+                opened = pc + 1 if taken else target
+                issued, reached = excursion(instrs, state, opened, cfg.window, n, KIND_JNS, squashed)
             if capture is not None and point is None and (nxt >= n or mispredicted and reached):
                 point = HwPoint(state.copy(None), pht[:], committed_victim, transient_victim,
-                                committed - 1, transient, br_misses)
+                                committed - 1, transient, br_misses, chain)
             if mispredicted:
+                if search and issued > covered + 1 and _is_chain(instrs, opened, issued, covered, n):
+                    chain = HwPoint(state.copy(None), pht[:], committed_victim, transient_victim,
+                                    committed - 1, transient, br_misses)
+                    search = False
                 br_misses += 1
                 transient += issued
                 transient_victim |= _access_bits(squashed)
@@ -220,27 +297,30 @@ def hw_run(
             if rewind:
                 start.pc = pc
             point = HwPoint(start, pht, committed_victim, transient_victim, committed - rewind, transient,
-                            br_misses)
+                            br_misses, chain)
         capture.append(point)
     return HwResult(
         htrace=committed_victim | transient_victim,
         counters=PerfCounters(br_misses, committed + transient, committed),
         final_state=state,
         committed_htrace=committed_victim,
+        chain=chain,
     )
 
 
 class InputObservation(NamedTuple):
     """Per-input observation bundle: probe vector, contract trace, branch
     misses, transient micro-op count, plus the committed-only probe vector
-    used for the observability check. A NamedTuple, as `observe` builds one
-    per input per env step."""
+    used for the observability check and the run's chain point under the
+    observed contract (see `hw_run`), from which boosting runs a sibling. A
+    NamedTuple, as `observe` builds one per input per env step."""
 
     htrace: int
     ctrace: tuple
     br_misses: int
     tran_uops: int
     committed_htrace: int
+    chain: HwPoint | None = None
 
 
 class ResumePoints:
@@ -313,11 +393,12 @@ def observe(
         ct = contract_trace(p, inp, contract, budget, arch_from, arch_points)
         if ct is REJECTED:
             return REJECTED
-        hw = hw_run(p, inp, cfg, budget, hw_from, hw_points)
+        hw = hw_run(p, inp, cfg, budget, hw_from, hw_points, contract)
         if hw is REJECTED:
             return REJECTED
         counters = hw.counters
-        out.append(InputObservation(hw.htrace, ct, counters.br_misses, counters.tran_uops, hw.committed_htrace))
+        out.append(InputObservation(hw.htrace, ct, counters.br_misses, counters.tran_uops, hw.committed_htrace,
+                                    hw.chain))
     if resume is not None:
         resume.keep(p, setting, dict(enumerate(zip(arch_points, hw_points))))
     return out

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leaklab.arch import (
@@ -487,6 +487,51 @@ def _check_resumed_detection(steps, inputs, contract, cfg, budget, seed, boosts,
     return boosted
 
 
+# A chain window whose first tainting load sits at offset 1: counted from
+# offset `spec_depth` on under CT-COND:1, it must not be missed.
+DEPTH_ONE_CHAIN = parse_program("SBB R2, R2\nJNS +3\nSBB R1, R1\nSBB R1, [BASE+R0]\nSBB R2, [BASE+R1]")
+
+
+@settings(max_examples=200, deadline=None)
+@example(instrs=GATE_GAP.instrs, contract=CT_SEQ, window=8, regs=[8, 16, 0] * 2, seed=3)
+@example(instrs=DEPTH_ONE_CHAIN.instrs, contract=ContractSpec(ContractMode.CT_COND, 1), window=8,
+         regs=[8, 16, 0] * 2, seed=3)
+@given(
+    instrs=st.lists(st.sampled_from(CHAIN_MENU.actions), min_size=1, max_size=16),
+    contract=st.sampled_from([CT_SEQ] + [ContractSpec(ContractMode.CT_COND, d) for d in range(1, 9)]),
+    window=st.integers(1, 8),
+    regs=st.lists(st.integers(0, SANDBOX_SIZE - 1), min_size=6, max_size=6),
+    seed=st.integers(0, (1 << 64) - 1),
+)
+def test_sibling_runs_follow_the_chain_rule(instrs, contract, window, regs, seed):
+    # grow a CHAIN_MENU program as LeakEnv does; on every step, for every
+    # base, on its fresh and its resumed observation, each boosted sibling's
+    # hw_run from the reset has the base's probe vector when the base's run
+    # has no chain, and otherwise equals the sibling's run resumed from the
+    # chain point. Zeroed bases (GATE_GAP_INPUTS' shape) keep SF clear, so
+    # their branches are taken and mispredicted, and their siblings read
+    # random words wherever the base's trace loads nothing.
+    inputs = [make_input(*regs[k : k + 3]) for k in (0, 3)] + [input_from_seed(seed)]
+    cfg = SpecConfig(window=window)
+    resume, p = ResumePoints(), Program()
+    assert observe(p, inputs, contract, cfg, 300, resume=resume) is not REJECTED
+    for instr in instrs:
+        p = p.append(instr)
+        resumed = observe(p, inputs, contract, cfg, 300, resume=resume)
+        fresh = observe(p, inputs, contract, cfg, 300)
+        assert resumed == fresh
+        for records in (fresh, resumed):
+            for i, (base, o) in enumerate(zip(inputs, records)):
+                for j in (1, 2):
+                    rng = Xorshift64Star(stream_seed(seed, (i << 8) | j))
+                    sibling = boost_input(p, base, contract, rng, 300, o.ctrace)
+                    run = hw_run(p, sibling, cfg, 300)
+                    if o.chain is None:
+                        assert run.htrace == o.htrace, render_program(p)
+                    else:
+                        assert hw_run(p, sibling, cfg, 300, o.chain) == run, render_program(p)
+
+
 # Neutral instructions (ALU without a memory operand, forward branches)
 # mixed with loads, a read-modify-write and a backward branch, so that a
 # result is often carried across neutral suffixes and often is not.
@@ -615,19 +660,19 @@ class _Poisoned:
 
 
 def _poison(store: ResumePoints) -> int:
-    """Replace every held sibling, held HwPoint and held probe vector in
-    `store` by a _Poisoned one, keeping each held sibling's length; returns
-    how many HwPoints."""
-    points = 0
+    """Replace every held sibling and held probe vector in `store` by a
+    _Poisoned one, keeping each held sibling's length; returns how many
+    siblings."""
+    held = 0
     for stream in store.entries.values():
-        points += stream.hw_point is not None
-        stream.result, stream.hw_point, stream.htrace = _Poisoned(), _Poisoned(), _Poisoned()
-    return points
+        held += stream.result is not None
+        stream.result, stream.htrace = _Poisoned(), _Poisoned()
+    return held
 
 
 def test_sibling_points_of_other_programs_or_settings_are_not_used():
-    # points of CHAIN on INPUTS (CT-SEQ, window 8, budget 300, seed 7)
-    # serve none of these calls
+    # siblings and probe vectors held for CHAIN on INPUTS (CT-SEQ, window 8,
+    # budget 300, seed 7) serve none of these calls
     chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
     longer = chain.append(parse_program("SBB R1, R2").instrs[0])
     inputs = generate_inputs(19, 3)
@@ -647,70 +692,82 @@ def test_sibling_points_of_other_programs_or_settings_are_not_used():
         kwargs = {**base, **change}
         assert detect_violation(p, case_inputs, resume=store, **kwargs) == detect_violation(p, case_inputs, **kwargs)
     # the same store does serve extensions of CHAIN with equal settings: a
-    # neutral one takes the held siblings, one with a load compares its
-    # siblings' bytes with the held ones
-    for extension in ("SBB R1, R2", "SBB R1, [BASE+R2]"):
-        store = ResumePoints()
-        detect_violation(chain, inputs, resume=store, **base)
-        _poison(store)
-        with pytest.raises(AssertionError, match="another program or setting"):
-            detect_violation(chain.append(parse_program(extension).instrs[0]), inputs, resume=store, **base)
+    # neutral one takes the held siblings and probe vectors; one with a load
+    # derives its siblings afresh and replaces what the streams hold
+    store = ResumePoints()
+    detect_violation(chain, inputs, resume=store, **base)
+    _poison(store)
+    with pytest.raises(AssertionError, match="another program or setting"):
+        detect_violation(longer, inputs, resume=store, **base)
+    load = chain.append(parse_program("SBB R1, [BASE+R2]").instrs[0])
+    assert detect_violation(load, inputs, resume=store, **base) == detect_violation(load, inputs, **base)
+    assert all(not isinstance(stream.htrace, _Poisoned) for stream in store.entries.values())
 
 
 def test_held_hw_points_serve_later_boosted_calls(monkeypatch):
-    # a fixed default-menu episode in which some sibling derived afresh has
-    # its stream's held bytes and resumes its hw_run from the HwPoint held
-    # since the last boosted call, and every call still equals the unstored
-    # one, sibling runs included
+    # a fixed CHAIN_MENU episode: every sibling hw_run detection makes
+    # resumes from its base observation's chain point, none from the reset;
+    # some of those points were found on an earlier step and held since in
+    # observe's HwPoints; and every call still equals the unstored one,
+    # sibling runs included
     from leaklab import detect
 
     rng = random.Random(8)
-    steps = [MENUS[0][rng.randrange(MENUS[0].size)] for _ in range(30)]
+    steps = [CHAIN_MENU[rng.randrange(CHAIN_MENU.size)] for _ in range(30)]
     inputs = generate_inputs(11, 6)
     kwargs = dict(boosts_per_input=2, seed=5, budget=300, exhaustive=True)
     used = []
     run = detect.hw_run
 
-    def recorded(p, inp, cfg, budget, resume=None, capture=None):
-        if resume is not None:
-            used.append(resume)
-        return run(p, inp, cfg, budget, resume, capture)
+    def recorded(*args):
+        used.append(args[4] if len(args) > 4 else None)
+        return run(*args)
 
     monkeypatch.setattr(detect, "hw_run", recorded)
-    store, p, held, resumed = ResumePoints(), Program(), [], 0
+    resume, store, p = ResumePoints(), ResumePoints(), Program()
+    held = []
+    chains = from_held = 0
     for step in steps:
         candidate = p.append(step)
-        if observe(candidate, inputs, CT_SEQ, SpecConfig(), 300) is REJECTED:
+        records = observe(candidate, inputs, CT_SEQ, SpecConfig(), 300, resume=resume)
+        if records is REJECTED:
             continue
         p = candidate
         used.clear()
-        _check_detection_call(p, inputs, CT_SEQ, SpecConfig(), store, **kwargs)
-        assert all(any(point is h for h in held) for point in used)
-        resumed += len(used)
-        held = [stream.hw_point for stream in store.entries.values()]
-    assert resumed > 0
+        _check_detection_call(p, inputs, CT_SEQ, SpecConfig(), store, observations=records, **kwargs)
+        assert all(any(point is o.chain for o in records) for point in used)
+        chains += len(used)
+        from_held += sum(any(point is h for h in held) for point in used)
+        held = [o.chain for o in records if o.chain is not None]
+    assert from_held > 0 and chains > from_held
 
 
-def test_held_hw_points_serve_only_equal_bytes():
-    # CHAIN's final siblings are those of both extensions: a neutral ALU op
-    # carries each held result with its probe vector and never touches the
-    # held HwPoint; a load of the address CHAIN's last load read derives the
-    # held bytes afresh, resumes from the held HwPoint and never reads the
-    # held probe vector. A sibling with other bytes uses neither.
-    chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
+# GATE_GAP's shape with the loaded value multiplied by R2 = 0 before it
+# addresses: the window is a chain by the taint rule, yet always loads 0, so
+# no sibling diverges.
+ZEROED_CHAIN = parse_program("SBB R2, R2\nJNS +3\nSBB R1, [BASE+R0]\nIMUL R1, R2\nSBB R0, [BASE+R1]")
+
+
+def test_held_probe_vectors_serve_only_carried_siblings():
+    # ZEROED_CHAIN's JNS opens a chain window on every input. A neutral ALU
+    # op appended carries each held sibling with its probe vector and runs
+    # nothing; a load appended derives every sibling afresh, runs it from
+    # its base's chain point and never reads the held probe vector, even
+    # when the held sibling has other bytes.
     inputs = generate_inputs(19, 3)
     kwargs = dict(contract=CT_SEQ, cfg=SpecConfig(), budget=300, seed=7, exhaustive=True)
+    assert all(o.chain is not None for o in observe(ZEROED_CHAIN, inputs))
 
-    def boosted_chain(poison):
+    def boosted(poison):
         store = ResumePoints()
-        assert detect_violation(chain, inputs, resume=store, **kwargs) is None
+        assert detect_violation(ZEROED_CHAIN, inputs, resume=store, **kwargs) is None
         assert all(stream.result is not None for stream in store.entries.values())
         for stream in store.entries.values():
             poison(stream)
         return store
 
-    def poison_point(stream):
-        stream.hw_point = _Poisoned()
+    def keep(stream):
+        pass
 
     def poison_probe(stream):
         stream.htrace = _Poisoned()
@@ -718,33 +775,43 @@ def test_held_hw_points_serve_only_equal_bytes():
     def other_bytes(stream):
         mem = stream.result.mem
         stream.result = dataclasses.replace(stream.result, mem=bytes([mem[0] ^ 1]) + mem[1:])
-        stream.hw_point, stream.htrace = _Poisoned(), _Poisoned()
+        stream.htrace = _Poisoned()
 
-    neutral = chain.append(parse_program("SBB R1, R2").instrs[0])
-    load = chain.append(parse_program("SBB R2, [BASE+R0]").instrs[0])
-    for p, poison in ((neutral, poison_point), (load, poison_probe), (load, other_bytes)):
-        result, _, runs = _detect_with_runs(p, inputs, resume=boosted_chain(poison), **kwargs)
+    neutral = ZEROED_CHAIN.append(parse_program("SBB R1, R2").instrs[0])
+    load = ZEROED_CHAIN.append(parse_program("SBB R2, [BASE+R1]").instrs[0])
+    for p, poison in ((neutral, keep), (load, poison_probe), (load, other_bytes)):
+        result, _, runs = _detect_with_runs(p, inputs, resume=boosted(poison), **kwargs)
         assert result == detect_violation(p, inputs, **kwargs), poison.__name__
-        assert (runs == []) == (p is neutral), poison.__name__
+        if p is neutral:
+            assert runs == [], poison.__name__
+        else:
+            assert any(name == "hw" for name, _, _ in runs), poison.__name__
     with pytest.raises(AssertionError, match="another program or setting"):
-        detect_violation(load, inputs, resume=boosted_chain(poison_point), **kwargs)
+        detect_violation(neutral, inputs, resume=boosted(poison_probe), **kwargs)
 
 
-def test_rejected_final_sibling_leaves_no_probe_vector(monkeypatch):
-    # hw_run cannot reject a verified sibling; if it did, the stream's entry
-    # must not hand a later carry the probe vector of another result
+def test_sibling_runs_from_the_chain_point_meet_the_budget(monkeypatch):
+    # GATE_GAP commits 3 instructions, the whole budget here: a sibling run
+    # resumed from the chain point commits the base's path and counts its
+    # instructions from the reset, so it terminates, and detection finds
+    # what it finds with budget to spare
     from leaklab import detect
 
-    chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
-    inputs = generate_inputs(19, 3)
-    kwargs = dict(contract=CT_SEQ, cfg=SpecConfig(), budget=300, seed=7, exhaustive=True)
-    store = ResumePoints()
-    with monkeypatch.context() as m:
-        m.setattr(detect, "hw_run", lambda *args: REJECTED)
-        assert detect_violation(chain, inputs, resume=store, **kwargs) is None
-    assert store.entries == {}
-    neutral = chain.append(parse_program("SBB R1, R2").instrs[0])
-    assert detect_violation(neutral, inputs, resume=store, **kwargs) == detect_violation(neutral, inputs, **kwargs)
+    runs = []
+    run = detect.hw_run
+
+    def recorded(*args):
+        result = run(*args)
+        runs.append(result)
+        return result
+
+    monkeypatch.setattr(detect, "hw_run", recorded)
+    assert observe(GATE_GAP, GATE_GAP_INPUTS, budget=2) is REJECTED
+    assert observe(GATE_GAP, GATE_GAP_INPUTS, budget=3)[0].chain is not None
+    report = detect_violation(GATE_GAP, GATE_GAP_INPUTS, seed=3, budget=3, exhaustive=True)
+    assert runs and all(result is not REJECTED for result in runs)
+    assert report == detect_violation(GATE_GAP, GATE_GAP_INPUTS, seed=3, exhaustive=True)
+    assert report.revalidate(budget=3)
 
 
 class _ReadCountingTrace(tuple):

@@ -16,7 +16,7 @@ from leaklab.env import (
 )
 from leaklab.errors import ConfigError
 from leaklab.isa import Instruction, Opcode, Program, Register, append_action, parse_program
-from leaklab.uarch import HwPoint, InputObservation, SpecConfig, observe
+from leaklab.uarch import InputObservation, SpecConfig, hw_run, observe
 
 # action ids in the default 40-action space
 SBB_R0_R0 = 0
@@ -155,22 +155,24 @@ def test_guarded_growth():
 
 def _points(env):
     """Every resume point `env` holds, with the name of its store: observe's
-    entries are an input's (TracePoint, HwPoint); boosting's are one
-    SiblingStream per sibling stream, with its held sibling's HwPoint once
-    that sibling has run."""
+    entries are an input's (TracePoint, HwPoint), and each HwPoint and each
+    record of the last observation may hold its run's chain point. The
+    sibling store holds no point."""
     for arch, hw in env._resume.entries.values():
         yield "observe", arch
         yield "observe", hw
-    for stream in env._sibling_resume.entries.values():
-        if stream.hw_point is not None:
-            yield "siblings", stream.hw_point
+        if hw.chain is not None:
+            yield "chain", hw.chain
+    for record in env._last_obs.records:
+        if record.chain is not None:
+            yield "chain", record.chain
 
 
 def test_resume_points_hold_no_memory():
     # a point holds the write log alone; a resumed run attaches its input
     env = LeakEnv(EnvConfig(max_len=16, input_seed=5))
     rng = np.random.default_rng(4)
-    seen = {"observe": 0, "siblings": 0}
+    seen = {"observe": 0, "chain": 0}
     for _ in range(6):
         env.reset(0)
         done = False
@@ -180,13 +182,13 @@ def test_resume_points_hold_no_memory():
             for name, point in _points(env):
                 assert point.state.mem is None
                 seen[name] += 1
-    assert seen["observe"] > 0 and seen["siblings"] > 0
+    assert seen["observe"] > 0 and seen["chain"] > 0
 
 
 def test_sibling_store_holds_one_entry_per_stream():
     # the store is updated in place: after every step each sibling stream
     # holds one SiblingStream, with a sibling derived on a prefix of the
-    # program, and that sibling's HwPoint and probe vector
+    # program and that sibling's probe vector there, and no resume point
     cfg = EnvConfig(max_len=16, input_seed=5, num_inputs=4, boosts_per_input=3)
     env = LeakEnv(cfg)
     streams = {(i, j) for i in range(cfg.num_inputs) for j in range(1, cfg.boosts_per_input + 1)}
@@ -204,8 +206,11 @@ def test_sibling_store_holds_one_entry_per_stream():
                 assert isinstance(entry, SiblingStream)
                 assert entry.length is None or entry.length <= len(store.program)
                 if entry.result is not None:
-                    assert isinstance(entry.hw_point, HwPoint) and isinstance(entry.htrace, int)
+                    held_on = Program(store.program.instrs[: entry.length])
+                    run = hw_run(held_on, entry.result, cfg.spec_config, cfg.step_budget)
+                    assert entry.htrace == run.htrace
                     boosted += 1
+    assert SiblingStream.__slots__ == ("length", "result", "htrace")
     assert boosted > 0
 
 
@@ -298,6 +303,7 @@ RECORDS = st.builds(
     br_misses=st.integers(0, 50),
     tran_uops=st.integers(0, 500),
     committed_htrace=st.just(0),
+    chain=st.none(),
 )
 
 
