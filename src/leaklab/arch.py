@@ -278,14 +278,13 @@ class TracePoint(NamedTuple):
     """Where a terminating `contract_trace` run of a program P can be resumed
     for any program that extends P: the run's state, trace and step count at
     the start of the first committed step in which some path moved to a pc
-    >= len(P) (see `contract_trace`), and the run's step count when it
-    terminated. Its state holds no memory (see `ArchState`). It holds
-    nothing of the cycle check, which a resumed run starts afresh."""
+    >= len(P) (see `contract_trace`). Its state holds no memory (see
+    `ArchState`). It holds nothing of the cycle check, which a resumed run
+    starts afresh."""
 
     state: ArchState
     trace: tuple
     steps: int
-    run_steps: int
 
 
 # No instruction has this kind: a CT_COND explored path stops only at its
@@ -319,8 +318,8 @@ def contract_trace(
     period after a run starts repeating it writes no new address, so from
     there on equal memory means equal logs.
 
-    `capture`, when given, is a list to which the run's TracePoint, with
-    the run's final step count, is appended if the run terminates;
+    `capture`, when given, is a list to which the run's TracePoint is
+    appended if the run terminates;
     `resume`, when given, is a TracePoint that such a run of a prefix of `p`
     captured, and the run starts there instead of at the reset state of
     `inp`. Resuming is exact. The runs of P and of P + Q agree step for
@@ -353,7 +352,7 @@ def contract_trace(
         trace: list = []
         steps = 0
     else:
-        state, trace, steps, _ = resume
+        state, trace, steps = resume
         state = state.copy(bytes(inp.mem))
         trace = list(trace)
     snapshot = None
@@ -394,7 +393,7 @@ def contract_trace(
                 state.pc = branch_pc
             state.mem = None
             point = (state, trace[: len(trace) - rewind], steps - rewind)
-        capture.append(TracePoint(*point, steps))
+        capture.append(TracePoint(*point))
     return trace
 
 

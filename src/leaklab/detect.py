@@ -28,7 +28,7 @@ from .arch import (
     stream_seed,
 )
 from .errors import ConfigError
-from .isa import MEM_NONE, Program, parse_program, render_program
+from .isa import Program, parse_program, render_program
 from .uarch import (
     CACHE_SETS,
     InputObservation,
@@ -123,14 +123,13 @@ class ViolationReport:
 
 class SiblingStream:
     """One sibling stream's live entry in a `detect_violation` store: the
-    last sibling `boost_input` derived and the length of the program it was
-    derived on (`length` is None until some call derives one), and that
-    sibling's probe vector on that length."""
+    last sibling `boost_input` derived and the size of the load set it was
+    derived with (`loaded` is None until some call derives one)."""
 
-    __slots__ = ("length", "result", "htrace")
+    __slots__ = ("loaded", "result")
 
     def __init__(self):
-        self.length = self.result = self.htrace = None
+        self.loaded = self.result = None
 
 
 def boost_input(
@@ -141,7 +140,7 @@ def boost_input(
     budget: int = DEFAULT_STEP_BUDGET,
     base_trace: tuple | None = None,
     stream: SiblingStream | None = None,
-    loads: Callable[[], set] | None = None,
+    loads: set | None = None,
 ) -> Input:
     """Derive a contract-equivalent sibling of `base` for `p`.
 
@@ -161,44 +160,34 @@ def boost_input(
     `rng` is the stream's generator, or a function of no arguments that
     builds it, called only when a sibling is derived. `base_trace`, when
     given, must be the base's contract trace of `p`. `loads`, when given,
-    is a function of no arguments that returns the set of addresses that
-    trace loads, called only when a sibling is derived; then `base_trace`
-    is not read.
+    must be the set of addresses that trace loads; then `base_trace` is
+    not read.
 
     `stream`, when given, holds what an earlier call derived for the same
-    base and a generator of the same seed on a prefix Q of `p`, and this
-    call replaces it with the sibling it derives (its probe vector is
-    `detect_violation`'s to keep). An instruction is neutral if
-    it is an ALU instruction without a memory operand or a branch with a
-    positive displacement. When every instruction of `p` from len(Q) on is
-    neutral, the call returns the held sibling object itself, without
-    reading `base_trace` or building the generator; it does not check that
-    the base terminates on `p`. The held sibling is the one the call would
-    derive, because the base's run of `p` loads exactly what its run of Q
-    did. Every path of it (the committed path, a CT_COND explored path)
-    agrees with the same run of Q until it first moves to a pc >= len(Q)
-    (see `contract_trace`). From there it only moves forward through the
-    suffix, since a neutral instruction falls through or jumps forward, and
-    never returns into Q; and the suffix reads and writes no memory.
+    base and a generator of the same seed on a prefix Q of `p`, under the
+    same contract and budget, and this call replaces it with the sibling it
+    derives. The base's run of `p` agrees with its run of Q until a path
+    first reaches len(Q), and Q's paths stop there (see `contract_trace`),
+    so every address Q's trace loads, `p`'s trace loads too. A load set of
+    the held size is therefore the held set, and the call returns the held
+    sibling object itself, without building the generator.
     """
-    if stream is not None and stream.length is not None and _neutral_from(p, stream.length):
-        return stream.result
     if loads is None:
         if base_trace is None:
             base_trace = contract_trace(p, base, contract, budget)
             if base_trace is REJECTED:
                 raise ValueError("boost_input requires a terminating base input")
-        addrs = _load_set(base_trace)
-    else:
-        addrs = loads()
+        loads = _load_set(base_trace)
+    if stream is not None and stream.loaded == len(loads):
+        return stream.result
     if callable(rng):
         rng = rng()
     mem = bytearray(rng.next_bytes(SANDBOX_SIZE))
-    for addr in addrs:
+    for addr in loads:
         mem[addr : addr + 8] = base.mem[addr : addr + 8]
     sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
     if stream is not None:
-        stream.length, stream.result = len(p), sibling
+        stream.loaded, stream.result = len(loads), sibling
     return sibling
 
 
@@ -207,29 +196,9 @@ def _stream_generator(seed: int, index: int) -> Xorshift64Star:
     return Xorshift64Star(stream_seed(seed, index))
 
 
-def _neutral_from(p: Program, length: int) -> bool:
-    """Whether every instruction of `p` from index `length` on is neutral:
-    an ALU instruction without a memory operand, or a forward branch. A
-    branch decodes with no memory operand, an ALU instruction with disp 0."""
-    return all(instr.decoded[3] == MEM_NONE and instr.decoded[4] >= 0 for instr in p.instrs[length:])
-
-
 def _load_set(trace: tuple) -> set:
     """Every address that `trace` loads."""
     return {obs[1] for obs in trace if obs[0] == OBS_LOAD}
-
-
-def _lazy_load_set(trace: tuple) -> Callable[[], set]:
-    """A function of no arguments that returns `_load_set(trace)`, built on
-    its first call."""
-    held = []
-
-    def loads() -> set:
-        if not held:
-            held.append(_load_set(trace))
-        return held[0]
-
-    return loads
 
 
 def _filter_tier(observations: list[InputObservation]) -> str:
@@ -293,32 +262,14 @@ def detect_violation(
     `resume`, when given, keeps boosting's results across calls. Its
     entries map each sibling stream (i, j), input index and sibling index,
     to the stream's SiblingStream (see `boost_input`), which a call that
-    boosts updates in place. When `boost_input` returns the held sibling
-    object itself, detection takes the held probe vector. A later call on
-    an extension of `p` with equal inputs, contract, `cfg`, `budget` and
-    `seed` gets the same result as without the store, since:
-    - an entry that survives from an earlier boosted call was derived on a
-      prefix of the store's program, which each call extends or `usable`
-      hands out an empty dict, so on a prefix of `p`; the carry rule holds
-      there (see `boost_input` and `contract_trace`);
-    - the held probe vector is the held sibling's on the program of length
-      `length` it was derived on, and the neutral-suffix argument of
-      `boost_input` holds for `hw_run` too, so a carried sibling's probe
-      vector is carried with it. Let p = Q + S, with Q the held sibling's
-      program and S neutral. Every path of the run of p, the committed
-      path and each mispredicted window, agrees with Q's until it first
-      moves to a pc >= len(Q). From there it moves only forward through S
-      and never returns into Q, and S touches no memory: a window that
-      reaches S, or opens at a branch in S, runs forward and stops at p's
-      end or at the next conditional branch. So the committed and the
-      transient cache bits are Q's. A branch in S may share a predictor
-      entry (pc mod 64) with a branch in Q, but nothing in Q runs once the
-      committed path has left it. Only the pc, `br_misses` and `tran_uops`
-      can differ, and detection reads the probe vector alone;
-    - each stream holds one SiblingStream, and no call builds a second
-      store.
-    Each base's load set is built at most once per call, for all its
-    streams, and only if one of them derives a sibling.
+    boosts updates in place. A later call on an extension of `p` with equal
+    inputs, contract, `cfg`, `budget` and `seed` gets the same result as
+    without the store: an entry that survives from an earlier boosted call
+    was derived on a prefix of the store's program, which each call extends
+    or `usable` hands out an empty dict, so on a prefix of `p`, where the
+    carry rule of `boost_input` holds; and every sibling's probe vector,
+    carried or derived, comes from the chain rule above. Each base's load
+    set is built once per call, for all its streams.
     """
     if not inputs:
         raise ConfigError("detect_violation needs at least one input")
@@ -368,25 +319,19 @@ def detect_violation(
         setting = (list(inputs), contract, cfg, budget, seed)
         streams = resume.usable(p, setting)
         resume.keep(p, setting, streams)
-    stream = held = None
+    stream = None
     for i, (base, base_obs) in enumerate(zip(inputs, observations)):
         first = classes[base_obs.ctrace][0]
-        loads = _lazy_load_set(base_obs.ctrace)
+        loads = _load_set(base_obs.ctrace)
         for j in range(1, boosts_per_input + 1):
             rng = partial(_stream_generator, seed, (i << 8) | j)
             if resume is not None:
                 stream = streams.setdefault((i, j), SiblingStream())
-                held = stream.result
             sibling = boost_input(p, base, contract, rng, budget, stream=stream, loads=loads)
-            if sibling is held:
-                htrace = stream.htrace
+            if base_obs.chain is None:
+                htrace = base_obs.htrace
             else:
-                if base_obs.chain is None:
-                    htrace = base_obs.htrace
-                else:
-                    htrace = hw_run(p, sibling, cfg, budget, base_obs.chain).htrace
-                if stream is not None:
-                    stream.htrace = htrace
+                htrace = hw_run(p, sibling, cfg, budget, base_obs.chain).htrace
             if htrace != first[1]:
                 return report_from(first, (sibling, htrace))
     return None

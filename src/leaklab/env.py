@@ -8,9 +8,8 @@ any input fails the termination guard, and otherwise runs leak detection.
 A boosted sibling takes its base's probe vector when the base's hardware run
 has no chain window, and otherwise runs from the base's chain point (see
 `uarch.hw_run`), never from the reset. Detection keeps one entry per sibling
-stream, its last boosted sibling and that sibling's probe vector, which
-carry over when every instruction appended since is neutral (an ALU
-instruction without a memory operand, or a forward branch).
+stream, its last boosted sibling, which carries over while its base's load
+set keeps the size it was derived with.
 Rewards are tiered: a detected leak, then observable misspeculation, then
 unobservable misspeculation, then no misspeculation at all, plus a small
 per-step cost.

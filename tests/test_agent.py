@@ -249,6 +249,30 @@ def test_random_search_reproducible():
     assert [ev.step for ev in log.leaks] == [257, 425]
 
 
+BOOSTED_WITNESS_SHA256 = {
+    146: "1925a2b70d74df7e9f9c0e5a4f8ef3050cfc0d97422cf4ed876743248a2932fa",
+    232: "8e4579b0b2f90e9eeab143d1c3f41a86b5afdc9a04a3aaa1e05390553f16440a",
+    235: "e275f48641348136446e826686d26a1991ffc876c9ffebe356becff272455b79",
+}
+
+
+def test_random_search_reports_pinned_boosted_witnesses():
+    # the default env's first leaks: at steps 146 and 232 the witness's
+    # second input is a boosted sibling (its seed is no base input's), at
+    # 235 both are base inputs. The report bytes pin the siblings' memory
+    # and the chain rule that gives their probe vectors; a chain check that
+    # never fires reports no leak in this run at all.
+    env = LeakEnv(EnvConfig())
+    log = random_search(env, budget=300, seed=0)
+    base_seeds = {inp.seed for inp in env.inputs}
+    steps = [ev.step for ev in log.leaks]
+    assert steps == sorted(BOOSTED_WITNESS_SHA256)
+    assert [ev.report.witness[1].seed in base_seeds for ev in log.leaks] == [False, False, True]
+    assert all(ev.report.witness[0].seed in base_seeds and ev.report.revalidate() for ev in log.leaks)
+    digests = {ev.step: hashlib.sha256(ev.report.to_json().encode()).hexdigest() for ev in log.leaks}
+    assert digests == BOOSTED_WITNESS_SHA256
+
+
 def _fixture_search():
     _, env_cfg = planted_fixture()
     return random_search(LeakEnv(env_cfg), budget=600, seed=1, horizon=64)

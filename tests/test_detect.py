@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -436,8 +435,9 @@ def _check_detection_call(p, inputs, contract, cfg, store, **kwargs):
     same call without it: equal results and equal boost_input results for
     every stream; every simulator call the stored call still made equals
     that call without the store (a wrong sibling can still give the same
-    report); and every final sibling's held probe vector, carried or not,
-    equals a fresh hw_run of it. Returns the stored call's simulator runs."""
+    report); and every stream the call boosted holds its sibling with the
+    size of the base's load set on `p`. Returns the stored call's simulator
+    runs."""
     resumed, resumed_boosts, resumed_runs = _detect_with_runs(p, inputs, contract, cfg, resume=store, **kwargs)
     fresh, fresh_boosts, fresh_runs = _detect_with_runs(p, inputs, contract, cfg, **kwargs)
     text = render_program(p)
@@ -451,8 +451,8 @@ def _check_detection_call(p, inputs, contract, cfg, store, **kwargs):
     boosts = kwargs["boosts_per_input"]
     for k, sibling in enumerate(resumed_boosts):
         stream = store.entries[k // boosts, k % boosts + 1]
-        assert stream.result is sibling and stream.length <= len(p), text
-        assert stream.htrace == hw_run(p, sibling, cfg, kwargs["budget"]).htrace, text
+        loads = _loads(contract_trace(p, inputs[k // boosts], contract, kwargs["budget"]))
+        assert stream.result is sibling and stream.loaded == len(loads), text
     return resumed_runs
 
 
@@ -532,10 +532,10 @@ def test_sibling_runs_follow_the_chain_rule(instrs, contract, window, regs, seed
                         assert hw_run(p, sibling, cfg, 300, o.chain) == run, render_program(p)
 
 
-# Neutral instructions (ALU without a memory operand, forward branches)
-# mixed with loads, a read-modify-write and a backward branch, so that a
-# result is often carried across neutral suffixes and often is not.
-NEUTRAL_MENU = build_action_space(ActionSpaceConfig(parse_program("""
+# Instructions that load nothing (ALU without a memory operand, branches)
+# mixed with loads and a read-modify-write, so that a base's load set often
+# keeps its size across appended instructions and often grows.
+MIXED_MENU = build_action_space(ActionSpaceConfig(parse_program("""
 SBB R0, R0
 SBB R1, R2
 IMUL R2, R0
@@ -550,7 +550,7 @@ JNS -2
 
 @settings(max_examples=150, deadline=None)
 @given(
-    menu=st.sampled_from(MENUS + [CHAIN_MENU, NEUTRAL_MENU]),
+    menu=st.sampled_from(MENUS + [CHAIN_MENU, MIXED_MENU]),
     picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=30),
     contract=st.sampled_from([CT_SEQ] + [ContractSpec(ContractMode.CT_COND, d) for d in range(1, 9)]),
     window=st.sampled_from([0, 1, 2, 3, 8]),
@@ -569,17 +569,16 @@ def test_resumed_siblings_match_from_scratch(menu, picks, contract, window, budg
 
 @settings(max_examples=40, deadline=None)
 @given(
-    picks=st.lists(st.integers(0, NEUTRAL_MENU.size - 1), min_size=70, max_size=110),
+    picks=st.lists(st.integers(0, MIXED_MENU.size - 1), min_size=70, max_size=110),
     contract=st.sampled_from([CT_SEQ, ContractSpec(ContractMode.CT_COND, 3)]),
     window=st.sampled_from([2, 8]),
     budget=st.sampled_from([300, 10_000]),
     seed=st.integers(0, (1 << 64) - 1),
 )
 def test_resumed_siblings_match_from_scratch_past_the_predictor(picks, contract, window, budget, seed):
-    # from 65 instructions on, a neutral branch appended to the program
-    # shares a predictor entry (pc mod 64) with a branch of the program it
-    # extends
-    steps = [NEUTRAL_MENU[k] for k in picks]
+    # from 65 instructions on, a branch appended to the program shares a
+    # predictor entry (pc mod 64) with a branch of the program it extends
+    steps = [MIXED_MENU[k] for k in picks]
     _check_resumed_detection(steps, generate_inputs(seed, 3), contract, SpecConfig(window=window), budget,
                              seed, 1, True, check_from=65)
 
@@ -614,10 +613,10 @@ EDGE_Q = "SBB R0, [BASE+R1]\nJNS +3\nSBB R2, [BASE+R2]\nSBB R0, R0"
     [(EDGE_Q, 2, "SBB R1, R1"), ("SBB R2, [BASE+R1]\nSBB R1, R0", 300, "JNS -2")],
     ids=["budget-edge", "backward-branch"],
 )
-def test_results_not_carried_past_the_budget_or_a_backward_branch(prefix, budget, suffix):
+def test_results_not_carried_past_the_budget_or_a_new_load(prefix, budget, suffix):
     # budget edge: the first SBB clears SF, so JNS +3 jumps to the end; the
     # bases run 2 steps on the prefix, the whole budget, and 3 after the
-    # neutral suffix, so the extension is rejected before any boost.
+    # suffix, so the extension is rejected before any boost.
     # Backward branch: on the second base JNS -2 returns to the first load
     # with R1 = 7, 6, ..., 0, which loads address 0 as well as 8, so a
     # carried result would lack the base's bytes at 0.
@@ -632,25 +631,27 @@ def test_results_not_carried_past_the_budget_or_a_backward_branch(prefix, budget
         assert resumed[:2] == fresh[:2], seed
 
 
-def test_neutral_suffix_carries_results_and_probe_vectors():
-    # CHAIN's extension by neutral instructions, a forward branch among
-    # them, boosts and measures nothing, and still equals the unstored call
+def test_unchanged_load_sets_carry_results():
+    # CHAIN's extension by a re-load of the address its second load reads
+    # and by instructions that load nothing, a forward branch among them,
+    # keeps every stream's sibling object and measures nothing (no base has
+    # a chain), and still equals the unstored call
     chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
     inputs = generate_inputs(19, 3)
     kwargs = dict(boosts_per_input=2, budget=300, seed=7, exhaustive=True)
     store = ResumePoints()
     assert detect_violation(chain, inputs, CT_SEQ, SpecConfig(), resume=store, **kwargs) is None
+    held = {key: stream.result for key, stream in store.entries.items()}
     p = chain
-    for line in ("SBB R1, R2", "JNS +2", "IMUL R0, R2", "JMP +1"):
+    for line in ("SBB R1, [BASE+R0]", "SBB R1, R2", "JNS +2", "IMUL R0, R2", "JMP +1"):
         p = p.append(parse_program(line).instrs[0])
         runs = _check_detection_call(p, inputs, CT_SEQ, SpecConfig(), store, **kwargs)
         assert runs == [], line
-    assert all(stream.length == len(chain) for stream in store.entries.values())
+    assert len(held) == 6 and all(store.entries[key].result is held[key] for key in held)
 
 
 class _Poisoned:
-    """A stand-in resume point, boost result or probe vector: any use of it
-    fails."""
+    """A stand-in resume point or boost result: any use of it fails."""
 
     def _fail(self, *args):
         raise AssertionError("a resume point of another program or setting was used")
@@ -660,19 +661,19 @@ class _Poisoned:
 
 
 def _poison(store: ResumePoints) -> int:
-    """Replace every held sibling and held probe vector in `store` by a
-    _Poisoned one, keeping each held sibling's length; returns how many
-    siblings."""
+    """Replace every held sibling in `store` by a _Poisoned one, keeping
+    each held sibling's load-set size; returns how many siblings."""
     held = 0
     for stream in store.entries.values():
         held += stream.result is not None
-        stream.result, stream.htrace = _Poisoned(), _Poisoned()
+        stream.result = _Poisoned()
     return held
 
 
 def test_sibling_points_of_other_programs_or_settings_are_not_used():
-    # siblings and probe vectors held for CHAIN on INPUTS (CT-SEQ, window 8,
-    # budget 300, seed 7) serve none of these calls
+    # siblings held for CHAIN on INPUTS (CT-SEQ, window 8, budget 300, seed
+    # 7) serve none of these calls: comparing a carried _Poisoned with the
+    # unstored call's sibling fails
     chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
     longer = chain.append(parse_program("SBB R1, R2").instrs[0])
     inputs = generate_inputs(19, 3)
@@ -690,18 +691,20 @@ def test_sibling_points_of_other_programs_or_settings_are_not_used():
         detect_violation(chain, inputs, resume=store, **base)
         assert _poison(store) > 0
         kwargs = {**base, **change}
-        assert detect_violation(p, case_inputs, resume=store, **kwargs) == detect_violation(p, case_inputs, **kwargs)
-    # the same store does serve extensions of CHAIN with equal settings: a
-    # neutral one takes the held siblings and probe vectors; one with a load
+        resumed = _detect_with_runs(p, case_inputs, resume=store, **kwargs)
+        assert resumed[:2] == _detect_with_runs(p, case_inputs, **kwargs)[:2]
+    # the same store does serve extensions of CHAIN with equal settings: one
+    # that loads nothing takes the held siblings; one with a new load
     # derives its siblings afresh and replaces what the streams hold
     store = ResumePoints()
     detect_violation(chain, inputs, resume=store, **base)
-    _poison(store)
-    with pytest.raises(AssertionError, match="another program or setting"):
-        detect_violation(longer, inputs, resume=store, **base)
+    held = _poison(store)
+    _, boosts, _ = _detect_with_runs(longer, inputs, resume=store, **base)
+    assert len(boosts) == held and all(isinstance(sibling, _Poisoned) for sibling in boosts)
     load = chain.append(parse_program("SBB R1, [BASE+R2]").instrs[0])
-    assert detect_violation(load, inputs, resume=store, **base) == detect_violation(load, inputs, **base)
-    assert all(not isinstance(stream.htrace, _Poisoned) for stream in store.entries.values())
+    resumed = _detect_with_runs(load, inputs, resume=store, **base)
+    assert resumed[:2] == _detect_with_runs(load, inputs, **base)[:2]
+    assert all(not isinstance(stream.result, _Poisoned) for stream in store.entries.values())
 
 
 def test_held_hw_points_serve_later_boosted_calls(monkeypatch):
@@ -748,46 +751,23 @@ def test_held_hw_points_serve_later_boosted_calls(monkeypatch):
 ZEROED_CHAIN = parse_program("SBB R2, R2\nJNS +3\nSBB R1, [BASE+R0]\nIMUL R1, R2\nSBB R0, [BASE+R1]")
 
 
-def test_held_probe_vectors_serve_only_carried_siblings():
-    # ZEROED_CHAIN's JNS opens a chain window on every input. A neutral ALU
-    # op appended carries each held sibling with its probe vector and runs
-    # nothing; a load appended derives every sibling afresh, runs it from
-    # its base's chain point and never reads the held probe vector, even
-    # when the held sibling has other bytes.
+def test_carried_siblings_run_from_the_chain_point():
+    # ZEROED_CHAIN's JNS opens a chain window on every input. An appended
+    # ALU op, or a re-load of the address its last load reads, carries
+    # every held sibling object, and detection still runs each carried
+    # sibling from its base's chain point on the longer program.
     inputs = generate_inputs(19, 3)
     kwargs = dict(contract=CT_SEQ, cfg=SpecConfig(), budget=300, seed=7, exhaustive=True)
     assert all(o.chain is not None for o in observe(ZEROED_CHAIN, inputs))
-
-    def boosted(poison):
+    for line in ("SBB R1, R2", "SBB R2, [BASE+R1]"):
         store = ResumePoints()
         assert detect_violation(ZEROED_CHAIN, inputs, resume=store, **kwargs) is None
-        assert all(stream.result is not None for stream in store.entries.values())
-        for stream in store.entries.values():
-            poison(stream)
-        return store
-
-    def keep(stream):
-        pass
-
-    def poison_probe(stream):
-        stream.htrace = _Poisoned()
-
-    def other_bytes(stream):
-        mem = stream.result.mem
-        stream.result = dataclasses.replace(stream.result, mem=bytes([mem[0] ^ 1]) + mem[1:])
-        stream.htrace = _Poisoned()
-
-    neutral = ZEROED_CHAIN.append(parse_program("SBB R1, R2").instrs[0])
-    load = ZEROED_CHAIN.append(parse_program("SBB R2, [BASE+R1]").instrs[0])
-    for p, poison in ((neutral, keep), (load, poison_probe), (load, other_bytes)):
-        result, _, runs = _detect_with_runs(p, inputs, resume=boosted(poison), **kwargs)
-        assert result == detect_violation(p, inputs, **kwargs), poison.__name__
-        if p is neutral:
-            assert runs == [], poison.__name__
-        else:
-            assert any(name == "hw" for name, _, _ in runs), poison.__name__
-    with pytest.raises(AssertionError, match="another program or setting"):
-        detect_violation(neutral, inputs, resume=boosted(poison_probe), **kwargs)
+        held = [store.entries[i, j].result for i in range(len(inputs)) for j in (1, 2)]
+        p = ZEROED_CHAIN.append(parse_program(line).instrs[0])
+        result, boosts, runs = _detect_with_runs(p, inputs, resume=store, **kwargs)
+        assert result is None is detect_violation(p, inputs, **kwargs), line
+        assert len(boosts) == len(held) and all(b is h for b, h in zip(boosts, held)), line
+        assert [(name, inp) for name, inp, _ in runs] == [("hw", b) for b in boosts], line
 
 
 def test_sibling_runs_from_the_chain_point_meet_the_budget(monkeypatch):
@@ -824,11 +804,11 @@ class _ReadCountingTrace(tuple):
         return super().__iter__()
 
 
-def test_carried_streams_build_no_load_map_and_draw_no_bytes(monkeypatch):
+def test_carried_streams_draw_no_bytes(monkeypatch):
     # a boosted step on which every stream carries its result still calls
-    # boost_input once per stream, and none of those calls reads the base's
-    # trace for its loads, derives the stream's seed, builds its generator
-    # or draws its fresh bytes
+    # boost_input once per stream and builds each base's load set once, and
+    # none of those calls derives the stream's seed, builds its generator or
+    # draws its fresh bytes
     from leaklab import detect
 
     chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
@@ -836,8 +816,8 @@ def test_carried_streams_build_no_load_map_and_draw_no_bytes(monkeypatch):
     kwargs = dict(boosts_per_input=2, budget=300, seed=7, exhaustive=True)
     store = ResumePoints()
     assert detect_violation(chain, inputs, CT_SEQ, SpecConfig(), resume=store, **kwargs) is None
-    neutral = chain.append(parse_program("SBB R1, R2").instrs[0])
-    records = [o._replace(ctrace=_ReadCountingTrace(o.ctrace)) for o in observe(neutral, inputs, CT_SEQ)]
+    longer = chain.append(parse_program("SBB R1, R2").instrs[0])
+    records = [o._replace(ctrace=_ReadCountingTrace(o.ctrace)) for o in observe(longer, inputs, CT_SEQ)]
     calls = []
 
     def counted(name, fn):
@@ -851,9 +831,10 @@ def test_carried_streams_build_no_load_map_and_draw_no_bytes(monkeypatch):
     monkeypatch.setattr(Xorshift64Star, "next_bytes", counted("next_bytes", Xorshift64Star.next_bytes))
     monkeypatch.setattr(detect, "stream_seed", counted("stream_seed", detect.stream_seed))
     monkeypatch.setattr(detect, "Xorshift64Star", counted("Xorshift64Star", detect.Xorshift64Star))
-    assert detect_violation(neutral, inputs, CT_SEQ, SpecConfig(), observations=records, resume=store, **kwargs) is None
+    reads = _ReadCountingTrace.reads
+    assert detect_violation(longer, inputs, CT_SEQ, SpecConfig(), observations=records, resume=store, **kwargs) is None
     assert calls == ["boost_input"] * (len(inputs) * 2)
-    assert _ReadCountingTrace.reads == 0
+    assert _ReadCountingTrace.reads - reads == len(inputs)
 
 
 # --- the one-shot rule on one stream -----------------------------------------
@@ -891,14 +872,14 @@ def test_boost_given_the_base_trace_simulates_nothing(monkeypatch):
 
 def test_loads_of_loaded_addresses_derive_the_held_bytes():
     # an extension whose new load reads an address the base already loads
-    # (R1 = 512) derives its sibling afresh, and it equals the held one
+    # (R1 = 512) keeps the load set, so it returns the held sibling itself,
+    # which equals the one derived afresh
     stream = SiblingStream()
     held = _boost_on(CHAIN_PREFIX, CHAIN_BASE, stream)
-    assert (stream.length, stream.result) == (2, held)
+    assert (stream.loaded, stream.result) == (2, held)
     p = CHAIN_PREFIX.append(parse_program("SBB R1, [BASE+R1]").instrs[0])
-    sibling = _boost_on(p, CHAIN_BASE, stream)
-    assert sibling is not held and sibling == held
-    assert (stream.length, stream.result) == (3, sibling)
+    assert _boost_on(p, CHAIN_BASE, stream) is held == _boost_on(p, CHAIN_BASE)
+    assert (stream.loaded, stream.result) == (2, held)
 
 
 def test_a_new_load_derives_other_bytes():
@@ -912,7 +893,7 @@ def test_a_new_load_derives_other_bytes():
     fresh = Xorshift64Star(CHAIN_SEED).next_bytes(SANDBOX_SIZE)
     assert held.mem[56:64] == fresh[56:64] != bytes(8) == sibling.mem[56:64]
     assert sibling.mem[:56] + sibling.mem[64:] == held.mem[:56] + held.mem[64:]
-    assert (stream.length, stream.result) == (3, sibling)
+    assert (stream.loaded, stream.result) == (3, sibling)
 
 
 def test_boost_with_a_coincidence_cell():
@@ -933,21 +914,17 @@ def test_boost_with_a_coincidence_cell():
 
 
 def test_neutral_suffix_carries_the_boost_result():
-    # the prefix's sibling serves every extension by neutral instructions as
-    # the same object, without reading the base's trace
+    # the prefix's sibling serves every extension by instructions that load
+    # nothing as the same object
     stream = SiblingStream()
     held = _boost_on(CHAIN_PREFIX, CHAIN_BASE, stream)
     neutral = Program(CHAIN_PREFIX.instrs + parse_program("SBB R1, R2\nJNS +2\nJMP +1").instrs)
-    trace = _ReadCountingTrace(contract_trace(neutral, CHAIN_BASE, CT_SEQ, 300))
-    reads = _ReadCountingTrace.reads
-    assert _boost_on(neutral, CHAIN_BASE, stream, trace) is held
-    assert _ReadCountingTrace.reads == reads and (stream.length, stream.result) == (2, held)
-    assert held == _boost_on(neutral, CHAIN_BASE)
-    # after a backward branch or a memory operand the sibling is derived afresh
-    for suffix in ("SBB R0, R2\nJNS -1", "SBB R1, [BASE+R1]", "SBB [BASE+R1], R1"):
+    assert _boost_on(neutral, CHAIN_BASE, stream) is held == _boost_on(neutral, CHAIN_BASE)
+    # so does a suffix that loads only addresses the base already loads: a
+    # backward branch into the prefix, whose second load reads 512 again,
+    # and a read-modify-write of 512
+    for suffix in ("SBB R1, R2\nJNS -2", "SBB [BASE+R1], R1"):
         p = Program(CHAIN_PREFIX.instrs + parse_program(suffix).instrs)
-        into = SiblingStream()
-        into.length, into.result = stream.length, held
-        sibling = _boost_on(p, CHAIN_BASE, into)
-        assert sibling is not held and (into.length, into.result) == (len(p), sibling), suffix
-        assert sibling == _boost_on(p, CHAIN_BASE), suffix
+        assert _loads(contract_trace(p, CHAIN_BASE, CT_SEQ, 300)) == {64, 512}, suffix
+        assert _boost_on(p, CHAIN_BASE, stream) is held == _boost_on(p, CHAIN_BASE), suffix
+    assert (stream.loaded, stream.result) == (2, held)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leaklab.arch import ContractMode, ContractSpec
-from leaklab.detect import SiblingStream
+from leaklab.arch import OBS_LOAD, ContractMode, ContractSpec, Xorshift64Star, contract_trace, stream_seed
+from leaklab.detect import SiblingStream, boost_input
 from leaklab.env import (
     NO_ACTION,
     EnvConfig,
@@ -187,8 +187,9 @@ def test_resume_points_hold_no_memory():
 
 def test_sibling_store_holds_one_entry_per_stream():
     # the store is updated in place: after every step each sibling stream
-    # holds one SiblingStream, with a sibling derived on a prefix of the
-    # program and that sibling's probe vector there, and no resume point
+    # holds one SiblingStream, with the sibling its generator derives from
+    # its base's load set on some prefix of the program, that set's size,
+    # and no resume point
     cfg = EnvConfig(max_len=16, input_seed=5, num_inputs=4, boosts_per_input=3)
     env = LeakEnv(cfg)
     streams = {(i, j) for i in range(cfg.num_inputs) for j in range(1, cfg.boosts_per_input + 1)}
@@ -202,15 +203,22 @@ def test_sibling_store_holds_one_entry_per_stream():
             done = sr.terminated or sr.truncated
             store = env._sibling_resume
             assert set(store.entries) <= streams
-            for entry in store.entries.values():
+            prefix_traces = {}
+            for (i, j), entry in store.entries.items():
                 assert isinstance(entry, SiblingStream)
-                assert entry.length is None or entry.length <= len(store.program)
-                if entry.result is not None:
-                    held_on = Program(store.program.instrs[: entry.length])
-                    run = hw_run(held_on, entry.result, cfg.spec_config, cfg.step_budget)
-                    assert entry.htrace == run.htrace
-                    boosted += 1
-    assert SiblingStream.__slots__ == ("length", "result", "htrace")
+                if entry.result is None:
+                    continue
+                if i not in prefix_traces:
+                    prefix_traces[i] = [
+                        contract_trace(Program(store.program.instrs[:n]), env.inputs[i], cfg.contract, cfg.step_budget)
+                        for n in range(len(store.program) + 1)
+                    ]
+                held_on = [t for t in prefix_traces[i] if len({o[1] for o in t if o[0] == OBS_LOAD}) == entry.loaded]
+                generator = Xorshift64Star(stream_seed(env._detect_seed, (i << 8) | j))
+                assert entry.result == boost_input(store.program, env.inputs[i], cfg.contract, generator,
+                                                   base_trace=held_on[0])
+                boosted += 1
+    assert SiblingStream.__slots__ == ("loaded", "result")
     assert boosted > 0
 
 
