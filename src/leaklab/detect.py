@@ -12,9 +12,8 @@ Hardware-trace divergence inside such a class is a violation.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 from .arch import (
     DEFAULT_STEP_BUDGET,
@@ -32,7 +31,6 @@ from .isa import Program, parse_program, render_program
 from .uarch import (
     CACHE_SETS,
     InputObservation,
-    ResumePoints,
     SpecConfig,
     htrace_hex,
     hw_run,
@@ -41,7 +39,7 @@ from .uarch import (
 
 __all__ = [
     "MAX_BOOSTS_PER_INPUT",
-    "SiblingStream",
+    "SIBLING_MEMO_SIZE",
     "ViolationReport",
     "boost_input",
     "detect_violation",
@@ -50,6 +48,9 @@ __all__ = [
 # Sibling j of input i draws from stream (i << 8) | j, which is one stream per
 # sibling only while j fits in 8 bits.
 MAX_BOOSTS_PER_INPUT = 255
+# How many siblings `boost_input` keeps, most recently used first: more than
+# the 40 streams of a default env (20 inputs x 2 boosts), at 4 KB each.
+SIBLING_MEMO_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -121,33 +122,23 @@ class ViolationReport:
         )
 
 
-class SiblingStream:
-    """One sibling stream's live entry in a `detect_violation` store: the
-    last sibling `boost_input` derived and the size of the load set it was
-    derived with (`loaded` is None until some call derives one)."""
-
-    __slots__ = ("loaded", "result")
-
-    def __init__(self):
-        self.loaded = self.result = None
-
-
 def boost_input(
     p: Program,
     base: Input,
     contract: ContractSpec,
-    rng: Xorshift64Star | Callable[[], Xorshift64Star],
+    seed: int,
+    index: int,
     budget: int = DEFAULT_STEP_BUDGET,
-    base_trace: tuple | None = None,
-    stream: SiblingStream | None = None,
-    loads: set | None = None,
+    loads: frozenset | None = None,
 ) -> Input:
-    """Derive a contract-equivalent sibling of `base` for `p`.
+    """Derive a contract-equivalent sibling of `base` for `p` on sibling
+    stream `index` under detection seed `seed`.
 
-    The sibling keeps the base's registers and takes the generator's next
-    SANDBOX_SIZE bytes as memory, with the base's bytes written over them at
-    every address the base's contract trace loads. Boosting never fails,
-    and given the base's trace it simulates nothing.
+    The sibling keeps the base's registers and takes the stream's fresh
+    SANDBOX_SIZE bytes, from `Xorshift64Star(stream_seed(seed, index))`, as
+    memory, with the base's bytes written over them at every address the
+    base's contract trace loads. Boosting never fails, and given the base's
+    load set it simulates nothing.
 
     The sibling's contract trace equals the base's. Both runs start from the
     same registers, and every memory read (CT_COND's explored paths
@@ -157,48 +148,34 @@ def boost_input(
     where the two start with equal bytes. So the runs take the same path,
     emit the same trace and terminate alike.
 
-    `rng` is the stream's generator, or a function of no arguments that
-    builds it, called only when a sibling is derived. `base_trace`, when
-    given, must be the base's contract trace of `p`. `loads`, when given,
-    must be the set of addresses that trace loads; then `base_trace` is
-    not read.
-
-    `stream`, when given, holds what an earlier call derived for the same
-    base and a generator of the same seed on a prefix Q of `p`, under the
-    same contract and budget, and this call replaces it with the sibling it
-    derives. The base's run of `p` agrees with its run of Q until a path
-    first reaches len(Q), and Q's paths stop there (see `contract_trace`),
-    so every address Q's trace loads, `p`'s trace loads too. A load set of
-    the held size is therefore the held set, and the call returns the held
-    sibling object itself, without building the generator.
+    `loads`, when given, must be the frozenset of addresses that the base's
+    contract trace of `p` loads. The sibling is a function of the base, the
+    seed, the index and that set alone, so it comes from a memo of the
+    SIBLING_MEMO_SIZE most recently used such keys: a repeated key returns
+    the same object and draws no bytes.
     """
     if loads is None:
-        if base_trace is None:
-            base_trace = contract_trace(p, base, contract, budget)
-            if base_trace is REJECTED:
-                raise ValueError("boost_input requires a terminating base input")
-        loads = _load_set(base_trace)
-    if stream is not None and stream.loaded == len(loads):
-        return stream.result
-    if callable(rng):
-        rng = rng()
+        trace = contract_trace(p, base, contract, budget)
+        if trace is REJECTED:
+            raise ValueError("boost_input requires a terminating base input")
+        loads = _load_set(trace)
+    return _sibling(base, seed, index, loads)
+
+
+@lru_cache(maxsize=SIBLING_MEMO_SIZE)
+def _sibling(base: Input, seed: int, index: int, loads: frozenset) -> Input:
+    """Stream `index`'s fresh bytes under `seed`, with `base`'s bytes at
+    every address in `loads`, and `base`'s registers."""
+    rng = Xorshift64Star(stream_seed(seed, index))
     mem = bytearray(rng.next_bytes(SANDBOX_SIZE))
     for addr in loads:
         mem[addr : addr + 8] = base.mem[addr : addr + 8]
-    sibling = Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
-    if stream is not None:
-        stream.loaded, stream.result = len(loads), sibling
-    return sibling
+    return Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
 
 
-def _stream_generator(seed: int, index: int) -> Xorshift64Star:
-    """Sibling stream `index`'s generator under detection seed `seed`."""
-    return Xorshift64Star(stream_seed(seed, index))
-
-
-def _load_set(trace: tuple) -> set:
+def _load_set(trace: tuple) -> frozenset:
     """Every address that `trace` loads."""
-    return {obs[1] for obs in trace if obs[0] == OBS_LOAD}
+    return frozenset({obs[1] for obs in trace if obs[0] == OBS_LOAD})
 
 
 def _filter_tier(observations: list[InputObservation]) -> str:
@@ -222,7 +199,6 @@ def detect_violation(
     budget: int = DEFAULT_STEP_BUDGET,
     exhaustive: bool = False,
     observations: list[InputObservation] | None = None,
-    resume: ResumePoints | None = None,
 ):
     """Search for a contract violation of `p` over `inputs`.
 
@@ -257,19 +233,8 @@ def detect_violation(
     (`base_obs.chain` is None) the sibling's probe vector is the base's;
     otherwise it is that of the sibling's `hw_run` resumed from the chain
     point. That run terminates, since it commits the base's path, which
-    terminates within `budget`.
-
-    `resume`, when given, keeps boosting's results across calls. Its
-    entries map each sibling stream (i, j), input index and sibling index,
-    to the stream's SiblingStream (see `boost_input`), which a call that
-    boosts updates in place. A later call on an extension of `p` with equal
-    inputs, contract, `cfg`, `budget` and `seed` gets the same result as
-    without the store: an entry that survives from an earlier boosted call
-    was derived on a prefix of the store's program, which each call extends
-    or `usable` hands out an empty dict, so on a prefix of `p`, where the
-    carry rule of `boost_input` holds; and every sibling's probe vector,
-    carried or derived, comes from the chain rule above. Each base's load
-    set is built once per call, for all its streams.
+    terminates within `budget`. Each base's load set is built once per
+    call, for all its streams.
     """
     if not inputs:
         raise ConfigError("detect_violation needs at least one input")
@@ -314,20 +279,11 @@ def detect_violation(
     # pass 2: boosted siblings, in (input index, sibling index) order. After
     # pass 1 a class shares its first member's htrace, and that member, at
     # (input i0, sibling 0), sorts before any sibling (i >= i0, j >= 1).
-    streams = {}
-    if resume is not None:
-        setting = (list(inputs), contract, cfg, budget, seed)
-        streams = resume.usable(p, setting)
-        resume.keep(p, setting, streams)
-    stream = None
     for i, (base, base_obs) in enumerate(zip(inputs, observations)):
         first = classes[base_obs.ctrace][0]
         loads = _load_set(base_obs.ctrace)
         for j in range(1, boosts_per_input + 1):
-            rng = partial(_stream_generator, seed, (i << 8) | j)
-            if resume is not None:
-                stream = streams.setdefault((i, j), SiblingStream())
-            sibling = boost_input(p, base, contract, rng, budget, stream=stream, loads=loads)
+            sibling = boost_input(p, base, contract, seed, (i << 8) | j, budget, loads)
             if base_obs.chain is None:
                 htrace = base_obs.htrace
             else:

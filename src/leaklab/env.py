@@ -7,9 +7,8 @@ the current program's runs reached its end), throws the instruction away if
 any input fails the termination guard, and otherwise runs leak detection.
 A boosted sibling takes its base's probe vector when the base's hardware run
 has no chain window, and otherwise runs from the base's chain point (see
-`uarch.hw_run`), never from the reset. Detection keeps one entry per sibling
-stream, its last boosted sibling, which carries over while its base's load
-set keeps the size it was derived with.
+`uarch.hw_run`), never from the reset. The sibling itself comes from
+`detect.boost_input`'s memo whenever its base, stream and load set repeat.
 Rewards are tiered: a detected leak, then observable misspeculation, then
 unobservable misspeculation, then no misspeculation at all, plus a small
 per-step cost.
@@ -115,8 +114,9 @@ class StepResult:
 
 class LeakEnv:
     """Single-threaded environment instance; many instances may run in
-    parallel, sharing nothing. Inputs are generated once from
-    `config.input_seed` and stay fixed across episodes."""
+    parallel. They share only two memos, of generator expansions and of boosted
+    siblings, which are pure functions of their keys. Inputs are generated
+    once from `config.input_seed` and stay fixed across episodes."""
 
     def __init__(self, config: EnvConfig = EnvConfig()):
         self.config = config
@@ -124,10 +124,8 @@ class LeakEnv:
         self.inputs: list[Input] = generate_inputs(config.input_seed, config.num_inputs)
         self._detect_seed = mix64(config.input_seed ^ 0xDE7EC7)
         self.program = Program()
-        # where the current program's runs can be resumed for a candidate,
-        # and the last boosted program's sibling streams
+        # where the current program's runs can be resumed for a candidate
         self._resume = ResumePoints()
-        self._sibling_resume = ResumePoints()
         self._done = True
         self._steps = 0
 
@@ -177,7 +175,7 @@ class LeakEnv:
         self._last_obs = obs
 
         tier = _filter_tier(records)
-        violation = detect_violation(
+        report: ViolationReport | None = detect_violation(
             candidate,
             self.inputs,
             cfg.contract,
@@ -186,11 +184,7 @@ class LeakEnv:
             seed=self._detect_seed,
             budget=cfg.step_budget,
             observations=records,
-            resume=self._sibling_resume,
         )
-        if violation is REJECTED:  # cannot happen: observe() above succeeded
-            violation = None
-        report: ViolationReport | None = violation
 
         if report is not None:
             reward = cfg.reward.r_leak

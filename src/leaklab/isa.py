@@ -246,7 +246,10 @@ def parse_program(text: str) -> Program:
             token = rest.strip()
             if not _DISP_RE.match(token):
                 raise ParseError(f"malformed displacement {token!r}", lineno)
-            disp = int(token)
+            try:
+                disp = int(token)
+            except ValueError:  # past int()'s limit on decimal digits
+                raise ParseError(f"displacement of {len(token)} characters is too long", lineno) from None
             if disp == 0:
                 raise ParseError("zero displacement", lineno)
             instrs.append(Instruction(opcode, disp=disp))

@@ -247,7 +247,7 @@ def hw_run(
         chain = None
     else:
         state, pht, committed_victim, transient_victim, committed, transient, br_misses, chain = resume
-        state = state.copy(bytes(inp.mem))
+        state = state.copy(inp.mem)
         pht = pht[:]
     search = False
     if contract is not None and chain is None:
@@ -324,13 +324,11 @@ class InputObservation(NamedTuple):
 
 
 class ResumePoints:
-    """Where the runs of the last program measured with this store can be
-    resumed: the program, the settings it was measured with, and one entry
-    per run or stream, captured by runs of that program or of a prefix of
-    it. `observe` maps each position in its input list to the input's
-    (TracePoint, HwPoint), so that under equal settings equal keys mean
-    identical inputs; `detect_violation` maps each sibling stream to its
-    SiblingStream."""
+    """Where the runs of the last program `observe` measured with this
+    store can be resumed: the program, the settings it was measured with,
+    and one entry per input position, the input's (TracePoint, HwPoint),
+    captured by runs of that program or of a prefix of it. Under equal
+    settings equal positions mean identical inputs."""
 
     __slots__ = ("program", "setting", "entries")
 

@@ -1,7 +1,16 @@
 import pytest
 
+from leaklab import detect
 from leaklab.arch import Input, SANDBOX_SIZE, generate_inputs
 from leaklab.isa import build_action_space
+
+
+@pytest.fixture(autouse=True)
+def empty_sibling_memo():
+    """Start every test with an empty sibling memo, so that assertions on
+    which siblings are the same object or draw no bytes do not depend on
+    the tests run before."""
+    detect._sibling.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from leaklab.arch import (
     ContractMode,
     ContractSpec,
     NON_TERMINATING,
-    Xorshift64Star,
     contract_trace,
     generate_inputs,
     input_from_seed,
@@ -147,7 +146,7 @@ def test_criterion_5_boost_validity():
         if base_trace is NON_TERMINATING:
             continue
         attempts += 1
-        sibling = boost_input(p, base, contract, Xorshift64Star(attempts), budget=300)
+        sibling = boost_input(p, base, contract, attempts, 1, budget=300)
         if sibling is None:
             continue
         succeeded += 1

@@ -422,6 +422,19 @@ def test_input_dump_load_round_trip():
         load_input(blob[:100])
 
 
+def test_input_from_a_bytearray_holds_bytes_and_hashes():
+    # a bytearray-backed Input was unhashable, so it could not key the
+    # sibling memo, and writing the bytearray changed the Input
+    raw = bytearray(generate_inputs(seed=5, count=2)[0].mem)
+    inp = Input(r0=1, r1=2, r2=3, mem=raw)
+    assert type(inp.mem) is bytes and inp.mem == raw
+    assert hash(inp) == hash(Input(r0=1, r1=2, r2=3, mem=bytes(raw)))
+    raw[0] ^= 1
+    assert inp.mem != raw
+    mem = bytes(SANDBOX_SIZE)
+    assert Input(r0=0, r1=0, r2=0, mem=mem).mem is mem
+
+
 @pytest.mark.parametrize("reg", ["r0", "r1", "r2"])
 @pytest.mark.parametrize("value", [-1, 1 << 64, (1 << 64) + 5])
 def test_input_rejects_out_of_range_registers(reg, value):

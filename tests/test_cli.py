@@ -75,6 +75,14 @@ def test_detect_rejected_program(tmp_path, capsys):
     assert "rejected" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["detect", "simulate"])
+def test_huge_displacement_exits_1(command, tmp_path, capsys):
+    path = tmp_path / "huge.asm"
+    path.write_text("SBB R0, R0\nJNS +" + "9" * 5000 + "\n")
+    assert run_cli([command, str(path)]) == 1
+    assert "line 2: displacement of 5001 characters is too long" in capsys.readouterr().err
+
+
 def test_simulate_jsonl(fixture_asm, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"env": {"num_inputs": 3, "input_seed": 7}}))
@@ -187,10 +195,13 @@ MALFORMED = [
     (("trials_per_size",), 0, "trials_per_size"),
     (("fuzz_budget",), 0, "fuzz_budget"),
     (("rl_step_budget",), 0, "rl_step_budget"),
+    (("env", "actions"), ["JNS +" + "9" * 5000], "too long"),
 ]
 
 
-@pytest.mark.parametrize("keys,value,named", MALFORMED, ids=lambda x: str(x))
+# an id is the parameter's text cut to 60 characters, which leaves every id
+# but the 5,000-digit displacement's whole
+@pytest.mark.parametrize("keys,value,named", MALFORMED, ids=lambda x: str(x)[:60])
 def test_malformed_config_exits_1(keys, value, named, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("leaklab.cli.train", _no_campaign)
     if keys:

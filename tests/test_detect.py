@@ -18,14 +18,16 @@ from leaklab.arch import (
     input_from_seed,
     stream_seed,
 )
+from leaklab import detect
 from leaklab.detect import (
     MAX_BOOSTS_PER_INPUT,
-    SiblingStream,
+    SIBLING_MEMO_SIZE,
     ViolationReport,
     _filter_tier,
     boost_input,
     detect_violation,
 )
+from leaklab.env import EnvConfig
 from leaklab.errors import ConfigError
 from leaklab.harness import scaling_action_config
 from leaklab.isa import (
@@ -57,7 +59,7 @@ SBB R2, [BASE+R2]
 
 def test_boost_empty_program():
     base = make_input(r0=1, r1=2, r2=3)
-    sib = boost_input(Program(), base, CT_SEQ, Xorshift64Star(1))
+    sib = boost_input(Program(), base, CT_SEQ, 1, 1)
     assert sib is not None
     assert (sib.r0, sib.r1, sib.r2) == (1, 2, 3)
     assert sib.mem != base.mem  # nothing constrained the fresh memory
@@ -66,7 +68,7 @@ def test_boost_empty_program():
 def test_boost_single_load():
     p = parse_program("SBB R0, [BASE+R1]")
     base = make_input(r1=256, mem_byte=5)
-    sib = boost_input(p, base, CT_SEQ, Xorshift64Star(2))
+    sib = boost_input(p, base, CT_SEQ, 2, 1)
     assert sib is not None
     assert sib.mem[256:264] == base.mem[256:264]  # the loaded cell is copied
     assert sib.mem != base.mem
@@ -80,21 +82,21 @@ def test_boost_chained_loads_converges():
     rng = random.Random(0)
     for trial in range(20):
         base = input_from_seed(rng.randrange(1 << 32))
-        sib = boost_input(p, base, CT_SEQ, Xorshift64Star(trial))
+        sib = boost_input(p, base, CT_SEQ, trial, 1)
         assert contract_trace(p, sib, CT_SEQ) == contract_trace(p, base, CT_SEQ)
 
 
 def test_boost_verifies_under_ct_cond():
     contract = ContractSpec(ContractMode.CT_COND, spec_depth=8)
     base = make_input(r2=130)
-    sib = boost_input(PLANTED, base, contract, Xorshift64Star(3))
+    sib = boost_input(PLANTED, base, contract, 3, 1)
     assert sib is not None
     assert contract_trace(PLANTED, sib, contract) == contract_trace(PLANTED, base, contract)
 
 
 def test_boost_requires_terminating_base():
     with pytest.raises(ValueError):
-        boost_input(parse_program("JMP -2"), make_input(), CT_SEQ, Xorshift64Star(0))
+        boost_input(parse_program("JMP -2"), make_input(), CT_SEQ, 0, 1)
 
 
 def _terminating_programs(rng, space, contract, count, max_len=10, budget=300):
@@ -109,9 +111,9 @@ def _terminating_programs(rng, space, contract, count, max_len=10, budget=300):
     return out
 
 
-def _loads(trace) -> set:
+def _loads(trace) -> frozenset:
     """Every address that a contract trace loads."""
-    return {obs[1] for obs in trace if obs[0] == "L"}
+    return frozenset(obs[1] for obs in trace if obs[0] == "L")
 
 
 def _is_simulated_fixpoint(p, base, sibling, contract, budget, base_trace):
@@ -131,7 +133,7 @@ def test_boost_matches_simulated_fixpoint(contract, space):
     # of dependent loads too
     rng = random.Random(23)
     for k, (p, base, trace) in enumerate(_terminating_programs(rng, space, contract, 150, max_len=24)):
-        sibling = boost_input(p, base, contract, Xorshift64Star(stream_seed(k, 1)), 300)
+        sibling = boost_input(p, base, contract, k, 1, 300)
         assert _is_simulated_fixpoint(p, base, sibling, contract, 300, trace), render_program(p)
 
 
@@ -143,14 +145,12 @@ def test_dependent_load_chains_boost(length):
     p = parse_program("\n".join(["SBB R0, [BASE+R0]"] * length))
     base = generate_inputs(3, 2)[0]
     trace = contract_trace(p, base, CT_SEQ)
-    sibling = boost_input(p, base, CT_SEQ, Xorshift64Star(stream_seed(5, 1)))
+    sibling = boost_input(p, base, CT_SEQ, 5, 1)
     assert len(_loads(trace)) >= length - 2  # the chain reads new addresses
     assert _is_simulated_fixpoint(p, base, sibling, CT_SEQ, DEFAULT_STEP_BUDGET, trace)
 
 
 def test_boost_without_loads_simulates_nothing(monkeypatch):
-    from leaklab import detect
-
     p = parse_program("SBB R0, R1\nJNS -1\nIMUL R1, R0\nJMP +2")
     base = make_input(r0=1, r1=2, r2=3)
     base_trace = contract_trace(p, base, CT_SEQ)
@@ -158,7 +158,8 @@ def test_boost_without_loads_simulates_nothing(monkeypatch):
     calls = []
     monkeypatch.setattr(detect, "contract_trace", lambda *args: calls.append(args))
     # the base's trace loads nothing, so it has no cells to copy
-    assert boost_input(p, base, CT_SEQ, Xorshift64Star(4), base_trace=base_trace) is not None
+    sibling = boost_input(p, base, CT_SEQ, 4, 1, loads=_loads(base_trace))
+    assert sibling.mem == Xorshift64Star(stream_seed(4, 1)).next_bytes(SANDBOX_SIZE)
     assert calls == []
 
 
@@ -352,7 +353,7 @@ def test_boost_success_rate_sane():
         if contract_trace(p, base, CT_SEQ, 300) is NON_TERMINATING:
             continue
         attempts += 1
-        sib = boost_input(p, base, CT_SEQ, Xorshift64Star(attempts), budget=300)
+        sib = boost_input(p, base, CT_SEQ, attempts, 1, budget=300)
         if contract_trace(p, sib, CT_SEQ, 300) == contract_trace(p, base, CT_SEQ, 300):
             succeeded += 1
     assert succeeded == attempts
@@ -366,27 +367,29 @@ def test_boost_success_rate_sane():
     budget=st.sampled_from([5, 9, 17, 40, 300, 10_000]),
     base_seed=st.integers(0, (1 << 64) - 1),
     seed=st.integers(0, (1 << 64) - 1),
+    index=st.integers(0, (1 << 16) - 1),
 )
-def test_sibling_is_the_stream_bytes_with_the_base_loads(space, picks, contract, budget, base_seed, seed):
+def test_sibling_is_the_stream_bytes_with_the_base_loads(space, picks, contract, budget, base_seed, seed, index):
     p = Program(tuple(space[k % space.size] for k in picks))
     base = input_from_seed(base_seed)
     trace = contract_trace(p, base, contract, budget)
     if trace is REJECTED:
         with pytest.raises(ValueError):
-            boost_input(p, base, contract, Xorshift64Star(seed), budget)
+            boost_input(p, base, contract, seed, index, budget)
         return
-    sibling = boost_input(p, base, contract, Xorshift64Star(seed), budget)
-    fresh = Xorshift64Star(seed).next_bytes(SANDBOX_SIZE)
+    sibling = boost_input(p, base, contract, seed, index, budget)
+    fresh = Xorshift64Star(stream_seed(seed, index)).next_bytes(SANDBOX_SIZE)
     loads = _loads(trace)
     for addr in range(0, SANDBOX_SIZE, 8):
         source = base.mem if addr in loads else fresh
         assert sibling.mem[addr : addr + 8] == source[addr : addr + 8], addr
     assert (sibling.r0, sibling.r1, sibling.r2) == (base.r0, base.r1, base.r2)
-    assert sibling.seed == Xorshift64Star(seed).seed
+    assert sibling.seed == stream_seed(seed, index)
+    assert boost_input(p, base, contract, seed, index, budget, loads) is sibling
     assert contract_trace(p, sibling, contract, budget) == trace
 
 
-# --- boosted siblings resumed from the last boosted step --------------------
+# --- detection on resumed observations, with the sibling memo ---------------
 
 MENUS = [build_action_space(), build_action_space(scaling_action_config())]
 RESET = -1  # an episode step that starts the program over
@@ -403,12 +406,11 @@ SBB R1, [BASE+R2]
 """).instrs))
 
 
-def _detect_with_runs(*args, **kwargs):
+def _detect_with_runs(*args, memo=True, **kwargs):
     """detect_violation's result, the result of every boost_input call it
     made, and (function, input, result) for every contract_trace and hw_run
-    call it made, in order."""
-    from leaklab import detect
-
+    call it made, in order. With `memo` False every sibling is derived
+    afresh, and the memo is neither read nor written."""
     boosts, runs = [], []
 
     def recorded(fn, name):
@@ -422,48 +424,43 @@ def _detect_with_runs(*args, **kwargs):
 
         return wrapper
 
-    saved = detect.boost_input, detect.contract_trace, detect.hw_run
-    detect.boost_input, detect.contract_trace, detect.hw_run = map(recorded, saved, (None, "trace", "hw"))
+    saved = detect.boost_input, detect.contract_trace, detect.hw_run, detect._sibling
+    detect.boost_input, detect.contract_trace, detect.hw_run = map(recorded, saved[:3], (None, "trace", "hw"))
+    if not memo:
+        detect._sibling = detect._sibling.__wrapped__
     try:
         return detect_violation(*args, **kwargs), boosts, runs
     finally:
-        detect.boost_input, detect.contract_trace, detect.hw_run = saved
+        detect.boost_input, detect.contract_trace, detect.hw_run, detect._sibling = saved
 
 
-def _check_detection_call(p, inputs, contract, cfg, store, **kwargs):
-    """detect_violation of `p` with the sibling store `store` against the
-    same call without it: equal results and equal boost_input results for
-    every stream; every simulator call the stored call still made equals
-    that call without the store (a wrong sibling can still give the same
-    report); and every stream the call boosted holds its sibling with the
-    size of the base's load set on `p`. Returns the stored call's simulator
-    runs."""
-    resumed, resumed_boosts, resumed_runs = _detect_with_runs(p, inputs, contract, cfg, resume=store, **kwargs)
-    fresh, fresh_boosts, fresh_runs = _detect_with_runs(p, inputs, contract, cfg, **kwargs)
+def _check_detection_call(p, inputs, contract, cfg, **kwargs):
+    """detect_violation of `p` as the env calls it, given `kwargs`, with the
+    memo as earlier calls left it, against the same call from scratch: no
+    observations (it measures `p` from the reset) and no memo. Equal
+    results, equal boost_input results for every stream, and equal
+    simulator calls in order (a wrong sibling can still give the same
+    report). Returns the first call's simulator runs and boosts."""
+    resumed, resumed_boosts, resumed_runs = _detect_with_runs(p, inputs, contract, cfg, **kwargs)
+    kwargs.pop("observations", None)
+    fresh, fresh_boosts, fresh_runs = _detect_with_runs(p, inputs, contract, cfg, memo=False, **kwargs)
     text = render_program(p)
     assert resumed == fresh, text
     if fresh is None or fresh is REJECTED:
         assert resumed is fresh
     assert resumed_boosts == fresh_boosts, text
-    fresh_by_call = {(name, inp): result for name, inp, result in fresh_runs}
-    for name, inp, result in resumed_runs:
-        assert fresh_by_call[name, inp] == result, text
-    boosts = kwargs["boosts_per_input"]
-    for k, sibling in enumerate(resumed_boosts):
-        stream = store.entries[k // boosts, k % boosts + 1]
-        loads = _loads(contract_trace(p, inputs[k // boosts], contract, kwargs["budget"]))
-        assert stream.result is sibling and stream.loaded == len(loads), text
-    return resumed_runs
+    assert resumed_runs == fresh_runs, text
+    return resumed_runs, resumed_boosts
 
 
 def _check_resumed_detection(steps, inputs, contract, cfg, budget, seed, boosts, exhaustive, check_from=0):
     """Drive detection as LeakEnv does: grow a program one instruction at a
     time (RESET starts it over), measure each candidate with the current
-    program's resume points, and run detect_violation on every accepted
-    one with one sibling store for the whole episode. Every call on a
-    program of at least `check_from` instructions must pass
-    _check_detection_call. Returns how many calls boosted."""
-    resume, siblings = ResumePoints(), ResumePoints()
+    program's resume points, and run detect_violation on every accepted one
+    with those records. Every call on a program of at least `check_from`
+    instructions must pass _check_detection_call. Returns how many checked
+    calls boosted."""
+    resume = ResumePoints()
     args = (contract, cfg, budget)
     p = Program()
     boosted = 0
@@ -480,10 +477,9 @@ def _check_resumed_detection(steps, inputs, contract, cfg, budget, seed, boosts,
         kwargs = dict(boosts_per_input=boosts, seed=seed, budget=budget, exhaustive=exhaustive,
                       observations=records)
         if len(p) >= check_from:
-            _check_detection_call(p, inputs, contract, cfg, siblings, **kwargs)
+            boosted += bool(_check_detection_call(p, inputs, contract, cfg, **kwargs)[1])
         else:
-            detect_violation(p, inputs, contract, cfg, resume=siblings, **kwargs)
-        boosted += siblings.program is p
+            detect_violation(p, inputs, contract, cfg, **kwargs)
     return boosted
 
 
@@ -523,8 +519,7 @@ def test_sibling_runs_follow_the_chain_rule(instrs, contract, window, regs, seed
         for records in (fresh, resumed):
             for i, (base, o) in enumerate(zip(inputs, records)):
                 for j in (1, 2):
-                    rng = Xorshift64Star(stream_seed(seed, (i << 8) | j))
-                    sibling = boost_input(p, base, contract, rng, 300, o.ctrace)
+                    sibling = boost_input(p, base, contract, seed, (i << 8) | j, 300, _loads(o.ctrace))
                     run = hw_run(p, sibling, cfg, 300)
                     if o.chain is None:
                         assert run.htrace == o.htrace, render_program(p)
@@ -585,18 +580,21 @@ def test_resumed_siblings_match_from_scratch_past_the_predictor(picks, contract,
 
 def test_resumed_siblings_cover_gated_rejected_and_boosted_steps():
     # a fixed default-menu episode through the env's gated mode: gated,
-    # rejected and reset steps between boosted ones
+    # rejected and reset steps between boosted ones, and memo hits among
+    # the boosted steps' siblings
     rng = random.Random(8)
     space = MENUS[0]
     steps = [RESET if rng.random() < 0.05 else space[rng.randrange(space.size)] for _ in range(120)]
     boosted = _check_resumed_detection(steps, generate_inputs(11, 6), CT_SEQ, SpecConfig(), 300, 5, 2, False)
     assert boosted >= 10
+    assert detect._sibling.cache_info().hits > 0
 
 
 def test_sibling_points_do_not_outlive_their_episode():
     # the episode after the reset boosts first a program without loads, whose
-    # siblings are their streams' fresh bytes, then programs with loads; no
-    # sibling or HwPoint held from the first episode may serve the second
+    # siblings are their streams' fresh bytes, then programs with loads; the
+    # chain points and the memo entries of the first episode give the second
+    # no result other than from scratch
     text = "SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]\nSBB R1, [BASE+R2]\n"
     steps = [*parse_program(text).instrs, RESET, *parse_program("SBB R1, R2\n" + text).instrs]
     boosted = _check_resumed_detection(steps, generate_inputs(23, 4), CT_SEQ, SpecConfig(), 300, 9, 2, True)
@@ -618,103 +616,105 @@ def test_results_not_carried_past_the_budget_or_a_new_load(prefix, budget, suffi
     # bases run 2 steps on the prefix, the whole budget, and 3 after the
     # suffix, so the extension is rejected before any boost.
     # Backward branch: on the second base JNS -2 returns to the first load
-    # with R1 = 7, 6, ..., 0, which loads address 0 as well as 8, so a
-    # carried result would lack the base's bytes at 0.
+    # with R1 = 7, 6, ..., 0, which loads address 0 as well as 8, so the
+    # prefix's sibling would lack the base's bytes at 0.
     q = parse_program(prefix)
     p = Program(q.instrs + parse_program(suffix).instrs)
     kwargs = dict(boosts_per_input=1, budget=budget, exhaustive=True)
     for seed in range(200):
-        store = ResumePoints()
-        _detect_with_runs(q, EDGE_INPUTS, CT_SEQ, SpecConfig(), resume=store, seed=seed, **kwargs)
-        resumed = _detect_with_runs(p, EDGE_INPUTS, CT_SEQ, SpecConfig(), resume=store, seed=seed, **kwargs)
-        fresh = _detect_with_runs(p, EDGE_INPUTS, CT_SEQ, SpecConfig(), seed=seed, **kwargs)
-        assert resumed[:2] == fresh[:2], seed
+        _detect_with_runs(q, EDGE_INPUTS, CT_SEQ, SpecConfig(), seed=seed, **kwargs)
+        after_q = _detect_with_runs(p, EDGE_INPUTS, CT_SEQ, SpecConfig(), seed=seed, **kwargs)
+        fresh = _detect_with_runs(p, EDGE_INPUTS, CT_SEQ, SpecConfig(), seed=seed, memo=False, **kwargs)
+        assert after_q[:2] == fresh[:2], seed
 
 
 def test_unchanged_load_sets_carry_results():
     # CHAIN's extension by a re-load of the address its second load reads
     # and by instructions that load nothing, a forward branch among them,
-    # keeps every stream's sibling object and measures nothing (no base has
-    # a chain), and still equals the unstored call
+    # keeps every base's load set: each stream's sibling is the memo's
+    # object from CHAIN's call, nothing is measured (no base has a chain),
+    # and every call equals the call from scratch
     chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
     inputs = generate_inputs(19, 3)
     kwargs = dict(boosts_per_input=2, budget=300, seed=7, exhaustive=True)
-    store = ResumePoints()
-    assert detect_violation(chain, inputs, CT_SEQ, SpecConfig(), resume=store, **kwargs) is None
-    held = {key: stream.result for key, stream in store.entries.items()}
+    result, held, _ = _detect_with_runs(chain, inputs, CT_SEQ, SpecConfig(), **kwargs)
+    assert result is None and len(held) == 6
     p = chain
     for line in ("SBB R1, [BASE+R0]", "SBB R1, R2", "JNS +2", "IMUL R0, R2", "JMP +1"):
         p = p.append(parse_program(line).instrs[0])
-        runs = _check_detection_call(p, inputs, CT_SEQ, SpecConfig(), store, **kwargs)
+        runs, boosts = _check_detection_call(p, inputs, CT_SEQ, SpecConfig(), **kwargs)
         assert runs == [], line
-    assert len(held) == 6 and all(store.entries[key].result is held[key] for key in held)
+        assert all(b is h for b, h in zip(boosts, held, strict=True)), line
 
 
-class _Poisoned:
-    """A stand-in resume point or boost result: any use of it fails."""
-
-    def _fail(self, *args):
-        raise AssertionError("a resume point of another program or setting was used")
-
-    __iter__ = __eq__ = __ne__ = __getattr__ = _fail
-    __hash__ = object.__hash__
-
-
-def _poison(store: ResumePoints) -> int:
-    """Replace every held sibling in `store` by a _Poisoned one, keeping
-    each held sibling's load-set size; returns how many siblings."""
-    held = 0
-    for stream in store.entries.values():
-        held += stream.result is not None
-        stream.result = _Poisoned()
-    return held
-
-
-def test_sibling_points_of_other_programs_or_settings_are_not_used():
-    # siblings held for CHAIN on INPUTS (CT-SEQ, window 8, budget 300, seed
-    # 7) serve none of these calls: comparing a carried _Poisoned with the
-    # unstored call's sibling fails
+def test_siblings_are_keyed_on_base_seed_index_and_load_set():
+    # after CHAIN's call on INPUTS (seed 7), a call with another load set,
+    # other bases on each stream (the inputs rotated) or another seed
+    # derives every sibling afresh; one whose contract, window or budget
+    # differs but whose load sets do not takes every sibling from the memo.
+    # Each call equals the call from scratch.
     chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
     longer = chain.append(parse_program("SBB R1, R2").instrs[0])
     inputs = generate_inputs(19, 3)
+    assert len({inp.mem[:8] for inp in inputs}) == 3
     base = dict(contract=CT_SEQ, cfg=SpecConfig(), budget=300, seed=7, exhaustive=True)
     cases = [
-        (parse_program("SBB R0, [BASE+R2]\nSBB R2, [BASE+R0]\nSBB R1, R2"), inputs, {}),
-        (longer, inputs[::-1], {}),
-        (longer, inputs, dict(seed=8)),
-        (longer, inputs, dict(contract=ContractSpec(ContractMode.CT_COND, 2))),
-        (longer, inputs, dict(cfg=SpecConfig(window=1))),
-        (longer, inputs, dict(budget=17)),
+        (parse_program("SBB R0, [BASE+R2]\nSBB R2, [BASE+R0]\nSBB R1, R2"), inputs, {}, False),
+        (longer, inputs[1:] + inputs[:1], {}, False),
+        (longer, inputs, dict(seed=8), False),
+        (longer, inputs, dict(contract=ContractSpec(ContractMode.CT_COND, 2)), True),
+        (longer, inputs, dict(cfg=SpecConfig(window=1)), True),
+        (longer, inputs, dict(budget=17), True),
     ]
-    for p, case_inputs, change in cases:
-        store = ResumePoints()
-        detect_violation(chain, inputs, resume=store, **base)
-        assert _poison(store) > 0
+    for p, case_inputs, change, shared in cases:
+        detect._sibling.cache_clear()
+        _, held, _ = _detect_with_runs(chain, inputs, **base)
         kwargs = {**base, **change}
-        resumed = _detect_with_runs(p, case_inputs, resume=store, **kwargs)
-        assert resumed[:2] == _detect_with_runs(p, case_inputs, **kwargs)[:2]
-    # the same store does serve extensions of CHAIN with equal settings: one
-    # that loads nothing takes the held siblings; one with a new load
-    # derives its siblings afresh and replaces what the streams hold
-    store = ResumePoints()
-    detect_violation(chain, inputs, resume=store, **base)
-    held = _poison(store)
-    _, boosts, _ = _detect_with_runs(longer, inputs, resume=store, **base)
-    assert len(boosts) == held and all(isinstance(sibling, _Poisoned) for sibling in boosts)
-    load = chain.append(parse_program("SBB R1, [BASE+R2]").instrs[0])
-    resumed = _detect_with_runs(load, inputs, resume=store, **base)
-    assert resumed[:2] == _detect_with_runs(load, inputs, **base)[:2]
-    assert all(not isinstance(stream.result, _Poisoned) for stream in store.entries.values())
+        result, boosts, runs = _detect_with_runs(p, case_inputs, **kwargs)
+        assert (result, boosts, runs) == _detect_with_runs(p, case_inputs, memo=False, **kwargs), change
+        assert [b is h for b, h in zip(boosts, held, strict=True)] == [shared] * len(held), change
+        assert detect._sibling.cache_info().hits == shared * len(held)
+
+
+def test_a_repeated_key_returns_the_same_sibling_and_draws_nothing(monkeypatch):
+    p = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
+    base = generate_inputs(19, 2)[0]
+    sibling = boost_input(p, base, CT_SEQ, 7, 1, 300)
+    # an equal base, as another env or campaign generates it, hits too
+    again = generate_inputs(19, 2)[0]
+    assert again == base and again is not base
+    draws = []
+    for owner, name in ((detect, "stream_seed"), (detect, "Xorshift64Star"), (Xorshift64Star, "next_bytes")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: draws.append(name))
+    assert boost_input(p, again, CT_SEQ, 7, 1, 300) is sibling
+    assert boost_input(p, base, CT_SEQ, 7, 1, loads=_loads(contract_trace(p, base, CT_SEQ))) is sibling
+    assert draws == []
+
+
+def test_repeated_detection_calls_share_siblings(monkeypatch):
+    # the fuzzer and the CLI's detect call detect_violation from scratch; a
+    # repeated call boosts every stream from the memo, draws no bytes and
+    # returns the same report
+    first, held, _ = _detect_with_runs(GATE_GAP, GATE_GAP_INPUTS, seed=3, exhaustive=True)
+    draws = []
+    monkeypatch.setattr(Xorshift64Star, "next_bytes", lambda *args: draws.append(args))
+    again, boosts, _ = _detect_with_runs(GATE_GAP, GATE_GAP_INPUTS, seed=3, exhaustive=True)
+    assert isinstance(first, ViolationReport) and again == first and first.witness[1] is held[-1]
+    assert boosts and all(b is h for b, h in zip(boosts, held, strict=True))
+    assert draws == []
+
+
+def test_memo_holds_a_default_env_s_streams():
+    cfg = EnvConfig()
+    assert detect._sibling.cache_info().maxsize == SIBLING_MEMO_SIZE >= cfg.num_inputs * cfg.boosts_per_input
 
 
 def test_held_hw_points_serve_later_boosted_calls(monkeypatch):
     # a fixed CHAIN_MENU episode: every sibling hw_run detection makes
     # resumes from its base observation's chain point, none from the reset;
     # some of those points were found on an earlier step and held since in
-    # observe's HwPoints; and every call still equals the unstored one,
+    # observe's HwPoints; and every call still equals the call from scratch,
     # sibling runs included
-    from leaklab import detect
-
     rng = random.Random(8)
     steps = [CHAIN_MENU[rng.randrange(CHAIN_MENU.size)] for _ in range(30)]
     inputs = generate_inputs(11, 6)
@@ -727,7 +727,7 @@ def test_held_hw_points_serve_later_boosted_calls(monkeypatch):
         return run(*args)
 
     monkeypatch.setattr(detect, "hw_run", recorded)
-    resume, store, p = ResumePoints(), ResumePoints(), Program()
+    resume, p = ResumePoints(), Program()
     held = []
     chains = from_held = 0
     for step in steps:
@@ -737,11 +737,12 @@ def test_held_hw_points_serve_later_boosted_calls(monkeypatch):
             continue
         p = candidate
         used.clear()
-        _check_detection_call(p, inputs, CT_SEQ, SpecConfig(), store, observations=records, **kwargs)
+        detect_violation(p, inputs, CT_SEQ, SpecConfig(), observations=records, **kwargs)
         assert all(any(point is o.chain for o in records) for point in used)
         chains += len(used)
         from_held += sum(any(point is h for h in held) for point in used)
         held = [o.chain for o in records if o.chain is not None]
+        _check_detection_call(p, inputs, CT_SEQ, SpecConfig(), observations=records, **kwargs)
     assert from_held > 0 and chains > from_held
 
 
@@ -753,20 +754,20 @@ ZEROED_CHAIN = parse_program("SBB R2, R2\nJNS +3\nSBB R1, [BASE+R0]\nIMUL R1, R2
 
 def test_carried_siblings_run_from_the_chain_point():
     # ZEROED_CHAIN's JNS opens a chain window on every input. An appended
-    # ALU op, or a re-load of the address its last load reads, carries
-    # every held sibling object, and detection still runs each carried
-    # sibling from its base's chain point on the longer program.
+    # ALU op, or a re-load of the address its last load reads, keeps every
+    # load set, so every sibling is the memo's object from ZEROED_CHAIN's
+    # call, and detection still runs each from its base's chain point on the
+    # longer program.
     inputs = generate_inputs(19, 3)
     kwargs = dict(contract=CT_SEQ, cfg=SpecConfig(), budget=300, seed=7, exhaustive=True)
     assert all(o.chain is not None for o in observe(ZEROED_CHAIN, inputs))
     for line in ("SBB R1, R2", "SBB R2, [BASE+R1]"):
-        store = ResumePoints()
-        assert detect_violation(ZEROED_CHAIN, inputs, resume=store, **kwargs) is None
-        held = [store.entries[i, j].result for i in range(len(inputs)) for j in (1, 2)]
+        result, held, _ = _detect_with_runs(ZEROED_CHAIN, inputs, **kwargs)
+        assert result is None and len(held) == 6
         p = ZEROED_CHAIN.append(parse_program(line).instrs[0])
-        result, boosts, runs = _detect_with_runs(p, inputs, resume=store, **kwargs)
+        result, boosts, runs = _detect_with_runs(p, inputs, **kwargs)
         assert result is None is detect_violation(p, inputs, **kwargs), line
-        assert len(boosts) == len(held) and all(b is h for b, h in zip(boosts, held)), line
+        assert all(b is h for b, h in zip(boosts, held, strict=True)), line
         assert [(name, inp) for name, inp, _ in runs] == [("hw", b) for b in boosts], line
 
 
@@ -775,8 +776,6 @@ def test_sibling_runs_from_the_chain_point_meet_the_budget(monkeypatch):
     # resumed from the chain point commits the base's path and counts its
     # instructions from the reset, so it terminates, and detection finds
     # what it finds with budget to spare
-    from leaklab import detect
-
     runs = []
     run = detect.hw_run
 
@@ -805,17 +804,14 @@ class _ReadCountingTrace(tuple):
 
 
 def test_carried_streams_draw_no_bytes(monkeypatch):
-    # a boosted step on which every stream carries its result still calls
+    # a boosted step on which every stream's key repeats still calls
     # boost_input once per stream and builds each base's load set once, and
     # none of those calls derives the stream's seed, builds its generator or
     # draws its fresh bytes
-    from leaklab import detect
-
     chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
     inputs = generate_inputs(19, 3)
     kwargs = dict(boosts_per_input=2, budget=300, seed=7, exhaustive=True)
-    store = ResumePoints()
-    assert detect_violation(chain, inputs, CT_SEQ, SpecConfig(), resume=store, **kwargs) is None
+    assert detect_violation(chain, inputs, CT_SEQ, SpecConfig(), **kwargs) is None
     longer = chain.append(parse_program("SBB R1, R2").instrs[0])
     records = [o._replace(ctrace=_ReadCountingTrace(o.ctrace)) for o in observe(longer, inputs, CT_SEQ)]
     calls = []
@@ -832,7 +828,7 @@ def test_carried_streams_draw_no_bytes(monkeypatch):
     monkeypatch.setattr(detect, "stream_seed", counted("stream_seed", detect.stream_seed))
     monkeypatch.setattr(detect, "Xorshift64Star", counted("Xorshift64Star", detect.Xorshift64Star))
     reads = _ReadCountingTrace.reads
-    assert detect_violation(longer, inputs, CT_SEQ, SpecConfig(), observations=records, resume=store, **kwargs) is None
+    assert detect_violation(longer, inputs, CT_SEQ, SpecConfig(), observations=records, **kwargs) is None
     assert calls == ["boost_input"] * (len(inputs) * 2)
     assert _ReadCountingTrace.reads - reads == len(inputs)
 
@@ -843,19 +839,20 @@ def test_carried_streams_draw_no_bytes(monkeypatch):
 # R0 = 63 and R1 = 512.
 CHAIN_PREFIX = parse_program("SBB R2, [BASE+R0]\nSBB R0, [BASE+R2]")
 CHAIN_BASE = Input(r0=64, r1=512, r2=0, mem=bytes(64) + ((1 << 64) - 512).to_bytes(8, "little") + bytes(4024))
-CHAIN_SEED = stream_seed(3, 1)
+# stream 1 under detection seed 3
+CHAIN_FRESH = Xorshift64Star(stream_seed(3, 1)).next_bytes(SANDBOX_SIZE)
 
 
-def _boost_on(p, base, stream=None, base_trace=None):
-    """boost_input of `p` on stream CHAIN_SEED, given the base's trace."""
-    if base_trace is None:
-        base_trace = contract_trace(p, base, CT_SEQ, 300)
-    return boost_input(p, base, CT_SEQ, Xorshift64Star(CHAIN_SEED), 300, base_trace, stream)
+def _boost_on(p, base, memo=True):
+    """boost_input of `p` on stream 1 under seed 3; with `memo` False,
+    derived afresh."""
+    if memo:
+        return boost_input(p, base, CT_SEQ, 3, 1, 300)
+    return detect._sibling.__wrapped__(base, 3, 1, _loads(contract_trace(p, base, CT_SEQ, 300)))
 
 
 def test_boost_given_the_base_trace_simulates_nothing(monkeypatch):
-    from leaklab import detect
-
+    # given the load set of the base's trace
     p = parse_program("\n".join(["SBB R0, [BASE+R0]"] * 10))
     base = generate_inputs(3, 2)[0]
     trace = contract_trace(p, base, CT_SEQ)
@@ -866,65 +863,59 @@ def test_boost_given_the_base_trace_simulates_nothing(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(detect, "contract_trace", fail)
         m.setattr(detect, "hw_run", fail)
-        sibling = boost_input(p, base, CT_SEQ, Xorshift64Star(4), base_trace=trace)
+        sibling = boost_input(p, base, CT_SEQ, 4, 1, loads=_loads(trace))
     assert contract_trace(p, sibling, CT_SEQ) == trace
 
 
 def test_loads_of_loaded_addresses_derive_the_held_bytes():
     # an extension whose new load reads an address the base already loads
-    # (R1 = 512) keeps the load set, so it returns the held sibling itself,
-    # which equals the one derived afresh
-    stream = SiblingStream()
-    held = _boost_on(CHAIN_PREFIX, CHAIN_BASE, stream)
-    assert (stream.loaded, stream.result) == (2, held)
+    # (R1 = 512) keeps the load set, so it returns the prefix's sibling
+    # itself, which equals the one derived afresh
+    held = _boost_on(CHAIN_PREFIX, CHAIN_BASE)
     p = CHAIN_PREFIX.append(parse_program("SBB R1, [BASE+R1]").instrs[0])
-    assert _boost_on(p, CHAIN_BASE, stream) is held == _boost_on(p, CHAIN_BASE)
-    assert (stream.loaded, stream.result) == (2, held)
+    assert _boost_on(p, CHAIN_BASE) is held == _boost_on(p, CHAIN_BASE, memo=False)
+    assert detect._sibling.cache_info()[:2] == (1, 1)
 
 
 def test_a_new_load_derives_other_bytes():
     # an extension that loads an address the base did not (R0 = 63 reads the
     # word at 56) copies the base's bytes there over the fresh ones
-    stream = SiblingStream()
-    held = _boost_on(CHAIN_PREFIX, CHAIN_BASE, stream)
+    held = _boost_on(CHAIN_PREFIX, CHAIN_BASE)
     p = CHAIN_PREFIX.append(parse_program("SBB R1, [BASE+R0]").instrs[0])
     assert _loads(contract_trace(p, CHAIN_BASE, CT_SEQ)) == {64, 512, 56}
-    sibling = _boost_on(p, CHAIN_BASE, stream)
-    fresh = Xorshift64Star(CHAIN_SEED).next_bytes(SANDBOX_SIZE)
-    assert held.mem[56:64] == fresh[56:64] != bytes(8) == sibling.mem[56:64]
+    sibling = _boost_on(p, CHAIN_BASE)
+    assert held.mem[56:64] == CHAIN_FRESH[56:64] != bytes(8) == sibling.mem[56:64]
     assert sibling.mem[:56] + sibling.mem[64:] == held.mem[:56] + held.mem[64:]
-    assert (stream.loaded, stream.result) == (3, sibling)
+    assert sibling == _boost_on(p, CHAIN_BASE, memo=False)
+    assert _boost_on(CHAIN_PREFIX, CHAIN_BASE) is held
 
 
 def test_boost_with_a_coincidence_cell():
     # the base's word at 64 equals the generator's there, so 64 is loaded
     # and copied without changing a byte: a program that loads only 64
     # boosts to the stream's fresh bytes
-    fresh = Xorshift64Star(CHAIN_SEED).next_bytes(SANDBOX_SIZE)
     mem = bytearray(CHAIN_BASE.mem)
-    mem[64:72] = fresh[64:72]
+    mem[64:72] = CHAIN_FRESH[64:72]
     base = Input(r0=64, r1=512, r2=0, mem=bytes(mem))
     one_load = Program(CHAIN_PREFIX.instrs[:1])
-    assert _boost_on(one_load, base).mem == fresh
+    assert _boost_on(one_load, base).mem == CHAIN_FRESH
     # the chain then reads the fresh word's address, whose base bytes differ
     sibling = _boost_on(CHAIN_PREFIX, base)
     loads = _loads(contract_trace(CHAIN_PREFIX, base, CT_SEQ))
-    assert 64 in loads and sibling.mem != fresh
+    assert 64 in loads and sibling.mem != CHAIN_FRESH
     assert _is_simulated_fixpoint(CHAIN_PREFIX, base, sibling, CT_SEQ, 300, contract_trace(CHAIN_PREFIX, base, CT_SEQ))
 
 
 def test_neutral_suffix_carries_the_boost_result():
     # the prefix's sibling serves every extension by instructions that load
     # nothing as the same object
-    stream = SiblingStream()
-    held = _boost_on(CHAIN_PREFIX, CHAIN_BASE, stream)
+    held = _boost_on(CHAIN_PREFIX, CHAIN_BASE)
     neutral = Program(CHAIN_PREFIX.instrs + parse_program("SBB R1, R2\nJNS +2\nJMP +1").instrs)
-    assert _boost_on(neutral, CHAIN_BASE, stream) is held == _boost_on(neutral, CHAIN_BASE)
+    assert _boost_on(neutral, CHAIN_BASE) is held == _boost_on(neutral, CHAIN_BASE, memo=False)
     # so does a suffix that loads only addresses the base already loads: a
     # backward branch into the prefix, whose second load reads 512 again,
     # and a read-modify-write of 512
     for suffix in ("SBB R1, R2\nJNS -2", "SBB [BASE+R1], R1"):
         p = Program(CHAIN_PREFIX.instrs + parse_program(suffix).instrs)
         assert _loads(contract_trace(p, CHAIN_BASE, CT_SEQ, 300)) == {64, 512}, suffix
-        assert _boost_on(p, CHAIN_BASE, stream) is held == _boost_on(p, CHAIN_BASE), suffix
-    assert (stream.loaded, stream.result) == (2, held)
+        assert _boost_on(p, CHAIN_BASE) is held == _boost_on(p, CHAIN_BASE, memo=False), suffix

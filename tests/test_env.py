@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leaklab.arch import OBS_LOAD, ContractMode, ContractSpec, Xorshift64Star, contract_trace, stream_seed
-from leaklab.detect import SiblingStream, boost_input
+from leaklab import detect
+from leaklab.arch import ContractMode, ContractSpec, Xorshift64Star
 from leaklab.env import (
     NO_ACTION,
     EnvConfig,
@@ -156,8 +156,7 @@ def test_guarded_growth():
 def _points(env):
     """Every resume point `env` holds, with the name of its store: observe's
     entries are an input's (TracePoint, HwPoint), and each HwPoint and each
-    record of the last observation may hold its run's chain point. The
-    sibling store holds no point."""
+    record of the last observation may hold its run's chain point."""
     for arch, hw in env._resume.entries.values():
         yield "observe", arch
         yield "observe", hw
@@ -185,41 +184,37 @@ def test_resume_points_hold_no_memory():
     assert seen["observe"] > 0 and seen["chain"] > 0
 
 
-def test_sibling_store_holds_one_entry_per_stream():
-    # the store is updated in place: after every step each sibling stream
-    # holds one SiblingStream, with the sibling its generator derives from
-    # its base's load set on some prefix of the program, that set's size,
-    # and no resume point
-    cfg = EnvConfig(max_len=16, input_seed=5, num_inputs=4, boosts_per_input=3)
-    env = LeakEnv(cfg)
-    streams = {(i, j) for i in range(cfg.num_inputs) for j in range(1, cfg.boosts_per_input + 1)}
-    rng = np.random.default_rng(4)
-    boosted = 0
-    for _ in range(6):
+def test_envs_with_equal_configs_share_siblings(monkeypatch):
+    # a second env with the first's config boosts equal bases on equal
+    # streams with equal load sets, so replaying the first env's episode it
+    # takes every sibling from the memo: the same objects, no bytes drawn,
+    # and the same step results
+    cfg = EnvConfig(max_len=8, input_seed=5, num_inputs=4, boosts_per_input=3)
+    # SBB R0, R0 and JNS +2 open a window; five of the eight steps boost
+    actions = [SBB_R0_R0, JNS_P2, 34, 25, 20, 10, 12, 1]
+    boosts = []
+    boost = detect.boost_input
+
+    def recorded(*args):
+        boosts.append(boost(*args))
+        return boosts[-1]
+
+    def episode(env):
         env.reset(0)
-        done = False
-        while not done:
-            sr = env.step(int(rng.integers(env.action_space.size)))
-            done = sr.terminated or sr.truncated
-            store = env._sibling_resume
-            assert set(store.entries) <= streams
-            prefix_traces = {}
-            for (i, j), entry in store.entries.items():
-                assert isinstance(entry, SiblingStream)
-                if entry.result is None:
-                    continue
-                if i not in prefix_traces:
-                    prefix_traces[i] = [
-                        contract_trace(Program(store.program.instrs[:n]), env.inputs[i], cfg.contract, cfg.step_budget)
-                        for n in range(len(store.program) + 1)
-                    ]
-                held_on = [t for t in prefix_traces[i] if len({o[1] for o in t if o[0] == OBS_LOAD}) == entry.loaded]
-                generator = Xorshift64Star(stream_seed(env._detect_seed, (i << 8) | j))
-                assert entry.result == boost_input(store.program, env.inputs[i], cfg.contract, generator,
-                                                   base_trace=held_on[0])
-                boosted += 1
-    assert SiblingStream.__slots__ == ("loaded", "result")
-    assert boosted > 0
+        boosts.clear()
+        results = [env.step(a) for a in actions]
+        return [(sr.reward, sr.terminated, sr.truncated, sr.info) for sr in results], list(boosts)
+
+    monkeypatch.setattr(detect, "boost_input", recorded)
+    first, first_boosts = episode(LeakEnv(cfg))
+    second_env = LeakEnv(cfg)
+    draws = []
+    monkeypatch.setattr(Xorshift64Star, "next_bytes", lambda *args: draws.append(args))
+    second, second_boosts = episode(second_env)
+    assert second == first
+    assert len(first_boosts) == 5 * cfg.num_inputs * cfg.boosts_per_input
+    assert all(b is a for a, b in zip(first_boosts, second_boosts, strict=True))
+    assert draws == []
 
 
 def test_prefix_observation_fidelity():

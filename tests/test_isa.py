@@ -70,6 +70,13 @@ def test_parse_zero_displacement_rejected():
     assert exc.value.line == 1
 
 
+def test_parse_huge_displacement_rejected():
+    # past int()'s limit on decimal digits, a ValueError used to escape
+    with pytest.raises(ParseError, match="too long") as exc:
+        parse_program("SBB R0, R0\nJNS +" + "9" * 5000)
+    assert exc.value.line == 2
+
+
 def test_parse_round_trip_two_instructions():
     text = "SBB [BASE+R2], R0\nJMP -2"
     p = parse_program(text)
