@@ -7,10 +7,10 @@ from leaklab.isa import build_action_space
 
 @pytest.fixture(autouse=True)
 def empty_sibling_memo():
-    """Start every test with an empty sibling memo, so that assertions on
-    which siblings are the same object or draw no bytes do not depend on
-    the tests run before."""
-    detect._sibling.cache_clear()
+    """Start every test with an empty sibling memo (`boost_input`'s own
+    cache), so that assertions on which siblings are the same object or
+    draw no bytes do not depend on the tests run before."""
+    detect.boost_input.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from leaklab.arch import (
     ContractMode,
     ContractSpec,
     NON_TERMINATING,
+    OBS_LOAD,
     contract_trace,
     generate_inputs,
     input_from_seed,
@@ -39,6 +40,8 @@ from leaklab.isa import Program, build_action_space
 from leaklab.uarch import REJECTED, SpecConfig, hw_run
 
 from dataclasses import replace
+
+from reference import reference_violation
 
 # Every ViolationReport produced while this module runs lands here; the final
 # criterion-4 test re-validates all of them by independent re-simulation.
@@ -123,21 +126,21 @@ def test_criterion_4_no_false_positives_with_speculation_off():
     for i in range(10_000):
         n = rng.randrange(1, 9)
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(n)))
-        r = detect_violation(
-            p, inputs, cfg=SpecConfig(window=0), budget=300, seed=i, exhaustive=True
-        )
-        if isinstance(r, ViolationReport):
-            reports += 1
+        for find in (detect_violation, reference_violation):
+            r = find(p, inputs, cfg=SpecConfig(window=0), budget=300, seed=i)
+            if isinstance(r, ViolationReport):
+                reports += 1
     assert reports == 0
     print("\nACCEPTANCE 4 PASS (part 1): zero reports from 10,000 random "
-          "programs with speculation disabled")
+          "programs with speculation disabled, from the detector and from "
+          "the from-scratch reference")
 
 
 def test_criterion_5_boost_validity():
     space = build_action_space()
     rng = random.Random(4242)
     contract = ContractSpec()
-    attempts = succeeded = 0
+    attempts = 0
     while attempts < 1000:
         n = rng.randrange(1, 11)
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(n)))
@@ -146,14 +149,10 @@ def test_criterion_5_boost_validity():
         if base_trace is NON_TERMINATING:
             continue
         attempts += 1
-        sibling = boost_input(p, base, contract, attempts, 1, budget=300)
-        if sibling is None:
-            continue
-        succeeded += 1
-        assert contract_trace(p, sibling, contract, 300) == base_trace
-    assert succeeded >= 950
-    print(f"\nACCEPTANCE 5 PASS: {succeeded}/1000 boosts returned a sibling; "
-          f"all siblings re-verified trace-equal")
+        loads = frozenset(obs[1] for obs in base_trace if obs[0] == OBS_LOAD)
+        sibling = boost_input(base, loads, attempts, 1)
+        assert contract_trace(p, sibling, contract, 300) == base_trace, attempts
+    print(f"\nACCEPTANCE 5 PASS: {attempts}/1000 siblings re-verified trace-equal")
 
 
 def test_criterion_6_gradient_check():

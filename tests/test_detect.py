@@ -18,7 +18,7 @@ from leaklab.arch import (
     input_from_seed,
     stream_seed,
 )
-from leaklab import detect
+from leaklab import detect, uarch
 from leaklab.detect import (
     MAX_BOOSTS_PER_INPUT,
     SIBLING_MEMO_SIZE,
@@ -40,6 +40,7 @@ from leaklab.isa import (
 from leaklab.uarch import REJECTED, ResumePoints, SpecConfig, hw_run, observe
 
 from conftest import make_input
+from reference import reference_sibling, reference_violation
 
 CT_SEQ = ContractSpec(ContractMode.CT_SEQ)
 PLANTED = parse_program("SBB R0, R0\nJNS +2\nSBB R1, [BASE+R2]")
@@ -55,11 +56,42 @@ SBB R2, [BASE+R0]
 SBB R2, [BASE+R1]
 SBB R2, [BASE+R2]
 """).instrs))
+# gate-gap shaped programs: transient loads whose addresses come from loads
+CHAIN_MENU = build_action_space(ActionSpaceConfig(parse_program("""
+SBB R2, R2
+SBB R0, R0
+JNS +2
+JNS +3
+SBB R1, [BASE+R0]
+SBB R2, [BASE+R1]
+SBB R0, [BASE+R2]
+SBB R1, [BASE+R2]
+""").instrs))
+# loads and read-modify-writes among branches that open windows, so that
+# most programs read memory, many of them transiently
+LOAD_MENU = build_action_space(ActionSpaceConfig(parse_program("""
+SBB R0, R0
+SBB R2, R2
+JNS +2
+JNS +3
+SBB R0, [BASE+R1]
+SBB R1, [BASE+R2]
+SBB R2, [BASE+R0]
+SBB R1, [BASE+R1]
+SBB [BASE+R0], R2
+SBB [BASE+R2], R1
+""").instrs))
+
+
+def _boost(p, base, contract, seed, index, budget=DEFAULT_STEP_BUDGET):
+    """boost_input of `base` given the load set of its contract trace of
+    `p`."""
+    return boost_input(base, _loads(contract_trace(p, base, contract, budget)), seed, index)
 
 
 def test_boost_empty_program():
     base = make_input(r0=1, r1=2, r2=3)
-    sib = boost_input(Program(), base, CT_SEQ, 1, 1)
+    sib = _boost(Program(), base, CT_SEQ, 1, 1)
     assert sib is not None
     assert (sib.r0, sib.r1, sib.r2) == (1, 2, 3)
     assert sib.mem != base.mem  # nothing constrained the fresh memory
@@ -68,7 +100,7 @@ def test_boost_empty_program():
 def test_boost_single_load():
     p = parse_program("SBB R0, [BASE+R1]")
     base = make_input(r1=256, mem_byte=5)
-    sib = boost_input(p, base, CT_SEQ, 2, 1)
+    sib = _boost(p, base, CT_SEQ, 2, 1)
     assert sib is not None
     assert sib.mem[256:264] == base.mem[256:264]  # the loaded cell is copied
     assert sib.mem != base.mem
@@ -82,21 +114,16 @@ def test_boost_chained_loads_converges():
     rng = random.Random(0)
     for trial in range(20):
         base = input_from_seed(rng.randrange(1 << 32))
-        sib = boost_input(p, base, CT_SEQ, trial, 1)
+        sib = _boost(p, base, CT_SEQ, trial, 1)
         assert contract_trace(p, sib, CT_SEQ) == contract_trace(p, base, CT_SEQ)
 
 
 def test_boost_verifies_under_ct_cond():
     contract = ContractSpec(ContractMode.CT_COND, spec_depth=8)
     base = make_input(r2=130)
-    sib = boost_input(PLANTED, base, contract, 3, 1)
+    sib = _boost(PLANTED, base, contract, 3, 1)
     assert sib is not None
     assert contract_trace(PLANTED, sib, contract) == contract_trace(PLANTED, base, contract)
-
-
-def test_boost_requires_terminating_base():
-    with pytest.raises(ValueError):
-        boost_input(parse_program("JMP -2"), make_input(), CT_SEQ, 0, 1)
 
 
 def _terminating_programs(rng, space, contract, count, max_len=10, budget=300):
@@ -133,7 +160,7 @@ def test_boost_matches_simulated_fixpoint(contract, space):
     # of dependent loads too
     rng = random.Random(23)
     for k, (p, base, trace) in enumerate(_terminating_programs(rng, space, contract, 150, max_len=24)):
-        sibling = boost_input(p, base, contract, k, 1, 300)
+        sibling = boost_input(base, _loads(trace), k, 1)
         assert _is_simulated_fixpoint(p, base, sibling, contract, 300, trace), render_program(p)
 
 
@@ -145,7 +172,7 @@ def test_dependent_load_chains_boost(length):
     p = parse_program("\n".join(["SBB R0, [BASE+R0]"] * length))
     base = generate_inputs(3, 2)[0]
     trace = contract_trace(p, base, CT_SEQ)
-    sibling = boost_input(p, base, CT_SEQ, 5, 1)
+    sibling = boost_input(base, _loads(trace), 5, 1)
     assert len(_loads(trace)) >= length - 2  # the chain reads new addresses
     assert _is_simulated_fixpoint(p, base, sibling, CT_SEQ, DEFAULT_STEP_BUDGET, trace)
 
@@ -158,7 +185,7 @@ def test_boost_without_loads_simulates_nothing(monkeypatch):
     calls = []
     monkeypatch.setattr(detect, "contract_trace", lambda *args: calls.append(args))
     # the base's trace loads nothing, so it has no cells to copy
-    sibling = boost_input(p, base, CT_SEQ, 4, 1, loads=_loads(base_trace))
+    sibling = boost_input(base, _loads(base_trace), 4, 1)
     assert sibling.mem == Xorshift64Star(stream_seed(4, 1)).next_bytes(SANDBOX_SIZE)
     assert calls == []
 
@@ -195,16 +222,15 @@ def test_detect_deterministic_witness(inputs20):
     assert a.htraces == b.htraces
 
 
-def test_exhaustive_agrees_with_short_circuit(inputs20):
+def test_detect_planted_matches_reference(inputs20):
     fast = detect_violation(PLANTED, inputs20, seed=1)
-    full = detect_violation(PLANTED, inputs20, seed=1, exhaustive=True)
-    assert fast is not None and full is not None
-    assert fast.witness == full.witness
+    assert isinstance(fast, ViolationReport)
+    assert fast == reference_violation(PLANTED, inputs20, seed=1)
 
 
-def test_gated_detection_equals_exhaustive(inputs20):
+def test_gated_detection_equals_reference(inputs20):
     # On random programs and inputs the observability gate changes no
-    # result: the gated call must equal the exhaustive oracle's.
+    # result: the gated call must equal the from-scratch reference's.
     rng = random.Random(4821)
     space = build_action_space()
     outcomes = {"gated": 0, "boosted": 0, "reported": 0}
@@ -214,8 +240,7 @@ def test_gated_detection_equals_exhaustive(inputs20):
         fast = detect_violation(p, inputs20, budget=300, seed=checked)
         if fast is REJECTED:
             continue
-        full = detect_violation(p, inputs20, budget=300, seed=checked, exhaustive=True)
-        assert fast == full, render_program(p)
+        assert fast == reference_violation(p, inputs20, budget=300, seed=checked), render_program(p)
         tier = _filter_tier(observe(p, inputs20, budget=300))
         outcomes["boosted" if tier == "observable" else "gated"] += 1
         outcomes["reported"] += fast is not None
@@ -249,8 +274,9 @@ def test_no_false_positives_with_speculation_off(inputs20):
     inputs = inputs20[:5]
     for _ in range(150):
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(rng.randrange(1, 8))))
-        r = detect_violation(p, inputs, cfg=cfg, budget=300, seed=5, exhaustive=True)
+        r = detect_violation(p, inputs, cfg=cfg, budget=300, seed=5)
         assert r is None or r is REJECTED
+        assert reference_violation(p, inputs, cfg=cfg, budget=300, seed=5) is r
 
 
 def _contract_classes(p, inputs):
@@ -283,10 +309,14 @@ def test_contract_classes(inputs20):
 # the sibling memory, drawn from the detection seed).
 GATE_GAP = parse_program("SBB R2, R2\nJNS +2\nSBB R1, [BASE+R0]\nSBB R2, [BASE+R1]")
 GATE_GAP_INPUTS = [make_input(r0=8, r1=16, r2=0)]
+# The same registers over random memory: the base's own transient loads land
+# in other cache sets, so the gate lets GATE_GAP through, and a sibling
+# witnesses the leak.
+GATE_GAP_SEEN = [Input(r0=8, r1=16, r2=0, mem=input_from_seed(0).mem)]
 
 
-def test_gate_gap_exhaustive_finds_violation():
-    report = detect_violation(GATE_GAP, GATE_GAP_INPUTS, seed=3, exhaustive=True)
+def test_gate_gap_reference_finds_violation():
+    report = reference_violation(GATE_GAP, GATE_GAP_INPUTS, seed=3)
     assert isinstance(report, ViolationReport)
     assert report.diverging_sets == (44,)
     assert report.revalidate()
@@ -296,9 +326,87 @@ def test_gate_gap_exhaustive_finds_violation():
     strict=True,
     reason="the observability gate reads base inputs only and misses this violation",
 )
-def test_gate_gap_gated_equals_exhaustive():
+def test_gate_gap_gated_equals_reference():
     gated = detect_violation(GATE_GAP, GATE_GAP_INPUTS, seed=3)
-    assert gated == detect_violation(GATE_GAP, GATE_GAP_INPUTS, seed=3, exhaustive=True)
+    assert gated == reference_violation(GATE_GAP, GATE_GAP_INPUTS, seed=3)
+
+
+# --- the detector against the from-scratch reference -------------------------
+
+
+def _check_against_reference(p, inputs, contract, cfg, seed):
+    """detect_violation of `p` from scratch, against the reference: equal
+    results on an observable call, and None on any other accepted call."""
+    result = detect_violation(p, inputs, contract, cfg, seed=seed, budget=300)
+    observations = observe(p, inputs, contract, cfg, 300)
+    if observations is REJECTED:
+        assert result is REJECTED
+    elif _filter_tier(observations) == "observable":
+        assert result == reference_violation(p, inputs, contract, cfg, seed=seed, budget=300), render_program(p)
+    else:
+        assert result is None, render_program(p)
+
+
+def _ct_seq(rng):
+    return CT_SEQ, SpecConfig()
+
+
+def _ct_cond_below_window(rng):
+    depth = rng.randrange(1, 8)
+    return ContractSpec(ContractMode.CT_COND, depth), SpecConfig(window=rng.randrange(depth + 1, 9))
+
+
+# name: (menu, contract and speculation settings, base inputs of a seed).
+# Zeroed bases keep SF clear, so their branches are taken and mispredicted,
+# and their siblings read random words wherever the base's trace loads
+# nothing (GATE_GAP's shape).
+DIFFERENTIALS = {
+    "default": (build_action_space(), _ct_seq, lambda seed: generate_inputs(seed, 4)),
+    "loads": (LOAD_MENU, _ct_seq, lambda seed: generate_inputs(seed, 4)),
+    "chain-zeroed": (CHAIN_MENU, _ct_seq,
+                     lambda seed: generate_inputs(seed, 3) + [make_input(r0=8, r1=16), make_input()]),
+    "ct-cond-shallow": (build_action_space(), _ct_cond_below_window, lambda seed: generate_inputs(seed, 4)),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIALS)
+@settings(max_examples=300, deadline=None)
+@given(program_seed=st.integers(0, (1 << 64) - 1), seed=st.integers(0, (1 << 64) - 1))
+def test_detection_matches_reference(name, program_seed, seed):
+    # the program is drawn uniformly, 1 to 24 instructions from the menu,
+    # from its own seed: Hypothesis' bias to small draws would make most
+    # programs repeat one instruction and few reach the gate
+    menu, settings_of, make_inputs = DIFFERENTIALS[name]
+    rng = random.Random(program_seed)
+    p = Program(tuple(menu[rng.randrange(menu.size)] for _ in range(rng.randrange(1, 25))))
+    _check_against_reference(p, make_inputs(seed), *settings_of(rng), seed)
+
+
+def _chain_menu_differential():
+    """How many of 400 random CHAIN_MENU programs of 1 to 8 instructions are
+    observable on six random bases and GATE_GAP's, and on how many of those
+    detect_violation and the reference disagree."""
+    rng = random.Random(0)
+    inputs = generate_inputs(5, 6) + GATE_GAP_INPUTS
+    observable = disagree = 0
+    for k in range(400):
+        p = Program(tuple(CHAIN_MENU[rng.randrange(CHAIN_MENU.size)] for _ in range(rng.randrange(1, 9))))
+        observations = observe(p, inputs, budget=300)
+        if observations is REJECTED or _filter_tier(observations) != "observable":
+            continue
+        observable += 1
+        result = detect_violation(p, inputs, budget=300, seed=k, observations=observations)
+        disagree += result != reference_violation(p, inputs, budget=300, seed=k)
+    return observable, disagree
+
+
+def test_reference_sees_a_broken_chain_check(monkeypatch):
+    # the differential finds no disagreement; with a chain check that never
+    # fires, every sibling takes its base's probe vector, and it finds some
+    observable, disagree = _chain_menu_differential()
+    assert observable >= 50 and disagree == 0
+    monkeypatch.setattr(uarch, "_is_chain", lambda *args: False)
+    assert _chain_menu_differential()[1] > 0
 
 
 def test_report_json_round_trip(inputs20):
@@ -353,7 +461,7 @@ def test_boost_success_rate_sane():
         if contract_trace(p, base, CT_SEQ, 300) is NON_TERMINATING:
             continue
         attempts += 1
-        sib = boost_input(p, base, CT_SEQ, attempts, 1, budget=300)
+        sib = _boost(p, base, CT_SEQ, attempts, 1, 300)
         if contract_trace(p, sib, CT_SEQ, 300) == contract_trace(p, base, CT_SEQ, 300):
             succeeded += 1
     assert succeeded == attempts
@@ -374,18 +482,17 @@ def test_sibling_is_the_stream_bytes_with_the_base_loads(space, picks, contract,
     base = input_from_seed(base_seed)
     trace = contract_trace(p, base, contract, budget)
     if trace is REJECTED:
-        with pytest.raises(ValueError):
-            boost_input(p, base, contract, seed, index, budget)
-        return
-    sibling = boost_input(p, base, contract, seed, index, budget)
-    fresh = Xorshift64Star(stream_seed(seed, index)).next_bytes(SANDBOX_SIZE)
+        return  # nothing to boost: detection rejects the program
     loads = _loads(trace)
+    sibling = boost_input(base, loads, seed, index)
+    fresh = Xorshift64Star(stream_seed(seed, index)).next_bytes(SANDBOX_SIZE)
     for addr in range(0, SANDBOX_SIZE, 8):
         source = base.mem if addr in loads else fresh
         assert sibling.mem[addr : addr + 8] == source[addr : addr + 8], addr
     assert (sibling.r0, sibling.r1, sibling.r2) == (base.r0, base.r1, base.r2)
     assert sibling.seed == stream_seed(seed, index)
-    assert boost_input(p, base, contract, seed, index, budget, loads) is sibling
+    assert sibling == reference_sibling(base, trace, seed, index)
+    assert boost_input(base, loads, seed, index) is sibling
     assert contract_trace(p, sibling, contract, budget) == trace
 
 
@@ -393,17 +500,6 @@ def test_sibling_is_the_stream_bytes_with_the_base_loads(space, picks, contract,
 
 MENUS = [build_action_space(), build_action_space(scaling_action_config())]
 RESET = -1  # an episode step that starts the program over
-# gate-gap shaped programs: transient loads whose addresses come from loads
-CHAIN_MENU = build_action_space(ActionSpaceConfig(parse_program("""
-SBB R2, R2
-SBB R0, R0
-JNS +2
-JNS +3
-SBB R1, [BASE+R0]
-SBB R2, [BASE+R1]
-SBB R0, [BASE+R2]
-SBB R1, [BASE+R2]
-""").instrs))
 
 
 def _detect_with_runs(*args, memo=True, **kwargs):
@@ -424,14 +520,15 @@ def _detect_with_runs(*args, memo=True, **kwargs):
 
         return wrapper
 
-    saved = detect.boost_input, detect.contract_trace, detect.hw_run, detect._sibling
-    detect.boost_input, detect.contract_trace, detect.hw_run = map(recorded, saved[:3], (None, "trace", "hw"))
-    if not memo:
-        detect._sibling = detect._sibling.__wrapped__
+    saved = detect.boost_input, detect.contract_trace, detect.hw_run
+    boost = saved[0] if memo else saved[0].__wrapped__
+    detect.boost_input, detect.contract_trace, detect.hw_run = map(
+        recorded, (boost, *saved[1:]), (None, "trace", "hw")
+    )
     try:
         return detect_violation(*args, **kwargs), boosts, runs
     finally:
-        detect.boost_input, detect.contract_trace, detect.hw_run, detect._sibling = saved
+        detect.boost_input, detect.contract_trace, detect.hw_run = saved
 
 
 def _check_detection_call(p, inputs, contract, cfg, **kwargs):
@@ -440,7 +537,7 @@ def _check_detection_call(p, inputs, contract, cfg, **kwargs):
     observations (it measures `p` from the reset) and no memo. Equal
     results, equal boost_input results for every stream, and equal
     simulator calls in order (a wrong sibling can still give the same
-    report). Returns the first call's simulator runs and boosts."""
+    report). Returns the first call's result, simulator runs and boosts."""
     resumed, resumed_boosts, resumed_runs = _detect_with_runs(p, inputs, contract, cfg, **kwargs)
     kwargs.pop("observations", None)
     fresh, fresh_boosts, fresh_runs = _detect_with_runs(p, inputs, contract, cfg, memo=False, **kwargs)
@@ -450,16 +547,16 @@ def _check_detection_call(p, inputs, contract, cfg, **kwargs):
         assert resumed is fresh
     assert resumed_boosts == fresh_boosts, text
     assert resumed_runs == fresh_runs, text
-    return resumed_runs, resumed_boosts
+    return resumed, resumed_runs, resumed_boosts
 
 
-def _check_resumed_detection(steps, inputs, contract, cfg, budget, seed, boosts, exhaustive, check_from=0):
+def _check_resumed_detection(steps, inputs, contract, cfg, budget, seed, boosts, check_from=0):
     """Drive detection as LeakEnv does: grow a program one instruction at a
     time (RESET starts it over), measure each candidate with the current
     program's resume points, and run detect_violation on every accepted one
     with those records. Every call on a program of at least `check_from`
-    instructions must pass _check_detection_call. Returns how many checked
-    calls boosted."""
+    instructions must pass _check_detection_call, and on an observable one
+    equal the reference's result. Returns how many checked calls boosted."""
     resume = ResumePoints()
     args = (contract, cfg, budget)
     p = Program()
@@ -474,10 +571,12 @@ def _check_resumed_detection(steps, inputs, contract, cfg, budget, seed, boosts,
         if records is REJECTED:
             continue
         p = candidate
-        kwargs = dict(boosts_per_input=boosts, seed=seed, budget=budget, exhaustive=exhaustive,
-                      observations=records)
+        kwargs = dict(boosts_per_input=boosts, seed=seed, budget=budget, observations=records)
         if len(p) >= check_from:
-            boosted += bool(_check_detection_call(p, inputs, contract, cfg, **kwargs)[1])
+            result, _, held = _check_detection_call(p, inputs, contract, cfg, **kwargs)
+            boosted += bool(held)
+            if _filter_tier(records) == "observable":
+                assert result == reference_violation(p, inputs, contract, cfg, boosts, seed, budget)
         else:
             detect_violation(p, inputs, contract, cfg, **kwargs)
     return boosted
@@ -519,7 +618,7 @@ def test_sibling_runs_follow_the_chain_rule(instrs, contract, window, regs, seed
         for records in (fresh, resumed):
             for i, (base, o) in enumerate(zip(inputs, records)):
                 for j in (1, 2):
-                    sibling = boost_input(p, base, contract, seed, (i << 8) | j, 300, _loads(o.ctrace))
+                    sibling = boost_input(base, _loads(o.ctrace), seed, (i << 8) | j)
                     run = hw_run(p, sibling, cfg, 300)
                     if o.chain is None:
                         assert run.htrace == o.htrace, render_program(p)
@@ -552,14 +651,13 @@ JNS -2
     budget=st.sampled_from([1, 2, 5, 9, 17, 40, 300, 10_000]),
     seed=st.integers(0, (1 << 64) - 1),
     boosts=st.integers(1, 3),
-    exhaustive=st.booleans(),
 )
-def test_resumed_siblings_match_from_scratch(menu, picks, contract, window, budget, seed, boosts, exhaustive):
+def test_resumed_siblings_match_from_scratch(menu, picks, contract, window, budget, seed, boosts):
     # one pick in eight resets the episode; budgets 1 and 2 reject most
     # steps, and budgets 5, 9 and 40 put carried results near the budget
     steps = [RESET if k % 8 == 7 else menu[k % menu.size] for k in picks]
     _check_resumed_detection(steps, generate_inputs(seed, 3), contract, SpecConfig(window=window), budget,
-                             seed, boosts, exhaustive)
+                             seed, boosts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -575,30 +673,34 @@ def test_resumed_siblings_match_from_scratch_past_the_predictor(picks, contract,
     # predictor entry (pc mod 64) with a branch of the program it extends
     steps = [MIXED_MENU[k] for k in picks]
     _check_resumed_detection(steps, generate_inputs(seed, 3), contract, SpecConfig(window=window), budget,
-                             seed, 1, True, check_from=65)
+                             seed, 1, check_from=65)
 
 
 def test_resumed_siblings_cover_gated_rejected_and_boosted_steps():
-    # a fixed default-menu episode through the env's gated mode: gated,
-    # rejected and reset steps between boosted ones, and memo hits among
-    # the boosted steps' siblings
+    # a fixed default-menu episode: gated, rejected and reset steps between
+    # boosted ones, and memo hits among the boosted steps' siblings
     rng = random.Random(8)
     space = MENUS[0]
     steps = [RESET if rng.random() < 0.05 else space[rng.randrange(space.size)] for _ in range(120)]
-    boosted = _check_resumed_detection(steps, generate_inputs(11, 6), CT_SEQ, SpecConfig(), 300, 5, 2, False)
+    boosted = _check_resumed_detection(steps, generate_inputs(11, 6), CT_SEQ, SpecConfig(), 300, 5, 2)
     assert boosted >= 10
-    assert detect._sibling.cache_info().hits > 0
+    assert detect.boost_input.cache_info().hits > 0
 
 
 def test_sibling_points_do_not_outlive_their_episode():
-    # the episode after the reset boosts first a program without loads, whose
-    # siblings are their streams' fresh bytes, then programs with loads; the
-    # chain points and the memo entries of the first episode give the second
-    # no result other than from scratch
+    # each episode opens with PLANTED, whose transient load makes every
+    # program from its third instruction on observable, and there is one
+    # base, so no call reports before it boosts. The episode after the reset
+    # boosts first programs whose contract traces load nothing, whose
+    # siblings are their streams' fresh bytes, then programs with loads,
+    # whose windows are chains; the chain points and the memo entries of the
+    # first episode give the second no result other than from scratch
     text = "SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]\nSBB R1, [BASE+R2]\n"
-    steps = [*parse_program(text).instrs, RESET, *parse_program("SBB R1, R2\n" + text).instrs]
-    boosted = _check_resumed_detection(steps, generate_inputs(23, 4), CT_SEQ, SpecConfig(), 300, 9, 2, True)
-    assert boosted == len(steps) - 1
+    episodes = [Program(PLANTED.instrs + parse_program(body).instrs) for body in (text, "SBB R1, R2\n" + text)]
+    steps = [*episodes[0].instrs, RESET, *episodes[1].instrs]
+    boosted = _check_resumed_detection(steps, generate_inputs(23, 2)[:1], CT_SEQ, SpecConfig(), 300, 9, 2,
+                                       check_from=len(PLANTED))
+    assert boosted == sum(len(p) - len(PLANTED) + 1 for p in episodes)
 
 
 # Two zero-memory bases with R0 = 1, R1 = 0 and R1 = 8.
@@ -618,76 +720,92 @@ def test_results_not_carried_past_the_budget_or_a_new_load(prefix, budget, suffi
     # Backward branch: on the second base JNS -2 returns to the first load
     # with R1 = 7, 6, ..., 0, which loads address 0 as well as 8, so the
     # prefix's sibling would lack the base's bytes at 0.
+    # With the prefix's siblings in the memo, the extension's call equals
+    # the reference's, and each sibling it boosts is derived from scratch.
     q = parse_program(prefix)
     p = Program(q.instrs + parse_program(suffix).instrs)
-    kwargs = dict(boosts_per_input=1, budget=budget, exhaustive=True)
+    traces = [contract_trace(p, base, CT_SEQ, budget) for base in EDGE_INPUTS]
     for seed in range(200):
-        _detect_with_runs(q, EDGE_INPUTS, CT_SEQ, SpecConfig(), seed=seed, **kwargs)
-        after_q = _detect_with_runs(p, EDGE_INPUTS, CT_SEQ, SpecConfig(), seed=seed, **kwargs)
-        fresh = _detect_with_runs(p, EDGE_INPUTS, CT_SEQ, SpecConfig(), seed=seed, memo=False, **kwargs)
-        assert after_q[:2] == fresh[:2], seed
+        for i, base in enumerate(EDGE_INPUTS):
+            boost_input(base, _loads(contract_trace(q, base, CT_SEQ, budget)), seed, (i << 8) | 1)
+        result, boosts, _ = _detect_with_runs(p, EDGE_INPUTS, CT_SEQ, SpecConfig(), boosts_per_input=1,
+                                              seed=seed, budget=budget)
+        assert result == reference_violation(p, EDGE_INPUTS, CT_SEQ, SpecConfig(), 1, seed, budget), seed
+        if result is REJECTED:
+            assert boosts == [], seed
+        else:
+            assert boosts == [reference_sibling(base, trace, seed, (i << 8) | 1)
+                              for i, (base, trace) in enumerate(zip(EDGE_INPUTS, traces))], seed
+
+
+# A mispredicted JNS whose two-instruction window writes the cell R2
+# addresses: on INPUTS every program that starts with it passes the
+# observability gate, under WINDOW_2 none has a chain, and CT-COND:1's
+# explored path loads nothing, so its load sets are CT-SEQ's.
+OPEN = parse_program("SBB R0, R0\nJNS +3\nSBB R1, R1\nSBB [BASE+R2], R1")
+OPEN_CHAIN = Program(OPEN.instrs + parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]").instrs)
+WINDOW_2 = SpecConfig(window=2)
 
 
 def test_unchanged_load_sets_carry_results():
-    # CHAIN's extension by a re-load of the address its second load reads
-    # and by instructions that load nothing, a forward branch among them,
-    # keeps every base's load set: each stream's sibling is the memo's
-    # object from CHAIN's call, nothing is measured (no base has a chain),
-    # and every call equals the call from scratch
-    chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
+    # OPEN_CHAIN's extension by a re-load of the address its last load
+    # reads and by instructions that load nothing, a forward branch among
+    # them, keeps every base's load set: each stream's sibling is the memo's
+    # object from OPEN_CHAIN's call, nothing is measured (no base has a
+    # chain), and every call equals the call from scratch
     inputs = generate_inputs(19, 3)
-    kwargs = dict(boosts_per_input=2, budget=300, seed=7, exhaustive=True)
-    result, held, _ = _detect_with_runs(chain, inputs, CT_SEQ, SpecConfig(), **kwargs)
+    kwargs = dict(boosts_per_input=2, budget=300, seed=7)
+    result, held, _ = _detect_with_runs(OPEN_CHAIN, inputs, CT_SEQ, WINDOW_2, **kwargs)
     assert result is None and len(held) == 6
-    p = chain
+    p = OPEN_CHAIN
     for line in ("SBB R1, [BASE+R0]", "SBB R1, R2", "JNS +2", "IMUL R0, R2", "JMP +1"):
         p = p.append(parse_program(line).instrs[0])
-        runs, boosts = _check_detection_call(p, inputs, CT_SEQ, SpecConfig(), **kwargs)
+        _, runs, boosts = _check_detection_call(p, inputs, CT_SEQ, WINDOW_2, **kwargs)
         assert runs == [], line
         assert all(b is h for b, h in zip(boosts, held, strict=True)), line
 
 
 def test_siblings_are_keyed_on_base_seed_index_and_load_set():
-    # after CHAIN's call on INPUTS (seed 7), a call with another load set,
-    # other bases on each stream (the inputs rotated) or another seed
+    # after OPEN_CHAIN's call on INPUTS (seed 7), a call with another load
+    # set, other bases on each stream (the inputs rotated) or another seed
     # derives every sibling afresh; one whose contract, window or budget
     # differs but whose load sets do not takes every sibling from the memo.
     # Each call equals the call from scratch.
-    chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
-    longer = chain.append(parse_program("SBB R1, R2").instrs[0])
+    longer = OPEN_CHAIN.append(parse_program("SBB R1, R2").instrs[0])
     inputs = generate_inputs(19, 3)
     assert len({inp.mem[:8] for inp in inputs}) == 3
-    base = dict(contract=CT_SEQ, cfg=SpecConfig(), budget=300, seed=7, exhaustive=True)
+    base = dict(contract=CT_SEQ, cfg=WINDOW_2, budget=300, seed=7)
     cases = [
-        (parse_program("SBB R0, [BASE+R2]\nSBB R2, [BASE+R0]\nSBB R1, R2"), inputs, {}, False),
+        (Program(OPEN.instrs + parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R1]\nSBB R1, R2").instrs),
+         inputs, {}, False),
         (longer, inputs[1:] + inputs[:1], {}, False),
         (longer, inputs, dict(seed=8), False),
-        (longer, inputs, dict(contract=ContractSpec(ContractMode.CT_COND, 2)), True),
-        (longer, inputs, dict(cfg=SpecConfig(window=1)), True),
+        (longer, inputs, dict(contract=ContractSpec(ContractMode.CT_COND, 1)), True),
+        (longer, inputs, dict(cfg=SpecConfig(window=3)), True),
         (longer, inputs, dict(budget=17), True),
     ]
     for p, case_inputs, change, shared in cases:
-        detect._sibling.cache_clear()
-        _, held, _ = _detect_with_runs(chain, inputs, **base)
+        boost_input.cache_clear()
+        _, held, _ = _detect_with_runs(OPEN_CHAIN, inputs, **base)
         kwargs = {**base, **change}
         result, boosts, runs = _detect_with_runs(p, case_inputs, **kwargs)
         assert (result, boosts, runs) == _detect_with_runs(p, case_inputs, memo=False, **kwargs), change
         assert [b is h for b, h in zip(boosts, held, strict=True)] == [shared] * len(held), change
-        assert detect._sibling.cache_info().hits == shared * len(held)
+        assert boost_input.cache_info().hits == shared * len(held)
 
 
 def test_a_repeated_key_returns_the_same_sibling_and_draws_nothing(monkeypatch):
     p = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
     base = generate_inputs(19, 2)[0]
-    sibling = boost_input(p, base, CT_SEQ, 7, 1, 300)
-    # an equal base, as another env or campaign generates it, hits too
+    sibling = _boost(p, base, CT_SEQ, 7, 1)
+    # an equal base and an equal load set, as another env or campaign
+    # derives them, hit too
     again = generate_inputs(19, 2)[0]
     assert again == base and again is not base
     draws = []
     for owner, name in ((detect, "stream_seed"), (detect, "Xorshift64Star"), (Xorshift64Star, "next_bytes")):
         monkeypatch.setattr(owner, name, lambda *args, name=name: draws.append(name))
-    assert boost_input(p, again, CT_SEQ, 7, 1, 300) is sibling
-    assert boost_input(p, base, CT_SEQ, 7, 1, loads=_loads(contract_trace(p, base, CT_SEQ))) is sibling
+    assert _boost(p, again, CT_SEQ, 7, 1) is sibling
     assert draws == []
 
 
@@ -695,10 +813,10 @@ def test_repeated_detection_calls_share_siblings(monkeypatch):
     # the fuzzer and the CLI's detect call detect_violation from scratch; a
     # repeated call boosts every stream from the memo, draws no bytes and
     # returns the same report
-    first, held, _ = _detect_with_runs(GATE_GAP, GATE_GAP_INPUTS, seed=3, exhaustive=True)
+    first, held, _ = _detect_with_runs(GATE_GAP, GATE_GAP_SEEN, seed=3)
     draws = []
     monkeypatch.setattr(Xorshift64Star, "next_bytes", lambda *args: draws.append(args))
-    again, boosts, _ = _detect_with_runs(GATE_GAP, GATE_GAP_INPUTS, seed=3, exhaustive=True)
+    again, boosts, _ = _detect_with_runs(GATE_GAP, GATE_GAP_SEEN, seed=3)
     assert isinstance(first, ViolationReport) and again == first and first.witness[1] is held[-1]
     assert boosts and all(b is h for b, h in zip(boosts, held, strict=True))
     assert draws == []
@@ -706,7 +824,7 @@ def test_repeated_detection_calls_share_siblings(monkeypatch):
 
 def test_memo_holds_a_default_env_s_streams():
     cfg = EnvConfig()
-    assert detect._sibling.cache_info().maxsize == SIBLING_MEMO_SIZE >= cfg.num_inputs * cfg.boosts_per_input
+    assert boost_input.cache_info().maxsize == SIBLING_MEMO_SIZE >= cfg.num_inputs * cfg.boosts_per_input
 
 
 def test_held_hw_points_serve_later_boosted_calls(monkeypatch):
@@ -718,7 +836,7 @@ def test_held_hw_points_serve_later_boosted_calls(monkeypatch):
     rng = random.Random(8)
     steps = [CHAIN_MENU[rng.randrange(CHAIN_MENU.size)] for _ in range(30)]
     inputs = generate_inputs(11, 6)
-    kwargs = dict(boosts_per_input=2, seed=5, budget=300, exhaustive=True)
+    kwargs = dict(boosts_per_input=2, seed=5, budget=300)
     used = []
     run = detect.hw_run
 
@@ -759,7 +877,7 @@ def test_carried_siblings_run_from_the_chain_point():
     # call, and detection still runs each from its base's chain point on the
     # longer program.
     inputs = generate_inputs(19, 3)
-    kwargs = dict(contract=CT_SEQ, cfg=SpecConfig(), budget=300, seed=7, exhaustive=True)
+    kwargs = dict(contract=CT_SEQ, cfg=SpecConfig(), budget=300, seed=7)
     assert all(o.chain is not None for o in observe(ZEROED_CHAIN, inputs))
     for line in ("SBB R1, R2", "SBB R2, [BASE+R1]"):
         result, held, _ = _detect_with_runs(ZEROED_CHAIN, inputs, **kwargs)
@@ -785,11 +903,12 @@ def test_sibling_runs_from_the_chain_point_meet_the_budget(monkeypatch):
         return result
 
     monkeypatch.setattr(detect, "hw_run", recorded)
-    assert observe(GATE_GAP, GATE_GAP_INPUTS, budget=2) is REJECTED
-    assert observe(GATE_GAP, GATE_GAP_INPUTS, budget=3)[0].chain is not None
-    report = detect_violation(GATE_GAP, GATE_GAP_INPUTS, seed=3, budget=3, exhaustive=True)
+    assert observe(GATE_GAP, GATE_GAP_SEEN, budget=2) is REJECTED
+    assert observe(GATE_GAP, GATE_GAP_SEEN, budget=3)[0].chain is not None
+    report = detect_violation(GATE_GAP, GATE_GAP_SEEN, seed=3, budget=3)
     assert runs and all(result is not REJECTED for result in runs)
-    assert report == detect_violation(GATE_GAP, GATE_GAP_INPUTS, seed=3, exhaustive=True)
+    assert report == detect_violation(GATE_GAP, GATE_GAP_SEEN, seed=3)
+    assert report == reference_violation(GATE_GAP, GATE_GAP_SEEN, seed=3, budget=3)
     assert report.revalidate(budget=3)
 
 
@@ -808,12 +927,11 @@ def test_carried_streams_draw_no_bytes(monkeypatch):
     # boost_input once per stream and builds each base's load set once, and
     # none of those calls derives the stream's seed, builds its generator or
     # draws its fresh bytes
-    chain = parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]")
     inputs = generate_inputs(19, 3)
-    kwargs = dict(boosts_per_input=2, budget=300, seed=7, exhaustive=True)
-    assert detect_violation(chain, inputs, CT_SEQ, SpecConfig(), **kwargs) is None
-    longer = chain.append(parse_program("SBB R1, R2").instrs[0])
-    records = [o._replace(ctrace=_ReadCountingTrace(o.ctrace)) for o in observe(longer, inputs, CT_SEQ)]
+    kwargs = dict(boosts_per_input=2, budget=300, seed=7)
+    assert detect_violation(OPEN_CHAIN, inputs, CT_SEQ, WINDOW_2, **kwargs) is None
+    longer = OPEN_CHAIN.append(parse_program("SBB R1, R2").instrs[0])
+    records = [o._replace(ctrace=_ReadCountingTrace(o.ctrace)) for o in observe(longer, inputs, CT_SEQ, WINDOW_2)]
     calls = []
 
     def counted(name, fn):
@@ -828,7 +946,7 @@ def test_carried_streams_draw_no_bytes(monkeypatch):
     monkeypatch.setattr(detect, "stream_seed", counted("stream_seed", detect.stream_seed))
     monkeypatch.setattr(detect, "Xorshift64Star", counted("Xorshift64Star", detect.Xorshift64Star))
     reads = _ReadCountingTrace.reads
-    assert detect_violation(longer, inputs, CT_SEQ, SpecConfig(), observations=records, **kwargs) is None
+    assert detect_violation(longer, inputs, CT_SEQ, WINDOW_2, observations=records, **kwargs) is None
     assert calls == ["boost_input"] * (len(inputs) * 2)
     assert _ReadCountingTrace.reads - reads == len(inputs)
 
@@ -846,9 +964,8 @@ CHAIN_FRESH = Xorshift64Star(stream_seed(3, 1)).next_bytes(SANDBOX_SIZE)
 def _boost_on(p, base, memo=True):
     """boost_input of `p` on stream 1 under seed 3; with `memo` False,
     derived afresh."""
-    if memo:
-        return boost_input(p, base, CT_SEQ, 3, 1, 300)
-    return detect._sibling.__wrapped__(base, 3, 1, _loads(contract_trace(p, base, CT_SEQ, 300)))
+    boost = boost_input if memo else boost_input.__wrapped__
+    return boost(base, _loads(contract_trace(p, base, CT_SEQ, 300)), 3, 1)
 
 
 def test_boost_given_the_base_trace_simulates_nothing(monkeypatch):
@@ -863,7 +980,7 @@ def test_boost_given_the_base_trace_simulates_nothing(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(detect, "contract_trace", fail)
         m.setattr(detect, "hw_run", fail)
-        sibling = boost_input(p, base, CT_SEQ, 4, 1, loads=_loads(trace))
+        sibling = boost_input(base, _loads(trace), 4, 1)
     assert contract_trace(p, sibling, CT_SEQ) == trace
 
 
@@ -874,7 +991,7 @@ def test_loads_of_loaded_addresses_derive_the_held_bytes():
     held = _boost_on(CHAIN_PREFIX, CHAIN_BASE)
     p = CHAIN_PREFIX.append(parse_program("SBB R1, [BASE+R1]").instrs[0])
     assert _boost_on(p, CHAIN_BASE) is held == _boost_on(p, CHAIN_BASE, memo=False)
-    assert detect._sibling.cache_info()[:2] == (1, 1)
+    assert boost_input.cache_info()[:2] == (1, 1)
 
 
 def test_a_new_load_derives_other_bytes():

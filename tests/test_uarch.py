@@ -35,6 +35,7 @@ from leaklab.uarch import (
 )
 
 from conftest import make_input, memory
+from reference import reference_violation
 
 CT_SEQ = ContractSpec(ContractMode.CT_SEQ)
 
@@ -599,8 +600,8 @@ def _check_inputs_untouched(instrs, contract, window, as_bytearray, seed):
         if records is REJECTED:
             continue
         p = candidate
-        detect_violation(p, inputs, contract, cfg, budget=300, seed=seed, exhaustive=True,
-                         observations=records)
+        detect_violation(p, inputs, contract, cfg, budget=300, seed=seed, observations=records)
+        reference_violation(p, inputs, contract, cfg, budget=300, seed=seed)
     assert [bytes(inp.mem) for inp in inputs] == before
 
 
