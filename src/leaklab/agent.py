@@ -7,6 +7,11 @@ so identical seeds give identical training logs. No learning framework is
 involved; gradients are computed by hand and checked against finite
 differences in the test suite.
 
+An encoded observation is mostly zeros, so both nets' first layers read only
+the nonzero inputs: `select_action` those of its observation, `ppo_update`
+those that are nonzero somewhere in the rollout. The math is the dense
+math without its zero terms.
+
 The random-search baseline shares the learner's episode runner (steps,
 episodes, leaks, log records) but not its rollout buffer: it draws actions
 uniformly and never encodes an observation.
@@ -72,6 +77,13 @@ class TrainerConfig:
             raise ConfigError("gamma and gae_lambda must lie in [0, 1]")
         if self.clip_eps <= 0:
             raise ConfigError("clip_eps must be positive")
+        # NaN fails every comparison, so each test is written to pass only
+        # on a finite value in range
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and positive")
+        for name in ("entropy_coef", "value_coef"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
         for name in ("epochs", "minibatch_size", "horizon"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -180,9 +192,21 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
+def _restrict(params: PolicyParams, cols: np.ndarray) -> PolicyParams:
+    """`params` with both first-layer weights cut to the input rows `cols`.
+    The biases and later layers are the same arrays, not copies."""
+    return PolicyParams(
+        policy=[(params.policy[0][0][cols], params.policy[0][1])] + params.policy[1:],
+        value=[(params.value[0][0][cols], params.value[0][1])] + params.value[1:],
+    )
+
+
 def select_action(params: PolicyParams, obs: np.ndarray, rng: np.random.Generator):
     """Sample an action from the softmax policy; returns (action, log-prob,
-    value estimate)."""
+    value estimate). Both nets read only the observation's nonzero entries."""
+    obs = np.ravel(obs)
+    cols = np.flatnonzero(obs)
+    params, obs = _restrict(params, cols), obs[cols]
     logits = policy_logits(params, obs)
     if not np.isfinite(logits).all():
         raise TrainingFault("policy produced non-finite logits")
@@ -281,11 +305,16 @@ def loss_and_grads(params: PolicyParams, batch: dict, cfg: TrainerConfig):
 def ppo_update(params: PolicyParams, traj: Trajectory, cfg: TrainerConfig, rng: np.random.Generator):
     """Run the configured epochs of minibatch gradient descent over one
     rollout on a copy of `params`, and return the updated copy plus averaged
-    loss statistics."""
-    obs, actions, old_logp, rets = traj.obs, traj.actions, traj.log_probs, traj.returns
+    loss statistics.
+
+    The epochs run on the input columns that are nonzero somewhere in the
+    rollout. A first-layer weight row of any other column gets a gradient of
+    zero in every minibatch, so it keeps its value and is copied through."""
+    cols = np.flatnonzero(traj.obs.any(axis=0))
+    obs, actions, old_logp, rets = traj.obs[:, cols], traj.actions, traj.log_probs, traj.returns
     adv = (traj.advantages - traj.advantages.mean()) / max(traj.advantages.std(), 1e-8)
 
-    new = params.copy()
+    new = _restrict(params, cols).copy()
     n = len(actions)
     stats_acc: dict[str, float] = {}
     count = 0
@@ -308,7 +337,12 @@ def ppo_update(params: PolicyParams, traj: Trajectory, cfg: TrainerConfig, rng: 
             for k, val in stats.items():
                 stats_acc[k] = stats_acc.get(k, 0.0) + val
             count += 1
-    return new, {k: v / count for k, v in stats_acc.items()}
+    nets = []
+    for dense, cut in ((params.policy, new.policy), (params.value, new.value)):
+        w = dense[0][0].copy()
+        w[cols] = cut[0][0]
+        nets.append([(w, cut[0][1])] + cut[1:])
+    return PolicyParams(*nets), {k: v / count for k, v in stats_acc.items()}
 
 
 # --- training loop ----------------------------------------------------------

@@ -1,11 +1,15 @@
-"""A from-scratch relational detector, the tests' oracle for
-`detect_violation`.
+"""From-scratch oracles for the tests: a relational detector for
+`detect_violation`, and a dense PPO update and action sampler for
+`ppo_update` and `select_action`.
 
-It shares nothing with the product's detector but the two simulators, the
+The detector shares nothing with the product's but the two simulators, the
 stream generator and the report type: every member's contract trace and
 probe vector come from runs from the reset, and each sibling is derived
 here from its stream. It has no observability gate and no chain rule, so it
 sees what they miss.
+
+The learner's oracles share only `loss_and_grads` and the dense forwards,
+and run them over the full input width, zero columns included.
 """
 
 from leaklab.arch import (
@@ -17,6 +21,9 @@ from leaklab.arch import (
     contract_trace,
     stream_seed,
 )
+import numpy as np
+
+from leaklab.agent import loss_and_grads, policy_logits, value_forward
 from leaklab.detect import ViolationReport
 from leaklab.uarch import CACHE_SETS, REJECTED, SpecConfig, hw_run
 
@@ -84,3 +91,37 @@ def _report(p, contract, cfg, a, b) -> ViolationReport:
         htraces=(a[2], b[2]),
         diverging_sets=tuple(s for s in range(CACHE_SETS) if diff >> s & 1),
     )
+
+
+def reference_select_action(params, obs, rng):
+    """`select_action` over every input column: (action, log-prob, value)."""
+    logits = policy_logits(params, obs)[0]
+    z = logits - logits.max()
+    logp = z - np.log(np.exp(z).sum())
+    probs = np.exp(logp)
+    action = int(rng.choice(len(probs), p=probs / probs.sum()))
+    return action, float(logp[action]), float(value_forward(params, obs)[0])
+
+
+def reference_ppo_update(params, traj, cfg, rng):
+    """`ppo_update` over every input column: the same minibatches, in the
+    same order, on a copy of `params`; returns the updated copy."""
+    adv = (traj.advantages - traj.advantages.mean()) / max(traj.advantages.std(), 1e-8)
+    new = params.copy()
+    n = len(traj.actions)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.minibatch_size):
+            idx = order[start : start + cfg.minibatch_size]
+            batch = {
+                "obs": traj.obs[idx],
+                "actions": traj.actions[idx],
+                "old_log_probs": traj.log_probs[idx],
+                "advantages": adv[idx],
+                "returns": traj.returns[idx],
+            }
+            _, pg, vg = loss_and_grads(new, batch, cfg)
+            for (w, b), (gw, gb) in zip(new.policy + new.value, pg + vg):
+                w -= cfg.learning_rate * gw
+                b -= cfg.learning_rate * gb
+    return new

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from leaklab import agent
 from leaklab.agent import (
     PolicyParams,
     TrainerConfig,
@@ -18,7 +19,9 @@ from leaklab.agent import (
     Trajectory,
 )
 from leaklab.env import EnvConfig, LeakEnv
-from leaklab.harness import planted_fixture
+from leaklab.errors import ConfigError, TrainingFault
+from leaklab.harness import fixture_trainer_config, planted_fixture
+from reference import reference_ppo_update, reference_select_action
 
 
 def _small_params(rng, input_dim=4, hidden=(8, 7), n_actions=3) -> PolicyParams:
@@ -154,11 +157,127 @@ def test_ppo_update_runs_and_reports():
         returns=rng.normal(size=n),
     )
     cfg = TrainerConfig(minibatch_size=8, epochs=2, learning_rate=1e-3)
+    before = params.to_vector()
     new, stats = ppo_update(params, traj, cfg, rng)
     assert set(stats) == {"loss", "policy_loss", "value_loss", "entropy"}
     assert not np.allclose(new.to_vector(), params.to_vector())
     # the input params are untouched
-    assert params.to_vector() is not new.to_vector()
+    assert np.array_equal(params.to_vector(), before)
+
+
+def _fixture_rows(steps=40):
+    """The encoded observations of a uniformly random walk in the planted
+    fixture's env (about 2% of each row is nonzero), and policy parameters
+    of that width whose last policy layer is not zero."""
+    _, env_cfg = planted_fixture()
+    env = LeakEnv(env_cfg)
+    rng = np.random.default_rng(21)
+    rows = [env.encode(env.reset(0))]
+    while len(rows) < steps:
+        sr = env.step(int(rng.integers(env.action_space.size)))
+        rows.append(env.encode(env.reset() if sr.terminated or sr.truncated else sr.obs))
+    params = init_params(env.encoded_length, env.action_space.size, rng)
+    w, b = params.policy[-1]
+    params.policy[-1] = (rng.normal(size=w.shape) * 0.1, b)
+    return params, np.array(rows)
+
+
+def _update_case(kind):
+    rng = np.random.default_rng(9)
+    if kind == "dense":
+        return _small_params(rng, input_dim=6), rng.normal(size=(32, 6))
+    params, rows = _fixture_rows()
+    if kind == "zero-row":
+        rows[5] = 0.0
+    elif kind == "all-zero":
+        rows[:] = 0.0
+    return params, rows
+
+
+@pytest.mark.parametrize("kind", ["dense", "fixture", "zero-row", "all-zero"])
+def test_update_matches_dense_reference(kind):
+    # select_action and ppo_update run the first layers on the nonzero
+    # inputs only; the reference runs every column. Both start from the
+    # same parameters and the same generator state.
+    params, rows = _update_case(kind)
+    before = params.to_vector()
+    actions, log_probs = [], []
+    for i, row in enumerate(rows):
+        got = select_action(params, row if i % 2 else row[None, :], np.random.default_rng(i))
+        want = reference_select_action(params, row, np.random.default_rng(i))
+        assert got[0] == want[0]
+        assert abs(got[1] - want[1]) <= 1e-12 and abs(got[2] - want[2]) <= 1e-12
+        actions.append(got[0])
+        log_probs.append(got[1])
+    rng = np.random.default_rng(17)
+    traj = Trajectory(
+        obs=rows,
+        actions=np.array(actions),
+        log_probs=np.array(log_probs),
+        advantages=rng.normal(size=len(rows)),
+        returns=rng.normal(size=len(rows)),
+    )
+    cfg = fixture_trainer_config(minibatch_size=8, epochs=3)
+    new, stats = ppo_update(params, traj, cfg, np.random.default_rng(5))
+    want = reference_ppo_update(params, traj, cfg, np.random.default_rng(5))
+    assert np.all(np.isfinite(list(stats.values())))
+    assert np.max(np.abs(new.to_vector() - want.to_vector())) <= 1e-12
+    assert not np.array_equal(new.to_vector(), before)
+    unread = ~rows.any(axis=0)
+    for dense, updated in ((params.policy, new.policy), (params.value, new.value)):
+        assert np.array_equal(updated[0][0][unread], dense[0][0][unread])
+    assert np.array_equal(params.to_vector(), before)
+
+
+def test_select_action_faults_on_a_nan_weight_it_reads():
+    params, rows = _fixture_rows(steps=2)
+    row = rows[1]
+    read, unread = np.flatnonzero(row)[0], np.flatnonzero(row == 0)[0]
+    poisoned = params.copy()
+    poisoned.policy[0][0][unread, 0] = np.nan
+    # a row that the observation does not read never reaches the logits
+    assert select_action(poisoned, row, np.random.default_rng(0)) == select_action(
+        params, row, np.random.default_rng(0)
+    )
+    poisoned.policy[0][0][read, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingFault, match="non-finite logits"):
+        select_action(poisoned, row, np.random.default_rng(0))
+
+
+def test_update_restricts_only_the_first_layers(monkeypatch):
+    # loss_and_grads runs once per minibatch, as the module global that
+    # perfbench traces, on the rollout's nonzero columns
+    params, rows = _update_case("zero-row")
+    widths = []
+
+    def recording(p, batch, cfg):
+        widths.append((p.policy[0][0].shape[0], p.value[0][0].shape[0], batch["obs"].shape[1]))
+        return loss_and_grads(p, batch, cfg)
+
+    monkeypatch.setattr(agent, "loss_and_grads", recording)
+    n = len(rows)
+    traj = Trajectory(rows, np.zeros(n, dtype=int), np.full(n, -1.0), np.linspace(-1, 1, n), np.zeros(n))
+    cfg = fixture_trainer_config(minibatch_size=8, epochs=3)
+    new, _ = ppo_update(params, traj, cfg, np.random.default_rng(5))
+    support = int(rows.any(axis=0).sum())
+    assert widths == [(support, support, support)] * (3 * -(-n // 8))
+    assert [w.shape for w, _ in new.policy + new.value] == [w.shape for w, _ in params.policy + params.value]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", np.inf), ("learning_rate", np.nan),
+    ("entropy_coef", -0.01), ("entropy_coef", np.inf), ("entropy_coef", np.nan),
+    ("value_coef", -0.5), ("value_coef", np.inf), ("value_coef", np.nan),
+])
+def test_trainer_config_rejects_bad_step_sizes(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainerConfig(**{field: value})
+
+
+def test_trainer_config_accepts_finite_step_sizes():
+    # 1e300 is a valid (if divergent) step size; zero coefficients switch a
+    # loss term off
+    TrainerConfig(learning_rate=1e300, entropy_coef=0.0, value_coef=0.0)
 
 
 def _tiny_env():

@@ -196,6 +196,9 @@ MALFORMED = [
     (("fuzz_budget",), 0, "fuzz_budget"),
     (("rl_step_budget",), 0, "rl_step_budget"),
     (("env", "actions"), ["JNS +" + "9" * 5000], "too long"),
+    (("trainer", "learning_rate"), 0, "learning_rate"),
+    (("trainer", "entropy_coef"), -0.01, "entropy_coef"),
+    (("trainer", "value_coef"), -1, "value_coef"),
 ]
 
 
