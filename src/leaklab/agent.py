@@ -75,12 +75,11 @@ class TrainerConfig:
     def __post_init__(self):
         if not (0.0 <= self.gamma <= 1.0 and 0.0 <= self.gae_lambda <= 1.0):
             raise ConfigError("gamma and gae_lambda must lie in [0, 1]")
-        if self.clip_eps <= 0:
-            raise ConfigError("clip_eps must be positive")
         # NaN fails every comparison, so each test is written to pass only
         # on a finite value in range
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ConfigError("learning_rate must be finite and positive")
+        for name in ("clip_eps", "learning_rate"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and positive")
         for name in ("entropy_coef", "value_coef"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")

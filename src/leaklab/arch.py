@@ -89,15 +89,21 @@ class ContractMode(Enum):
 @dataclass(frozen=True)
 class ContractSpec:
     """Which observations the contract exposes. CT_SEQ sees the sequential
-    path only; CT_COND also sees up to `spec_depth` instructions down the
-    not-taken direction of each conditional branch; branches on that
-    explored path are not explored in turn."""
+    path only, and its `spec_depth` is 0; CT_COND also sees up to
+    `spec_depth` instructions (8 unless given) down the not-taken direction
+    of each conditional branch; branches on that explored path are not
+    explored in turn. The simulators read `spec_depth` alone: a contract
+    explores iff it is nonzero."""
 
     mode: ContractMode = ContractMode.CT_SEQ
-    spec_depth: int = 8
+    spec_depth: int | None = None
 
     def __post_init__(self):
-        if self.mode is ContractMode.CT_COND and self.spec_depth < 1:
+        if self.spec_depth is None:
+            object.__setattr__(self, "spec_depth", 8 if self.mode is ContractMode.CT_COND else 0)
+        elif self.mode is ContractMode.CT_SEQ and self.spec_depth != 0:
+            raise ConfigError("CT_SEQ explores nothing: its spec_depth is 0")
+        elif self.mode is ContractMode.CT_COND and self.spec_depth < 1:
             raise ConfigError("CT_COND requires spec_depth >= 1")
 
     @property
@@ -109,16 +115,18 @@ class ContractSpec:
     @classmethod
     def from_name(cls, name: str) -> "ContractSpec":
         """Inverse of `name`: "ct-seq", "ct-cond" (default depth) or
-        "ct-cond:N" with N >= 1."""
-        mode, sep, depth = name.partition(":")
-        if mode == ContractMode.CT_SEQ.value and not sep:
-            return cls(ContractMode.CT_SEQ)
-        if mode == ContractMode.CT_COND.value:
-            if not sep:
-                return cls(ContractMode.CT_COND)
-            if depth.isascii() and depth.isdigit():
-                return cls(ContractMode.CT_COND, int(depth))
-        raise ConfigError(f"unknown contract {name!r}")
+        "ct-cond:N" with N >= 1. Anything else, a non-string included,
+        raises ConfigError."""
+        if isinstance(name, str):
+            mode, sep, depth = name.partition(":")
+            if mode == ContractMode.CT_SEQ.value and not sep:
+                return cls(ContractMode.CT_SEQ)
+            if mode == ContractMode.CT_COND.value:
+                if not sep:
+                    return cls(ContractMode.CT_COND)
+                if depth.isascii() and depth.isdigit():
+                    return cls(ContractMode.CT_COND, int(depth))
+        raise ConfigError(f"unknown contract {name!r}: a contract is named 'ct-seq', 'ct-cond' or 'ct-cond:N'")
 
 
 @dataclass(frozen=True)
@@ -349,7 +357,7 @@ def contract_trace(
         raise ConfigError("step_budget must be >= 1")
     instrs = p.instrs
     n = len(instrs)
-    explore = contract.mode is ContractMode.CT_COND
+    depth = contract.spec_depth
     if resume is None:
         state = ArchState.from_input(inp)
         trace: list = []
@@ -369,11 +377,11 @@ def contract_trace(
         branch_pc = state.pc
         obs = step_instruction(state, instr, n)
         trace.extend(obs)
-        if explore and instr.decoded[0] == KIND_JNS:
+        if depth and instr.decoded[0] == KIND_JNS:
             taken = obs[0][2]
             other = branch_pc + 1 if taken else min(max(branch_pc + instr.disp, 0), n)
             before = len(trace) - 1
-            _, reached = excursion(instrs, state, other, contract.spec_depth, n, _NO_STOP, trace)
+            _, reached = excursion(instrs, state, other, depth, n, _NO_STOP, trace)
             if capture is not None and point is None and (reached or state.pc >= n):
                 start = state.copy(None)
                 start.pc = branch_pc
@@ -442,7 +450,7 @@ def stream_seed(master: int, index: int) -> int:
 
 
 _XS_MULT = 0x2545F4914F6CDD1D
-# Longest expansion served by the jump table: one sandbox of 64-bit words.
+# Words per expansion: one sandbox of 64-bit words.
 _JUMP_WORDS = SANDBOX_SIZE // 8
 _NIBBLE_POS = np.arange(16)
 
@@ -473,14 +481,14 @@ def _jump_table() -> np.ndarray:
 
 # Boosting expands a sibling stream's sandbox only when `detect.boost_input`'s
 # sibling memo misses (a grown load set or an evicted entry). next_bytes keeps
-# the 64 most recently used expansions, at most 4 KB each, for those misses:
-# on a 2-core Xeon an expansion took 12 us, and a hit here 0.1 us.
+# the 64 most recently used expansions, 4 KB each, for those misses: on a
+# 2-core Xeon an expansion took 12 us, and a hit here 0.1 us.
 @lru_cache(maxsize=64)
-def _expand(x: int, count: int) -> tuple[bytes, int]:
-    """The next count/8 outputs from state `x` as little-endian bytes, and
-    the state after them, read off the jump table at once."""
+def _expand(x: int) -> tuple[bytes, int]:
+    """The next SANDBOX_SIZE/8 outputs from state `x` as little-endian bytes,
+    and the state after them, read off the jump table at once."""
     nibbles = [(x >> shift) & 15 for shift in range(0, 64, 4)]
-    states = np.bitwise_xor.reduce(_jump_table()[_NIBBLE_POS, nibbles, : count // 8], axis=0)
+    states = np.bitwise_xor.reduce(_jump_table()[_NIBBLE_POS, nibbles], axis=0)
     return (states * np.uint64(_XS_MULT)).astype("<u8").tobytes(), int(states[-1])
 
 
@@ -501,14 +509,12 @@ class Xorshift64Star:
         self.state = x
         return (x * _XS_MULT) & MASK64
 
-    def next_bytes(self, count: int) -> bytes:
-        """The next count/8 outputs as little-endian bytes, leaving the state
-        where as many next_u64 calls would. `count` is a multiple of 8 up to
-        one sandbox; the words come from the jump table at once, or from a
-        memo of recent expansions keyed by (state, count)."""
-        if count % 8 or not 0 < count <= SANDBOX_SIZE:
-            raise ValueError(f"count must be a multiple of 8 in 8..{SANDBOX_SIZE}")
-        data, self.state = _expand(self.state, count)
+    def next_bytes(self) -> bytes:
+        """One sandbox: the next SANDBOX_SIZE/8 outputs as little-endian
+        bytes, leaving the state where as many next_u64 calls would. The
+        words come from the jump table at once, or from a memo of recent
+        expansions keyed by the state."""
+        data, self.state = _expand(self.state)
         return data
 
 
@@ -517,7 +523,7 @@ def input_from_seed(seed: int) -> Input:
     4096 memory bytes as 512 little-endian 64-bit words."""
     rng = Xorshift64Star(seed)
     r0, r1, r2 = rng.next_u64(), rng.next_u64(), rng.next_u64()
-    return Input(r0=r0, r1=r1, r2=r2, mem=rng.next_bytes(SANDBOX_SIZE), seed=seed)
+    return Input(r0=r0, r1=r1, r2=r2, mem=rng.next_bytes(), seed=seed)
 
 
 def generate_inputs(seed: int, count: int) -> list[Input]:

@@ -11,12 +11,12 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import traceback
 import types
 import typing
 from contextlib import contextmanager
-from enum import Enum
 from pathlib import Path
 
 from .agent import train
@@ -84,11 +84,6 @@ def _typed(tp, value, where: str):
             raise ConfigError(f"{where} must be a list")
         item = typing.get_args(tp)[0]
         return tuple(_typed(item, v, f"{where}[{i}]") for i, v in enumerate(value))
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        names = [m.value for m in tp]
-        if value not in names:
-            raise ConfigError(f"{where} must be one of {names}")
-        return tp(value)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if tp is int:
         ok = number and isinstance(value, int)
@@ -129,12 +124,7 @@ def _build(cls, section, where: str):
 # JSON key -> (field name, parser taking the value and its key path).
 _JSON_KEYS = {
     EnvConfig: {
-        "contract": (
-            "contract",
-            lambda v, where: (
-                ContractSpec.from_name(v) if isinstance(v, str) else _build(ContractSpec, v, where)
-            ),
-        ),
+        "contract": ("contract", lambda v, where: ContractSpec.from_name(v)),
         "window": ("spec_config", lambda v, where: SpecConfig(_typed(int, v, where))),
         "rewards": ("reward", functools.partial(_build, RewardSpec)),
         "actions": ("action_config", _actions_from_json),
@@ -299,34 +289,48 @@ def _cmd_simulate(cfg: ExperimentConfig, program_path: str, input_files: list[st
     return EXIT_OK
 
 
+def _run(args, cfg: ExperimentConfig) -> int:
+    if args.command == "detect":
+        return _cmd_detect(cfg, args.program)
+    if args.command == "simulate":
+        return _cmd_simulate(cfg, args.program, args.input_file)
+    # The other commands write a file into the output directory. Both are
+    # checked before the work, so that one that cannot be written fails at
+    # once: the directory is created, and the file opened for appending (and
+    # removed again if that created it).
+    run, name = {
+        "train": (_cmd_train, "training.jsonl"),
+        "fuzz": (_cmd_fuzz, "fuzz.csv"),
+        "scaling": (_cmd_scaling, "scaling.csv"),
+    }[args.command]
+    out = Path(cfg.out_dir)
+    path = out / name
+    with _writing_output():
+        out.mkdir(parents=True, exist_ok=True)
+        existed = path.exists()
+        with open(path, "a"):
+            pass
+        if not existed:
+            path.unlink()
+    return run(cfg, out)
+
+
 def run_cli(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_experiment_config(args.config, args.seed, args.out)
-        if args.command == "detect":
-            return _cmd_detect(cfg, args.program)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, args.program, args.input_file)
-        # The other commands write a file into the output directory. Both
-        # are checked before the work, so that one that cannot be written
-        # fails at once: the directory is created, and the file opened for
-        # appending (and removed again if that created it).
-        run, name = {
-            "train": (_cmd_train, "training.jsonl"),
-            "fuzz": (_cmd_fuzz, "fuzz.csv"),
-            "scaling": (_cmd_scaling, "scaling.csv"),
-        }[args.command]
-        out = Path(cfg.out_dir)
-        path = out / name
-        with _writing_output():
-            out.mkdir(parents=True, exist_ok=True)
-            existed = path.exists()
-            with open(path, "a"):
-                pass
-            if not existed:
-                path.unlink()
-        return run(cfg, out)
+        code = _run(args, load_experiment_config(args.config, args.seed, args.out))
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # stdout's reader is gone (`leaklab simulate p.asm | head -1`): an
+        # output error. Stdout now points at the null device, so that the
+        # interpreter's final flush of what is left fails no more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

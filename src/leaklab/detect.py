@@ -21,7 +21,6 @@ from .arch import (
     REJECTED,
     ContractSpec,
     Input,
-    SANDBOX_SIZE,
     Xorshift64Star,
     contract_trace,
     stream_seed,
@@ -147,7 +146,7 @@ def boost_input(base: Input, loads: frozenset, seed: int, index: int) -> Input:
     a keyword call apart from a positional one.
     """
     rng = Xorshift64Star(stream_seed(seed, index))
-    mem = bytearray(rng.next_bytes(SANDBOX_SIZE))
+    mem = bytearray(rng.next_bytes())
     for addr in loads:
         mem[addr : addr + 8] = base.mem[addr : addr + 8]
     return Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)

@@ -132,9 +132,10 @@ class LeakEnv:
     # -- episodic interface -------------------------------------------------
 
     def reset(self, seed: int | None = None) -> Observation:
-        """Start a fresh episode. The seed only matters to agent-side
-        sampling; inputs are fixed by EnvConfig, so observations from reset
-        are identical for every seed."""
+        """Start a fresh episode. `seed` is ignored, and is kept only for
+        Gym-style callers: the inputs are fixed by EnvConfig, so the
+        observation from reset is the same for every seed, and the agent
+        samples from its own generator."""
         del seed  # inputs are fixed per config; nothing here is stochastic
         self.program = Program()
         self._done = False

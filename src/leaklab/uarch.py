@@ -31,7 +31,6 @@ from .arch import (
     OBS_PC,
     REJECTED,
     ArchState,
-    ContractMode,
     ContractSpec,
     Input,
     Rejected,
@@ -62,9 +61,6 @@ __all__ = [
 PHT_SIZE = 64
 CACHE_SETS = 64
 LINE_BYTES = 64
-# hw_run reads this on every call; a global is faster to look up than an
-# enum member
-_CT_COND = ContractMode.CT_COND
 
 
 @dataclass(frozen=True)
@@ -199,7 +195,7 @@ def hw_run(
     `contract`, when given, makes the result's `chain` the HwPoint at the
     start of the committed step of the first branch whose mispredicted
     window is a chain under that contract, or None if no window is. Let
-    `covered` be 0 under CT_SEQ and `spec_depth` under CT_COND. A window is
+    `covered` be the contract's `spec_depth` (0 under CT_SEQ). A window is
     a chain when some access's address register is tainted, where a load at
     window offset >= `covered` taints its result and the flags, and an ALU
     result is tainted iff a source is (or CF is, for SBB). A window's
@@ -251,9 +247,10 @@ def hw_run(
         pht = pht[:]
     search = False
     if contract is not None and chain is None:
-        # the CT_COND explored path runs a window's first spec_depth
-        # instructions; a chain needs a tainting load and a later access
-        covered = contract.spec_depth if contract.mode is _CT_COND else 0
+        # the contract's explored path runs a window's first spec_depth
+        # instructions (none under CT_SEQ); a chain needs a tainting load
+        # and a later access
+        covered = contract.spec_depth
         search = cfg.window > covered + 1
     point = instr = None
 

@@ -14,7 +14,6 @@ and run them over the full input width, zero columns included.
 
 from leaklab.arch import (
     DEFAULT_STEP_BUDGET,
-    SANDBOX_SIZE,
     ContractSpec,
     Input,
     Xorshift64Star,
@@ -31,7 +30,7 @@ from leaklab.uarch import CACHE_SETS, REJECTED, SpecConfig, hw_run
 def reference_sibling(base: Input, base_trace: tuple, seed: int, index: int) -> Input:
     """Stream `index`'s fresh bytes under `seed`, with the base's bytes at
     every address that `base_trace` loads, and the base's registers."""
-    mem = bytearray(Xorshift64Star(stream_seed(seed, index)).next_bytes(SANDBOX_SIZE))
+    mem = bytearray(Xorshift64Star(stream_seed(seed, index)).next_bytes())
     for obs in base_trace:
         if obs[0] == "L":
             mem[obs[1] : obs[1] + 8] = base.mem[obs[1] : obs[1] + 8]

@@ -268,6 +268,7 @@ def test_update_restricts_only_the_first_layers(monkeypatch):
     ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", np.inf), ("learning_rate", np.nan),
     ("entropy_coef", -0.01), ("entropy_coef", np.inf), ("entropy_coef", np.nan),
     ("value_coef", -0.5), ("value_coef", np.inf), ("value_coef", np.nan),
+    ("clip_eps", np.inf), ("clip_eps", np.nan),
 ])
 def test_trainer_config_rejects_bad_step_sizes(field, value):
     with pytest.raises(ConfigError, match=field):

@@ -292,9 +292,22 @@ def test_contract_name_round_trip(contract):
 
 def test_contract_from_name_defaults_and_errors():
     assert ContractSpec.from_name("ct-cond") == ContractSpec(ContractMode.CT_COND)
-    for bad in ("ct-cond:x", "ct-cond:0", "ct-foo", "ct-seq:1", "ct-cond:", "ct-cond:-1"):
+    for bad in ("ct-cond:x", "ct-cond:0", "ct-foo", "ct-seq:1", "ct-cond:", "ct-cond:-1",
+                {"mode": "ct-seq"}, None, 8):
         with pytest.raises(ConfigError):
             ContractSpec.from_name(bad)
+
+
+def test_contract_has_one_value_per_meaning():
+    # CT-SEQ explores nothing, so its depth is 0 however it is built, and a
+    # nonzero one is refused; CT-COND's default depth is 8
+    assert ContractSpec() == ContractSpec(ContractMode.CT_SEQ, 0) == ContractSpec.from_name("ct-seq")
+    assert ContractSpec().spec_depth == 0
+    assert hash(ContractSpec()) == hash(ContractSpec.from_name("ct-seq"))
+    assert ContractSpec(ContractMode.CT_COND) == ContractSpec(ContractMode.CT_COND, 8)
+    for depth in (-7, -1, 1, 3, 8):
+        with pytest.raises(ConfigError, match="CT_SEQ"):
+            ContractSpec(ContractMode.CT_SEQ, depth)
 
 
 def test_generate_inputs_deterministic():
@@ -358,34 +371,22 @@ def _generator_at(state: int) -> Xorshift64Star:
     return rng
 
 
-def _check_next_bytes_against_loop(state: int, words: int):
+def _check_next_bytes_against_loop(state: int):
     fast, slow = _generator_at(state), _generator_at(state)
-    expected = b"".join(slow.next_u64().to_bytes(8, "little") for _ in range(words))
-    assert fast.next_bytes(8 * words) == expected
+    expected = b"".join(slow.next_u64().to_bytes(8, "little") for _ in range(SANDBOX_SIZE // 8))
+    assert fast.next_bytes() == expected
     assert fast.state == slow.state
     assert fast.next_u64() == slow.next_u64()
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, M64), st.integers(1, SANDBOX_SIZE // 8))
-def test_next_bytes_matches_next_u64_loop(state, words):
-    _check_next_bytes_against_loop(state, words)
-
-
-@pytest.mark.parametrize("words", [0, SANDBOX_SIZE // 8 + 1, 1500])
-def test_next_bytes_long_and_empty_counts(words):
-    # one sandbox is the most the jump table serves; nothing asks for more
-    rng = _generator_at(0x0123456789ABCDEF)
-    with pytest.raises(ValueError):
-        rng.next_bytes(8 * words)
-    with pytest.raises(ValueError):
-        rng.next_bytes(12)
-    assert rng.state == 0x0123456789ABCDEF
+@given(st.integers(0, M64))
+def test_next_bytes_matches_next_u64_loop(state):
+    _check_next_bytes_against_loop(state)
 
 
 @pytest.mark.parametrize("advance", [0, 3])
-@pytest.mark.parametrize("words", [1, 5, SANDBOX_SIZE // 8])
-def test_next_bytes_memo_matches_next_u64_loop(advance, words):
+def test_next_bytes_memo_matches_next_u64_loop(advance):
     # a new generator and one already advanced, with the memo cold, then warm
     from leaklab import arch
 
@@ -394,8 +395,8 @@ def test_next_bytes_memo_matches_next_u64_loop(advance, words):
         fast, slow = Xorshift64Star(77), Xorshift64Star(77)
         for _ in range(advance):
             assert fast.next_u64() == slow.next_u64()
-        expected = b"".join(slow.next_u64().to_bytes(8, "little") for _ in range(words))
-        assert fast.next_bytes(8 * words) == expected
+        expected = b"".join(slow.next_u64().to_bytes(8, "little") for _ in range(SANDBOX_SIZE // 8))
+        assert fast.next_bytes() == expected
         assert fast.state == slow.state
         assert fast.next_u64() == slow.next_u64()
     assert arch._expand.cache_info()[:2] == (1, 1)  # (hits, misses)
@@ -407,7 +408,7 @@ def test_next_bytes_memo_stays_within_its_cap():
     arch._expand.cache_clear()
     cap = arch._expand.cache_info().maxsize
     for seed in list(range(cap + 10)) + [0, 1]:
-        _check_next_bytes_against_loop(Xorshift64Star(seed).state, 16)
+        _check_next_bytes_against_loop(Xorshift64Star(seed).state)
         assert arch._expand.cache_info().currsize <= cap
     assert arch._expand.cache_info().currsize == cap
 

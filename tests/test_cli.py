@@ -151,6 +151,30 @@ def test_diverged_training_exits_1(tmp_path):
     assert proc.stderr == "error: training diverged: iteration 0: non-finite loss\n"
 
 
+@pytest.mark.parametrize("command,program", [
+    ("simulate", FIXTURE_PROGRAM_TEXT),
+    ("detect", FIXTURE_PROGRAM_TEXT),  # a leak report, longer than a pipe's buffer
+    ("detect", ""),  # "no violation", short enough to wait in stdout's buffer
+])
+def test_closed_stdout_exits_1(command, program, tmp_path):
+    # `leaklab simulate p.asm | head -1`: the reader is gone before the
+    # child writes, which is an output error, with no traceback and no
+    # complaint from the interpreter's final flush
+    path = tmp_path / "program.asm"
+    path.write_text(program + "\n")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "leaklab", command, str(path)], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize("key", ["boosts_per_input", "step_budget"])
 def test_nonpositive_budget_rejected_before_run(key, tiny_config, tmp_path, capsys, monkeypatch):
     def campaign_started(cfg):
@@ -178,7 +202,7 @@ MALFORMED = [
     (("trainer", "learning_rate"), "a", "learning_rate"),
     (("env", "max_len"), "x", "max_len"),
     (("env", "rewards"), {"r_bogus": 1.0}, "r_bogus"),
-    (("env", "contract"), {"mode": "ct-cond", "spec_depth": "x"}, "spec_depth"),
+    (("env", "contract"), {"mode": "ct-cond", "spec_depth": "x"}, "'ct-seq', 'ct-cond' or 'ct-cond:N'"),
     (("program_sizes",), 5, "program_sizes"),
     ((), [], "config"),
     (("trainer", "horizon"), 0, "horizon"),
@@ -293,7 +317,7 @@ _SECTION_KEYS = {
                                                     "epochs", "stop_on_first_leak"],
 }
 _KEYS = sorted({k for keys in _SECTION_KEYS.values() for k in keys}
-               | {"mode", "spec_depth", "r_leak", "r_observable", "r_unobservable", "r_none"})
+               | {"r_leak", "r_observable", "r_unobservable", "r_none"})
 _SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
     | st.sampled_from(["ct-seq", "ct-cond", "ct-cond:3", "fixture", "scaling", "SBB R0, R0"])
@@ -411,6 +435,36 @@ def test_integer_outputs_match_golden_digests(tiny_config, fixture_asm, tmp_path
         "simulate": hashlib.sha256(simulate_out.encode()).hexdigest(),
     }
     assert digests == GOLDEN_SHA256
+
+
+# The same pins under CT-COND:2, the path on which the contract explores the
+# not-taken direction. DEEP_GADGET's leaking load lies past the contract's
+# depth of 2 but inside the window, so `detect` reports a leak.
+DEEP_GADGET = "SBB R0, R0\nJNS +4\nIMUL R0, R0\nIMUL R0, R0\nSBB R1, [BASE+R2]"
+GOLDEN_CT_COND_SHA256 = {
+    "fuzz.csv": "31da1f5c287ee764b4cdb4892f3971de7e03da9c8d66e28fe4d17fad65cad56f",
+    "detect": "b796af8a6da27ec01f40f9e603113e06c6de122cef58fcf0c7e15eb314397801",
+}
+
+
+def test_ct_cond_outputs_match_golden_digests(tmp_path, capsys):
+    doc = copy.deepcopy(TINY_CONFIG)
+    doc["env"]["contract"] = "ct-cond:2"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    program = tmp_path / "gadget.asm"
+    program.write_text(DEEP_GADGET + "\n")
+    out = tmp_path / "out"
+    assert run_cli(["fuzz", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(["detect", str(program), "--config", str(config), "--seed", "1"]) == 2
+    detect_out = capsys.readouterr().out
+    assert json.loads(detect_out)["contract"] == "ct-cond:2"
+    digests = {
+        "fuzz.csv": hashlib.sha256((out / "fuzz.csv").read_bytes()).hexdigest(),
+        "detect": hashlib.sha256(detect_out.encode()).hexdigest(),
+    }
+    assert digests == GOLDEN_CT_COND_SHA256
 
 
 def test_outputs_byte_identical_across_runs(tiny_config, tmp_path, capsys):

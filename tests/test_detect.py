@@ -186,7 +186,7 @@ def test_boost_without_loads_simulates_nothing(monkeypatch):
     monkeypatch.setattr(detect, "contract_trace", lambda *args: calls.append(args))
     # the base's trace loads nothing, so it has no cells to copy
     sibling = boost_input(base, _loads(base_trace), 4, 1)
-    assert sibling.mem == Xorshift64Star(stream_seed(4, 1)).next_bytes(SANDBOX_SIZE)
+    assert sibling.mem == Xorshift64Star(stream_seed(4, 1)).next_bytes()
     assert calls == []
 
 
@@ -410,14 +410,17 @@ def test_reference_sees_a_broken_chain_check(monkeypatch):
 
 
 def test_report_json_round_trip(inputs20):
-    report = detect_violation(PLANTED, inputs20)
-    text = report.to_json()
-    back = ViolationReport.from_json(text)
-    assert back.program == report.program
-    assert back.witness == report.witness
-    assert back.htraces == report.htraces
-    assert back.diverging_sets == report.diverging_sets
-    assert back.revalidate()
+    # under each contract the gadget's leaking load lies past the contract's
+    # depth, inside the window, so it is reported
+    for name in ("ct-seq", "ct-cond", "ct-cond:3"):
+        contract = ContractSpec.from_name(name)
+        depth = contract.spec_depth
+        program = parse_program(f"SBB R0, R0\nJNS +{depth + 2}\n" + "IMUL R0, R0\n" * depth + "SBB R1, [BASE+R2]")
+        report = detect_violation(program, inputs20, contract, SpecConfig(window=depth + 1))
+        assert report.contract == contract
+        back = ViolationReport.from_json(report.to_json())
+        assert back == report
+        assert back.revalidate()
 
 
 def test_report_with_out_of_range_register_is_rejected(inputs20):
@@ -485,7 +488,7 @@ def test_sibling_is_the_stream_bytes_with_the_base_loads(space, picks, contract,
         return  # nothing to boost: detection rejects the program
     loads = _loads(trace)
     sibling = boost_input(base, loads, seed, index)
-    fresh = Xorshift64Star(stream_seed(seed, index)).next_bytes(SANDBOX_SIZE)
+    fresh = Xorshift64Star(stream_seed(seed, index)).next_bytes()
     for addr in range(0, SANDBOX_SIZE, 8):
         source = base.mem if addr in loads else fresh
         assert sibling.mem[addr : addr + 8] == source[addr : addr + 8], addr
@@ -958,7 +961,7 @@ def test_carried_streams_draw_no_bytes(monkeypatch):
 CHAIN_PREFIX = parse_program("SBB R2, [BASE+R0]\nSBB R0, [BASE+R2]")
 CHAIN_BASE = Input(r0=64, r1=512, r2=0, mem=bytes(64) + ((1 << 64) - 512).to_bytes(8, "little") + bytes(4024))
 # stream 1 under detection seed 3
-CHAIN_FRESH = Xorshift64Star(stream_seed(3, 1)).next_bytes(SANDBOX_SIZE)
+CHAIN_FRESH = Xorshift64Star(stream_seed(3, 1)).next_bytes()
 
 
 def _boost_on(p, base, memo=True):
