@@ -115,8 +115,8 @@ class ContractSpec:
     @classmethod
     def from_name(cls, name: str) -> "ContractSpec":
         """Inverse of `name`: "ct-seq", "ct-cond" (default depth) or
-        "ct-cond:N" with N >= 1. Anything else, a non-string included,
-        raises ConfigError."""
+        "ct-cond:N" with N >= 1 written without leading zeros. Anything
+        else, a non-string included, raises ConfigError."""
         if isinstance(name, str):
             mode, sep, depth = name.partition(":")
             if mode == ContractMode.CT_SEQ.value and not sep:
@@ -124,8 +124,14 @@ class ContractSpec:
             if mode == ContractMode.CT_COND.value:
                 if not sep:
                     return cls(ContractMode.CT_COND)
-                if depth.isascii() and depth.isdigit():
-                    return cls(ContractMode.CT_COND, int(depth))
+                # one spelling per depth: no sign and no leading zero
+                if depth.isascii() and depth.isdigit() and (depth == "0" or depth[0] != "0"):
+                    try:
+                        spec_depth = int(depth)
+                    except ValueError:  # past int()'s limit on decimal digits
+                        pass
+                    else:
+                        return cls(ContractMode.CT_COND, spec_depth)
         raise ConfigError(f"unknown contract {name!r}: a contract is named 'ct-seq', 'ct-cond' or 'ct-cond:N'")
 
 
@@ -329,6 +335,14 @@ def contract_trace(
     period after a run starts repeating it writes no new address, so from
     there on equal memory means equal logs.
 
+    A run also returns REJECTED when a comparison fails and `p.can_halt` is
+    False: no control-flow path from pc 0 reaches the end, so no state the
+    run reaches can halt. This stops a loop whose state never repeats, such
+    as a counter, within 2 * len(p) committed steps. It waits for the first
+    comparison because most loops that the cycle check catches repeat
+    there, and those never pay for the walk. Like the cycle check, it
+    decides how soon REJECTED comes, never whether.
+
     `capture`, when given, is a list to which the run's TracePoint is
     appended if the run terminates;
     `resume`, when given, is a TracePoint that such a run of a prefix of `p`
@@ -348,9 +362,11 @@ def contract_trace(
     A resumed run starts the cycle check afresh at the point, and still
     returns what the run from the reset returns. The check reports only a
     repeat of the whole state, which proves that the run never halts; so it
-    decides how soon REJECTED comes, never whether. A snapshot taken
-    after the point is a state of the same run, and comparing write logs is
-    sound from any start. The step count, which the budget reads, still
+    decides how soon REJECTED comes, never whether. `p.can_halt` is a
+    property of the whole program, and the resumed run's states are states
+    of the run from the reset, so the static check holds there too. A
+    snapshot taken after the point is a state of the same run, and
+    comparing write logs is sound from any start. The step count, which the budget reads, still
     counts from the reset.
     """
     if step_budget < 1:
@@ -388,7 +404,10 @@ def contract_trace(
                 point = (start, tuple(trace[:before]), steps)
         steps += 1
         if state.pc <= branch_pc:
-            if snapshot == (state.pc, state.regs, state.sf, state.cf, state.zf, state.written):
+            if snapshot is not None and (
+                snapshot == (state.pc, state.regs, state.sf, state.cf, state.zf, state.written)
+                or not p.can_halt
+            ):
                 return REJECTED
             moves += 1
             if moves == period:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
 from typing import Iterator, Union
 
 from .errors import ConfigError, ParseError
@@ -151,6 +152,34 @@ class Program:
 
     def append(self, instr: Instruction) -> "Program":
         return Program(self.instrs + (instr,))
+
+    @cached_property
+    def can_halt(self) -> bool:
+        """Whether some control-flow path from pc 0 reaches pc ``len``: a
+        depth-first walk over clamped branch targets, where a JMP has one
+        successor and a JNS two, that stops at the end. A program without
+        such a path never halts, on any input."""
+        instrs = self.instrs
+        n = len(instrs)
+        seen = bytearray(n)
+        stack = [0]
+        while stack:
+            pc = stack.pop()
+            while pc < n and not seen[pc]:
+                seen[pc] = 1
+                kind, _, _, _, disp = instrs[pc].decoded
+                if kind > KIND_JNS:
+                    pc += 1
+                    continue
+                target = min(max(pc + disp, 0), n)
+                if kind == KIND_JMP:
+                    pc = target
+                else:
+                    stack.append(target)
+                    pc += 1
+            if pc >= n:
+                return True
+        return False
 
 
 # --- action space ---------------------------------------------------------

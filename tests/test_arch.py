@@ -3,7 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leaklab.arch import (
@@ -25,7 +25,16 @@ from leaklab.arch import (
 )
 from leaklab.errors import ConfigError
 from leaklab.harness import scaling_action_config
-from leaklab.isa import Instruction, Mem, Opcode, Program, Register, build_action_space, parse_program
+from leaklab.isa import (
+    ActionSpaceConfig,
+    Instruction,
+    Mem,
+    Opcode,
+    Program,
+    Register,
+    build_action_space,
+    parse_program,
+)
 
 from conftest import input_blob, make_input, memory
 
@@ -210,6 +219,8 @@ def test_store_between_repeats_is_not_a_loop():
 
 SCALING_MENU = build_action_space(scaling_action_config())
 CONTRACTS = [CT_SEQ] + [ContractSpec(ContractMode.CT_COND, spec_depth=d) for d in range(1, 9)]
+# a loop whose state never repeats: R1 counts down through the loaded word
+COUNTING_LOOP = parse_program("SBB R1, [BASE+R2]\nJMP -1")
 
 
 @settings(max_examples=300, deadline=None)
@@ -220,10 +231,47 @@ CONTRACTS = [CT_SEQ] + [ContractSpec(ContractMode.CT_COND, spec_depth=d) for d i
     budget=st.sampled_from([1, 7, 300, 10_000]),
     seed=st.integers(0, M64),
 )
+@example(
+    menu=build_action_space(ActionSpaceConfig(COUNTING_LOOP.instrs)),
+    picks=[0, 1],
+    contract=CT_SEQ,
+    budget=10_000,
+    seed=1,
+)
 def test_loop_exit_matches_reference(menu, picks, contract, budget, seed):
     p = Program(tuple(menu[i % menu.size] for i in picks))
     inp = input_from_seed(seed)
     assert contract_trace(p, inp, contract, budget) == _reference_trace(p, inp, contract, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    menu=st.sampled_from([build_action_space(), SCALING_MENU]),
+    picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=32),
+    seed=st.integers(0, M64),
+)
+@example(menu=build_action_space(ActionSpaceConfig(COUNTING_LOOP.instrs)), picks=[0, 1], seed=1)
+def test_rejected_run_stops_within_two_passes(menu, picks, seed):
+    # A program with no path to its end is rejected within 2 * len(p)
+    # steps whatever the budget: the first non-forward move takes the
+    # cycle check's snapshot and the second consults can_halt.
+    from leaklab import arch
+
+    p = Program(tuple(menu[i % menu.size] for i in picks))
+    if p.can_halt:
+        return
+    calls = 0
+    step = arch.step_instruction
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arch, "step_instruction", counting)
+        assert contract_trace(p, input_from_seed(seed), CT_SEQ, 10_000) is NON_TERMINATING
+    assert calls <= 2 * len(p)
 
 
 @pytest.mark.parametrize("text", ["SBB R2, R2\nJMP -1", "JMP -2"])
@@ -293,7 +341,7 @@ def test_contract_name_round_trip(contract):
 def test_contract_from_name_defaults_and_errors():
     assert ContractSpec.from_name("ct-cond") == ContractSpec(ContractMode.CT_COND)
     for bad in ("ct-cond:x", "ct-cond:0", "ct-foo", "ct-seq:1", "ct-cond:", "ct-cond:-1",
-                {"mode": "ct-seq"}, None, 8):
+                "ct-cond:08", "ct-cond:0008", "ct-cond:" + "1" * 5000, {"mode": "ct-seq"}, None, 8):
         with pytest.raises(ConfigError):
             ContractSpec.from_name(bad)
 

@@ -165,6 +165,26 @@ def test_append_action_examples(default_space):
         append_action(empty, -1, default_space)
 
 
+@pytest.mark.parametrize(
+    "text,halts",
+    [
+        ("", True),
+        ("SBB R0, R0\nIMUL R1, [BASE+R2]", True),
+        ("JMP +9", True),  # clamped to the end
+        ("JNS +2\nJMP -1\nSBB R0, R0", True),  # the JNS may jump past the self-loop
+        ("JMP -1", False),
+        ("JMP -5", False),  # clamped to pc 0
+        ("SBB R1, [BASE+R2]\nJMP -1", False),  # a counting loop
+    ],
+)
+def test_can_halt(text, halts):
+    p = parse_program(text)
+    assert p.can_halt is halts
+    # the cached answer is no field: equality, hash and repr ignore it
+    fresh = parse_program(text)
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+
+
 def _random_program(rng, space, max_len=12) -> Program:
     n = rng.randrange(0, max_len + 1)
     return Program(tuple(space[rng.randrange(space.size)] for _ in range(n)))
