@@ -27,7 +27,6 @@ from .harness import (
     scaling_study,
 )
 from .isa import (
-    ActionSpace,
     ActionSpaceConfig,
     Instruction,
     Program,

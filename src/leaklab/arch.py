@@ -36,7 +36,6 @@ __all__ = [
     "SANDBOX_SIZE",
     "MASK64",
     "DEFAULT_STEP_BUDGET",
-    "NON_TERMINATING",
     "REJECTED",
     "Rejected",
     "ContractMode",

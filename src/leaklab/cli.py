@@ -337,6 +337,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except TrainingFault as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # a config that asks for more than the machine has
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception:  # internal fault: anything unexpected
         traceback.print_exc()
         return EXIT_FAULT

@@ -24,7 +24,6 @@ from .arch import ContractSpec, DEFAULT_STEP_BUDGET, Input, generate_inputs, mix
 from .detect import MAX_BOOSTS_PER_INPUT, ViolationReport, _filter_tier, detect_violation
 from .errors import ConfigError
 from .isa import (
-    ActionSpace,
     ActionSpaceConfig,
     DEFAULT_ACTION_CONFIG,
     Program,
@@ -120,7 +119,7 @@ class LeakEnv:
 
     def __init__(self, config: EnvConfig = EnvConfig()):
         self.config = config
-        self.action_space: ActionSpace = build_action_space(config.action_config)
+        self.action_space: ActionSpaceConfig = build_action_space(config.action_config)
         self.inputs: list[Input] = generate_inputs(config.input_seed, config.num_inputs)
         self._detect_seed = mix64(config.input_seed ^ 0xDE7EC7)
         self.program = Program()
@@ -151,11 +150,10 @@ class LeakEnv:
     def step(self, action_id: int) -> StepResult:
         if self._done:
             raise RuntimeError("episode is finished; call reset()")
-        if not 0 <= action_id < self.action_space.size:
-            raise IndexError(f"action id {action_id} out of range")
         cfg = self.config
-        self._steps += 1
+        # raises IndexError for an id off the menu, before the step counts
         candidate = append_action(self.program, action_id, self.action_space)
+        self._steps += 1
         records = observe(candidate, self.inputs, cfg.contract, cfg.spec_config, cfg.step_budget,
                           resume=self._resume)
         if records is REJECTED:

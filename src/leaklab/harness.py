@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +21,6 @@ from .detect import ViolationReport, detect_violation
 from .env import EnvConfig, LeakEnv
 from .errors import ConfigError
 from .isa import (
-    ActionSpace,
     ActionSpaceConfig,
     Instruction,
     Mem,
@@ -62,6 +62,11 @@ __all__ = [
 FIXTURE_PROGRAM_TEXT = "SBB R0, R0\nJNS +2\nSBB R1, [BASE+R2]"
 
 FIXTURE_INPUT_SEED = 1337
+
+# A program of n instructions is a tuple of n 8-byte pointers, and
+# random_program draws its n ids as int64s, so past this size neither fits
+# in a 64-bit address space (and numpy raises ValueError, not MemoryError).
+_MAX_PROGRAM_SIZE = sys.maxsize // 8
 
 R0, R1, R2 = Register.R0, Register.R1, Register.R2
 
@@ -120,7 +125,7 @@ def fixture_trainer_config(**overrides) -> TrainerConfig:
     return TrainerConfig(**base)
 
 
-def random_program(n: int, space: ActionSpace, rng: np.random.Generator) -> Program:
+def random_program(n: int, space: ActionSpaceConfig, rng: np.random.Generator) -> Program:
     """One-shot fuzzer generation: n uniform draws with replacement, no
     filtering (non-terminating programs are the detector's problem)."""
     if n < 1:
@@ -132,9 +137,15 @@ def random_program(n: int, space: ActionSpace, rng: np.random.Generator) -> Prog
 def expected_fuzz_count(a: int, n: int, l: int) -> float:
     """Reported closed form for the expected number of fuzzer candidates
     before a leak: a^(n-1) / (n - l + 1), or infinity when n < l, since no
-    shorter program holds the reference leak. Recorded next to empirical
-    counts for reference, never asserted against them."""
-    return math.inf if n < l else a ** (n - 1) / (n - l + 1)
+    shorter program holds the reference leak, or when the quotient is past
+    the float range. Recorded next to empirical counts for reference, never
+    asserted against them."""
+    if n < l:
+        return math.inf
+    try:
+        return a ** (n - 1) / (n - l + 1)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -189,11 +200,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         sizes = self.program_sizes
-        if not (isinstance(sizes, tuple) and sizes and all(type(n) is int and n >= 1 for n in sizes)):
-            raise ConfigError("program_sizes must be a non-empty tuple of ints >= 1")
+        if not (isinstance(sizes, tuple) and sizes
+                and all(type(n) is int and 1 <= n <= _MAX_PROGRAM_SIZE for n in sizes)):
+            raise ConfigError(f"program_sizes must be a non-empty tuple of ints in [1, {_MAX_PROGRAM_SIZE}]")
         for name in ("trials_per_size", "fuzz_budget", "rl_step_budget"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if "\0" in str(self.out_dir):
+            raise ConfigError("out_dir must not contain a NUL character")
 
 
 def _trial_rng(seed: int, n: int, trial: int) -> np.random.Generator:

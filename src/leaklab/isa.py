@@ -23,7 +23,6 @@ __all__ = [
     "Instruction",
     "Program",
     "ActionSpaceConfig",
-    "ActionSpace",
     "build_action_space",
     "parse_program",
     "render_program",
@@ -200,22 +199,11 @@ _DEFAULT_ACTIONS = (
 
 @dataclass(frozen=True)
 class ActionSpaceConfig:
-    """The action menu: exactly these instructions, in order. The default is
-    the 40-action menu; reduced menus such as the leak fixture's list their
-    own instructions."""
+    """The action menu: exactly these instructions, in order, so index i
+    always maps to the same instruction. The default is the 40-action menu;
+    reduced menus such as the leak fixture's list their own instructions."""
 
     actions: tuple[Instruction, ...] = _DEFAULT_ACTIONS
-
-
-DEFAULT_ACTION_CONFIG = ActionSpaceConfig()
-
-
-@dataclass(frozen=True)
-class ActionSpace:
-    """Ordered, duplicate-free instruction menu; index i always maps to the
-    same instruction for a given config."""
-
-    actions: tuple[Instruction, ...]
 
     @property
     def size(self) -> int:
@@ -225,15 +213,17 @@ class ActionSpace:
         return self.actions[i]
 
 
-def build_action_space(config: ActionSpaceConfig = DEFAULT_ACTION_CONFIG) -> ActionSpace:
-    """The action space of `config`: its instructions, which must be a
-    non-empty list without duplicates."""
-    actions = tuple(config.actions)
-    if not actions:
+DEFAULT_ACTION_CONFIG = ActionSpaceConfig()
+
+
+def build_action_space(config: ActionSpaceConfig = DEFAULT_ACTION_CONFIG) -> ActionSpaceConfig:
+    """`config` itself, once checked: its instructions must be a non-empty
+    list without duplicates."""
+    if not config.actions:
         raise ConfigError("action list is empty")
-    if len(set(actions)) != len(actions):
+    if len(set(config.actions)) != len(config.actions):
         raise ConfigError("action space contains duplicate instructions")
-    return ActionSpace(actions)
+    return config
 
 
 # --- assembly text --------------------------------------------------------
@@ -300,7 +290,7 @@ def render_program(p: Program) -> str:
     return "\n".join(str(instr) for instr in p)
 
 
-def append_action(p: Program, action_id: int, space: ActionSpace) -> Program:
+def append_action(p: Program, action_id: int, space: ActionSpaceConfig) -> Program:
     """Return a new Program with action `action_id` appended; `p` is unchanged."""
     if not 0 <= action_id < space.size:
         raise IndexError(f"action id {action_id} out of range [0, {space.size})")

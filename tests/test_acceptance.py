@@ -17,7 +17,6 @@ from leaklab.arch import (
     ArchState,
     ContractMode,
     ContractSpec,
-    NON_TERMINATING,
     OBS_LOAD,
     contract_trace,
     generate_inputs,
@@ -83,7 +82,7 @@ def invisibility_runs():
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(n)))
         inp = input_from_seed(rng.randrange(1 << 48))
         hw = hw_run(p, inp, SpecConfig(), 300)
-        if hw is NON_TERMINATING:
+        if hw is REJECTED:
             continue
         checked.append((p, inp, hw))
     return checked
@@ -110,7 +109,7 @@ def test_criterion_3_counter_identity(invisibility_runs):
     zero_window = 0
     for p, inp, _ in invisibility_runs:
         off = hw_run(p, inp, SpecConfig(window=0), 300)
-        assert off is not NON_TERMINATING
+        assert off is not REJECTED
         assert off.counters.tran_uops == 0
         zero_window += 1
     print(f"\nACCEPTANCE 3 PASS: counter identity held on "
@@ -146,7 +145,7 @@ def test_criterion_5_boost_validity():
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(n)))
         base = input_from_seed(rng.randrange(1 << 48))
         base_trace = contract_trace(p, base, contract, 300)
-        if base_trace is NON_TERMINATING:
+        if base_trace is REJECTED:
             continue
         attempts += 1
         loads = frozenset(obs[1] for obs in base_trace if obs[0] == OBS_LOAD)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from leaklab.arch import (
     MASK64,
-    NON_TERMINATING,
+    REJECTED,
     SANDBOX_SIZE,
     ArchState,
     ContractMode,
@@ -130,8 +130,8 @@ def test_empty_program_trace_is_empty():
 
 def test_self_loop_hits_budget():
     p = parse_program("JMP -2")
-    assert contract_trace(p, make_input(), CT_SEQ) is NON_TERMINATING
-    assert contract_trace(p, make_input(), CT_SEQ, step_budget=17) is NON_TERMINATING
+    assert contract_trace(p, make_input(), CT_SEQ) is REJECTED
+    assert contract_trace(p, make_input(), CT_SEQ, step_budget=17) is REJECTED
 
 
 def test_planted_program_trace_seq_and_cond():
@@ -175,7 +175,7 @@ def test_budget_soundness():
     inp = make_input(r0=99)
     small = contract_trace(p, inp, CT_SEQ, step_budget=5000)
     big = contract_trace(p, inp, CT_SEQ, step_budget=50_000)
-    if small is not NON_TERMINATING:
+    if small is not REJECTED:
         assert small == big
 
 
@@ -189,7 +189,7 @@ def _reference_trace(p: Program, inp: Input, contract: ContractSpec, budget: int
     steps = 0
     while state.pc < n:
         if steps >= budget:
-            return NON_TERMINATING
+            return REJECTED
         branch_pc = state.pc
         instr = instrs[branch_pc]
         obs = step_instruction(state, instr, n)
@@ -208,11 +208,11 @@ def _reference_trace(p: Program, inp: Input, contract: ContractSpec, budget: int
 def test_store_between_repeats_is_not_a_loop():
     # At each JNS the registers and flags repeat, but the store has changed
     # memory, so the run is not periodic: it leaves the loop on the fourth
-    # pass. Comparing registers alone would report NON_TERMINATING.
+    # pass. Comparing registers alone would report REJECTED.
     p = parse_program("SBB [BASE+R2], R0\nJNS -2\nSBB R0, [BASE+R2]")
     inp = input_from_seed(263010161)
     trace = contract_trace(p, inp, CT_SEQ)
-    assert trace is not NON_TERMINATING
+    assert trace is not REJECTED
     assert len(trace) == 13
     assert trace == _reference_trace(p, inp, CT_SEQ, 300)
 
@@ -270,7 +270,7 @@ def test_rejected_run_stops_within_two_passes(menu, picks, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arch, "step_instruction", counting)
-        assert contract_trace(p, input_from_seed(seed), CT_SEQ, 10_000) is NON_TERMINATING
+        assert contract_trace(p, input_from_seed(seed), CT_SEQ, 10_000) is REJECTED
     assert calls <= 2 * len(p)
 
 
@@ -288,7 +288,7 @@ def test_periodic_run_exits_early(text, monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(arch, "step_instruction", counting)
-    assert contract_trace(parse_program(text), input_from_seed(1), CT_SEQ, 10**6) is NON_TERMINATING
+    assert contract_trace(parse_program(text), input_from_seed(1), CT_SEQ, 10**6) is REJECTED
     assert calls <= 30
 
 
@@ -306,7 +306,7 @@ def test_prefix_monotonicity_loop_free():
         prev = None
         for i in range(1, len(instrs) + 1):
             cur = contract_trace(Program(instrs[:i]), inp, CT_SEQ)
-            assert cur is not NON_TERMINATING
+            assert cur is not REJECTED
             if prev is not None:
                 assert cur[: len(prev)] == prev
             prev = cur
@@ -321,7 +321,7 @@ def test_sandbox_totality():
         instrs = tuple(space[rng.randrange(space.size)] for _ in range(rng.randrange(1, 8)))
         inp = input_from_seed(rng.randrange(1 << 32))
         tr = contract_trace(Program(instrs), inp, CT_SEQ, step_budget=500)
-        if tr is NON_TERMINATING:
+        if tr is REJECTED:
             continue
         for obs in tr:
             if obs[0] in ("L", "S"):

@@ -223,6 +223,12 @@ MALFORMED = [
     (("trainer", "learning_rate"), 0, "learning_rate"),
     (("trainer", "entropy_coef"), -0.01, "entropy_coef"),
     (("trainer", "value_coef"), -1, "value_coef"),
+    (("out_dir",), "a\u0000b", "out_dir"),
+    # past sys.maxsize, and past what a 64-bit address space holds
+    (("program_sizes",), [2**63], "program_sizes"),
+    (("program_sizes",), [2**60], "program_sizes"),
+    (("env", "actions"), [], "action list is empty"),
+    (("env", "actions"), ["JMP -2", "JMP -2"], "duplicate"),
 ]
 
 
@@ -399,6 +405,51 @@ def test_fuzz_below_reference_leak_length_exits_0(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[:2]] == ["n=1", "n=2"]
     assert all("formula=inf" in line for line in lines[:2])
+
+
+def test_fuzz_past_the_float_range_exits_0(tmp_path, capsys):
+    # 6^499 / 498 (the fixture menu at size 500) is past the float range,
+    # so the closed form reads inf
+    doc = {k: v for k, v in TINY_CONFIG.items() if k != "trainer"}
+    doc.update(program_sizes=[500], trials_per_size=1, fuzz_budget=1)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["fuzz", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "formula=inf" in capsys.readouterr().out
+
+
+def test_nul_in_out_dir_exits_1_without_out(tmp_path, capsys, monkeypatch):
+    # the config's out_dir is the output directory when there is no --out
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("leaklab.cli.fuzz_campaign", _no_campaign)
+    doc = dict(TINY_CONFIG, out_dir="a\u0000b")
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert run_cli(["fuzz", "--config", "config.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "out_dir" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_out_of_memory_exits_1(tiny_config, tmp_path, capsys, monkeypatch):
+    # what a program size too large for the machine raises; never allocated
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 800 GiB")
+
+    monkeypatch.setattr("leaklab.harness.random_program", no_memory)
+    assert run_cli(["fuzz", "--config", tiny_config, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 800 GiB\n"
+
+
+@pytest.mark.parametrize("actions,named", [([], "action list is empty"), (["JMP -2", "JMP -2"], "duplicate")])
+def test_bad_menu_exits_1_before_the_fuzz_campaign(actions, named, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("leaklab.harness.random_program", _no_campaign)
+    doc = copy.deepcopy(TINY_CONFIG)
+    doc["env"]["actions"] = actions
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["fuzz", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert named in capsys.readouterr().err
 
 
 def test_scaling_writes_csv_with_both_methods(tiny_config, tmp_path, capsys):

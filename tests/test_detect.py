@@ -11,7 +11,6 @@ from leaklab.arch import (
     ContractMode,
     ContractSpec,
     Input,
-    NON_TERMINATING,
     Xorshift64Star,
     contract_trace,
     generate_inputs,
@@ -133,7 +132,7 @@ def _terminating_programs(rng, space, contract, count, max_len=10, budget=300):
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(rng.randrange(1, max_len + 1))))
         base = input_from_seed(rng.randrange(1 << 32))
         trace = contract_trace(p, base, contract, budget)
-        if trace is not NON_TERMINATING:
+        if trace is not REJECTED:
             out.append((p, base, trace))
     return out
 
@@ -461,7 +460,7 @@ def test_boost_success_rate_sane():
     while attempts < 100:
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(rng.randrange(1, 10))))
         base = input_from_seed(rng.randrange(1 << 32))
-        if contract_trace(p, base, CT_SEQ, 300) is NON_TERMINATING:
+        if contract_trace(p, base, CT_SEQ, 300) is REJECTED:
             continue
         attempts += 1
         sib = _boost(p, base, CT_SEQ, attempts, 1, 300)

@@ -15,7 +15,16 @@ from leaklab.env import (
     encoded_length,
 )
 from leaklab.errors import ConfigError
-from leaklab.isa import Instruction, Opcode, Program, Register, append_action, parse_program
+from leaklab.isa import (
+    DEFAULT_ACTION_CONFIG,
+    ActionSpaceConfig,
+    Instruction,
+    Opcode,
+    Program,
+    Register,
+    append_action,
+    parse_program,
+)
 from leaklab.uarch import InputObservation, SpecConfig, hw_run, observe
 
 # action ids in the default 40-action space
@@ -350,9 +359,19 @@ def test_env_config_validation():
     assert EnvConfig(boosts_per_input=255).boosts_per_input == 255
     with pytest.raises(ConfigError):
         EnvConfig(max_episode_steps=0)
+    for menu in ((), DEFAULT_ACTION_CONFIG.actions * 2):
+        with pytest.raises(ConfigError):
+            LeakEnv(EnvConfig(action_config=ActionSpaceConfig(menu)))
 
 
-def test_out_of_range_action(env):
+def test_out_of_range_action():
+    env = LeakEnv(EnvConfig(num_inputs=4, max_episode_steps=2))
     env.reset(0)
     with pytest.raises(IndexError):
         env.step(40)
+    assert env.program == Program()
+    # the failed id counted no step, so the first valid step is not the last
+    sr = env.step(0)
+    assert not sr.truncated and not sr.terminated
+    assert len(env.program) == 1
+    assert env.step(1).truncated

@@ -77,6 +77,9 @@ def test_expected_fuzz_count_formula():
     # shorter than the reference leak: no candidate can hold it
     assert expected_fuzz_count(7, 2, 3) == math.inf
     assert expected_fuzz_count(7, 1, 3) == math.inf
+    # past the float range, and just below it
+    assert expected_fuzz_count(7, 400, 3) == math.inf
+    assert expected_fuzz_count(40, 193, 3) == 40**192 / 191
 
 
 def test_fuzz_stats_summary():

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leaklab
+from leaklab import isa
 from leaklab.errors import ConfigError, ParseError
 from leaklab.isa import (
+    DEFAULT_ACTION_CONFIG,
     KIND_IMUL,
     KIND_JNS,
     KIND_SBB,
@@ -51,6 +54,20 @@ def test_default_space_layout(default_space):
 def test_empty_config_rejected():
     with pytest.raises(ConfigError):
         build_action_space(ActionSpaceConfig(actions=()))
+
+
+def test_duplicate_actions_rejected():
+    with pytest.raises(ConfigError, match="duplicate"):
+        build_action_space(ActionSpaceConfig(parse_program("JMP -2\nSBB R0, R1\nJMP -2").instrs))
+
+
+def test_build_action_space_returns_its_config():
+    # one menu type: the checked config is the action space
+    assert build_action_space() is DEFAULT_ACTION_CONFIG
+    menu = ActionSpaceConfig(parse_program("SBB R0, R1\nJMP -2").instrs)
+    assert build_action_space(menu) is menu
+    assert (menu.size, menu[1]) == (2, Instruction(Opcode.JMP, disp=-2))
+    assert not hasattr(isa, "ActionSpace") and not hasattr(leaklab, "ActionSpace")
 
 
 def test_action_space_is_deterministic(default_space):

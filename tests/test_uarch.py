@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from leaklab.arch import (
     DEFAULT_STEP_BUDGET,
-    NON_TERMINATING,
     ContractMode,
     ContractSpec,
     ArchState,
@@ -156,7 +155,7 @@ def test_budget_parity_with_arch():
             for budget in (7, 50, 300):
                 a = contract_trace(p, inp, CT_SEQ, budget)
                 h = hw_run(p, inp, SpecConfig(), budget)
-                assert (a is NON_TERMINATING) == (h is NON_TERMINATING)
+                assert (a is REJECTED) == (h is REJECTED)
 
 
 def test_transient_invisibility_random():
@@ -167,7 +166,7 @@ def test_transient_invisibility_random():
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(rng.randrange(1, 12))))
         inp = input_from_seed(rng.randrange(1 << 32))
         h = hw_run(p, inp, SpecConfig(), 300)
-        if h is NON_TERMINATING:
+        if h is REJECTED:
             continue
         # replay architecturally
         state = ArchState.from_input(inp)
@@ -247,8 +246,8 @@ def test_window_zero_htrace_equals_committed_everywhere():
         inp = input_from_seed(rng.randrange(1 << 32))
         full = hw_run(p, inp, SpecConfig(window=8), 300)
         off = hw_run(p, inp, SpecConfig(window=0), 300)
-        assert (full is NON_TERMINATING) == (off is NON_TERMINATING)
-        if full is NON_TERMINATING:
+        assert (full is REJECTED) == (off is REJECTED)
+        if full is REJECTED:
             continue
         assert off.htrace == off.committed_htrace == full.committed_htrace
         assert off.counters.tran_uops == 0
@@ -318,7 +317,7 @@ def frame_hw_run(
 ):
     """Run `p` on the speculative hardware model.
 
-    Returns an HwResult, or NON_TERMINATING once more than `budget`
+    Returns an HwResult, or REJECTED once more than `budget`
     instructions commit. The budget counts committed instructions only, so a
     program terminates here iff it terminates on the architectural simulator
     with the same budget.
@@ -360,7 +359,7 @@ def frame_hw_run(
                     committed += frame.pending
                     committed_victim |= frame.accesses
                     if committed > budget:
-                        return NON_TERMINATING
+                        return REJECTED
                 frame = None
                 continue
             # issue transiently into the shadow state
@@ -376,7 +375,7 @@ def frame_hw_run(
         if state.pc >= n:
             break
         if committed >= budget:
-            return NON_TERMINATING
+            return REJECTED
         instr = instrs[state.pc]
         if instr.decoded[0] == KIND_JNS:
             counters.uops_issued += 1
@@ -441,8 +440,8 @@ def test_hw_run_matches_frame_oracle(menu, picks, window, budget, seed):
     cfg = SpecConfig(window=window)
     new = hw_run(p, inp, cfg, budget)
     old = frame_hw_run(p, inp, cfg, budget)
-    assert (new is NON_TERMINATING) == (old is NON_TERMINATING)
-    if old is NON_TERMINATING:
+    assert (new is REJECTED) == (old is REJECTED)
+    if old is REJECTED:
         return
     assert new.htrace == old.htrace
     assert new.committed_htrace == old.committed_htrace
