@@ -31,6 +31,7 @@ from .uarch import (
     CACHE_SETS,
     InputObservation,
     SpecConfig,
+    _is_quiet,
     htrace_hex,
     hw_run,
     observe,
@@ -193,6 +194,21 @@ def detect_violation(
     takes the base inputs' contract traces and chain points from it.
     REJECTED or a list of another length raises ConfigError.
 
+    Without `observations`, the call first settles what the program's text
+    alone decides, and runs `observe` only when neither rule does; the
+    result is the same either way. A program with no control-flow path
+    from pc 0 to its end (`p.can_halt` is False) halts on no input, so
+    every contract trace is REJECTED, and so is the call: nothing runs. A
+    program is quiet when no mispredicted window can issue a memory access
+    (`uarch._is_quiet`). A window's instructions are fixed by its start,
+    since a JNS ends it and JMP targets are static, so a quiet program
+    issues no transient access on any input: each probe vector is its
+    committed part, the gate's tier is never "observable", and no window is
+    a chain. `hw_run` rejects exactly the runs `contract_trace`
+    rejects with the same budget. So a quiet program runs only its contract
+    traces, in input order: REJECTED at the first rejected one, and None
+    otherwise.
+
     Detection gates on observability: when no base input shows an
     observable transient cache footprint, it boosts nothing and returns
     None. Committed accesses are fixed by the contract trace, so only
@@ -221,6 +237,15 @@ def detect_violation(
     if not 1 <= boosts_per_input <= MAX_BOOSTS_PER_INPUT:
         raise ConfigError(f"boosts_per_input must be in 1..{MAX_BOOSTS_PER_INPUT}")
     if observations is None:
+        if budget < 1:
+            raise ConfigError("budget must be >= 1")
+        if not p.can_halt:
+            return REJECTED
+        if _is_quiet(p.instrs, cfg.window):
+            for inp in inputs:
+                if contract_trace(p, inp, contract, budget) is REJECTED:
+                    return REJECTED
+            return None
         observations = observe(p, inputs, contract, cfg, budget)
         if observations is REJECTED:
             return REJECTED

@@ -1,8 +1,9 @@
 """Toy instruction set: registers, instructions, programs, and the action space.
 
 The assembly text format is one instruction per line, ``;`` starts a comment,
-mnemonics are case-insensitive, branch targets are relative displacements
-(``JNS +2``, ``JMP -2``), and the only addressing mode is ``[BASE+reg]``.
+everything outside comments is ASCII, mnemonics are case-insensitive, branch
+targets are relative displacements (``JNS +2``, ``JMP -2``), and the only
+addressing mode is ``[BASE+reg]``.
 """
 
 from __future__ import annotations
@@ -246,12 +247,19 @@ def _parse_operand(token: str, line: int) -> Operand:
 def parse_program(text: str) -> Program:
     """Parse assembly text into a Program.
 
-    Raises ParseError (with the offending line number) on unknown mnemonics,
-    malformed operands, zero displacements, or writes to BASE.
+    Raises ParseError (with the offending line number) on a non-ASCII
+    character outside a comment, unknown mnemonics, malformed operands, zero
+    displacements, or writes to BASE.
     """
     instrs: list[Instruction] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(";", 1)[0].strip()
+        code = raw.split(";", 1)[0]
+        # `\d`, `upper()` and IGNORECASE match more than ASCII: `JNS ３`
+        # would read as `JNS +3`, `ſbb` as `SBB`
+        if not code.isascii():
+            bad = next(c for c in code if not c.isascii())
+            raise ParseError(f"non-ASCII character {bad!r} (U+{ord(bad):04X})", lineno)
+        line = code.strip()
         if not line:
             continue
         parts = line.split(None, 1)

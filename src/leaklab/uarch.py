@@ -162,6 +162,31 @@ def _is_chain(instrs, pc: int, ran: int, covered: int, n: int) -> bool:
     return False
 
 
+def _is_quiet(instrs, window: int) -> bool:
+    """Whether no mispredicted window of the program `instrs` can issue a
+    memory access, on any input. A window opens at either successor of a
+    JNS, runs at most `window` instructions, follows JMP targets, and stops
+    at the next JNS or at the end (`excursion` with `stop=KIND_JNS`); so its
+    instructions are fixed by its start, and this walks every window any
+    run can open."""
+    n = len(instrs)
+    for pc, instr in enumerate(instrs):
+        kind, _, _, _, disp = instr.decoded
+        if kind != KIND_JNS:
+            continue
+        for at in (pc + 1, min(max(pc + disp, 0), n)):
+            for _ in range(window):
+                if at >= n:
+                    break
+                step_kind, _, _, mem, step_disp = instrs[at].decoded
+                if step_kind == KIND_JNS:
+                    break
+                if mem != MEM_NONE:
+                    return False
+                at = min(max(at + step_disp, 0), n) if step_kind == KIND_JMP else at + 1
+    return True
+
+
 def hw_run(
     p: Program,
     inp: Input,

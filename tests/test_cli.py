@@ -83,6 +83,18 @@ def test_huge_displacement_exits_1(command, tmp_path, capsys):
     assert "line 2: displacement of 5001 characters is too long" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["detect", "simulate"])
+@pytest.mark.parametrize("text", ["SBB R0, R0\nJNS \uff13\n", "\u017fbb R0, R0\n"], ids=ascii)
+def test_non_ascii_program_exits_1(command, text, tmp_path, capsys):
+    # `JNS ３` and `ſbb` used to run as `JNS +3` and `SBB`
+    path = tmp_path / "wide.asm"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"line {text.count(chr(10))}: non-ASCII character" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_jsonl(fixture_asm, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"env": {"num_inputs": 3, "input_seed": 7}}))
@@ -229,6 +241,7 @@ MALFORMED = [
     (("program_sizes",), [2**60], "program_sizes"),
     (("env", "actions"), [], "action list is empty"),
     (("env", "actions"), ["JMP -2", "JMP -2"], "duplicate"),
+    (("env", "actions"), ["JNS \uff13"], "non-ASCII character"),
 ]
 
 

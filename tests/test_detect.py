@@ -17,7 +17,7 @@ from leaklab.arch import (
     input_from_seed,
     stream_seed,
 )
-from leaklab import detect, uarch
+from leaklab import arch, detect, uarch
 from leaklab.detect import (
     MAX_BOOSTS_PER_INPUT,
     SIBLING_MEMO_SIZE,
@@ -30,13 +30,14 @@ from leaklab.env import EnvConfig
 from leaklab.errors import ConfigError
 from leaklab.harness import scaling_action_config
 from leaklab.isa import (
+    KIND_JNS,
     ActionSpaceConfig,
     Program,
     build_action_space,
     parse_program,
     render_program,
 )
-from leaklab.uarch import REJECTED, ResumePoints, SpecConfig, hw_run, observe
+from leaklab.uarch import REJECTED, ResumePoints, SpecConfig, _is_quiet, hw_run, observe
 
 from conftest import make_input
 from reference import reference_sibling, reference_violation
@@ -201,8 +202,11 @@ def test_detect_planted_fixture(inputs20):
     assert report.revalidate()
 
 
-def test_detect_planted_no_speculation(inputs20):
+def test_detect_planted_no_speculation(inputs20, monkeypatch):
+    # at window 0 every program is quiet: only the contract traces run
+    calls, _ = _detect_calls(monkeypatch)
     assert detect_violation(PLANTED, inputs20, cfg=SpecConfig(window=0)) is None
+    assert calls == [("contract_trace", inp) for inp in inputs20]
 
 
 def test_detect_planted_covered_by_ct_cond(inputs20):
@@ -210,8 +214,164 @@ def test_detect_planted_covered_by_ct_cond(inputs20):
     assert detect_violation(PLANTED, inputs20, contract=contract) is None
 
 
-def test_detect_rejects_nonterminating(inputs20):
+def test_detect_rejects_nonterminating(inputs20, monkeypatch):
+    # no path reaches the end, so nothing runs
+    calls, steps = _detect_calls(monkeypatch)
     assert detect_violation(parse_program("JMP -2"), inputs20) is REJECTED
+    assert calls == [] and steps == [0]
+
+
+# --- what the program's text decides before anything runs -------------------
+
+# Mostly instructions that touch no memory, so that many programs are quiet
+# and a window's one access lies at any distance from its branch.
+NEUTRAL_MENU = build_action_space(ActionSpaceConfig(parse_program("""
+SBB R0, R0
+SBB R1, R2
+IMUL R2, R0
+SBB R2, R1
+JNS +2
+JNS +3
+JNS -2
+JMP +2
+JMP -3
+SBB R1, [BASE+R0]
+SBB [BASE+R2], R1
+""").instrs))
+
+
+def _window_access(p, inp, cfg, contract=CT_SEQ, budget=300):
+    """`hw_run` of `p` on `inp`, and whether one of its mispredicted
+    windows (`excursion` with stop=KIND_JNS) issued a memory access."""
+    accessed = []
+    excursion = uarch.excursion
+
+    def recording(instrs, state, pc, depth, n, stop, out):
+        start = len(out)
+        result = excursion(instrs, state, pc, depth, n, stop, out)
+        accessed.append(stop == KIND_JNS and any(o[0] != "P" for o in out[start:]))
+        return result
+
+    uarch.excursion = recording
+    try:
+        run = hw_run(p, inp, cfg, budget, contract=contract)
+    finally:
+        uarch.excursion = excursion
+    return run, any(accessed)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    menu=st.sampled_from([build_action_space(), build_action_space(scaling_action_config()), NEUTRAL_MENU,
+                          CHAIN_MENU]),
+    picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=24),
+    window=st.sampled_from([0, 1, 2, 3, 8]),
+    contract=st.sampled_from([CT_SEQ, ContractSpec(ContractMode.CT_COND)]),
+    regs=st.lists(st.integers(0, SANDBOX_SIZE - 1), min_size=3, max_size=3),
+    seed=st.integers(0, (1 << 64) - 1),
+)
+def test_quiet_programs_open_no_window_that_touches_memory(menu, picks, window, contract, regs, seed):
+    # whenever a mispredicted window issues a load or a store, the walk
+    # says the program is not quiet; a quiet program's probe vectors are
+    # their committed parts, it has no chain, and detecting it from its
+    # contract traces alone gives what measuring it does
+    p = Program(tuple(menu[k % menu.size] for k in picks))
+    cfg = SpecConfig(window=window)
+    quiet = _is_quiet(p.instrs, window)
+    inputs = [make_input(*regs), input_from_seed(seed)]
+    for inp in inputs:
+        run, accessed = _window_access(p, inp, cfg, contract)
+        if accessed:
+            assert not quiet, render_program(p)
+        if quiet and run is not REJECTED:
+            assert run.htrace == run.committed_htrace and run.chain is None, render_program(p)
+    if quiet:
+        measured = observe(p, inputs, contract, cfg, 300)
+        expected = REJECTED if measured is REJECTED else None
+        assert detect_violation(p, inputs, contract, cfg, budget=300) is expected, render_program(p)
+
+
+# JNS +2 is taken to the end; its window runs JMP -3, then the load
+THROUGH_A_JMP = "JMP +2\nSBB R1, [BASE+R2]\nSBB R0, R0\nJNS +2\nJMP -3"
+# JNS +5 is taken to the end; its window reaches the load at offset 3
+AT_OFFSET_3 = "SBB R0, R0\nJNS +5\nSBB R1, R1\nSBB R1, R1\nSBB R1, R1\nSBB R1, [BASE+R2]"
+# (program, window, input, quiet): an input on which a mispredicted window
+# issues the program's one access, unless the program is quiet
+WALKS = {
+    # the loop's exit is mispredicted taken, and the window reruns its body
+    # with R0 = -1
+    "taken-direction-only": ("SBB R2, [BASE+R0]\nSBB R0, R1\nJNS -2", 1, make_input(r0=5, r1=1), False),
+    "fall-through-only": ("SBB R0, R0\nJNS +2\nSBB R1, [BASE+R2]", 1, make_input(), False),
+    "through-a-jmp": (THROUGH_A_JMP, 2, make_input(), False),
+    "jmp-at-the-window-end": (THROUGH_A_JMP, 1, make_input(), True),
+    "at-distance-w": (AT_OFFSET_3, 4, make_input(), False),
+    "at-distance-w+1": (AT_OFFSET_3, 3, make_input(), True),
+    # the first window stops at once at the second JNS; the third's reaches
+    "behind-a-jns": ("SBB R0, R0\nJNS +2\nJNS +2\nJNS +2\nSBB R1, [BASE+R2]", 8, make_input(), False),
+    "window-0": ("SBB R0, R0\nJNS +2\nSBB R1, [BASE+R2]", 0, make_input(), True),
+}
+
+
+@pytest.mark.parametrize("name", WALKS)
+def test_window_walk_examples(name):
+    text, window, inp, quiet = WALKS[name]
+    p = parse_program(text)
+    assert _is_quiet(p.instrs, window) is quiet
+    run, accessed = _window_access(p, inp, SpecConfig(window=window))
+    assert accessed is not quiet
+    assert (run.htrace == run.committed_htrace) is quiet
+
+
+def _detect_calls(monkeypatch):
+    """(name, input or inputs) of every observe, contract_trace and hw_run
+    call that detect makes, and a count of the instructions any simulator
+    steps."""
+    calls = []
+    steps = [0]
+    step_instruction = arch.step_instruction
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[1]))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def counted(state, instr, n):
+        steps[0] += 1
+        return step_instruction(state, instr, n)
+
+    for name in ("observe", "contract_trace", "hw_run"):
+        monkeypatch.setattr(detect, name, recorded(name, getattr(detect, name)))
+    monkeypatch.setattr(arch, "step_instruction", counted)
+    monkeypatch.setattr(uarch, "step_instruction", counted)
+    return calls, steps
+
+
+@pytest.mark.parametrize("text", ["JMP -2", "SBB R0, R1\nJNS -1", "SBB R0, R0\nJNS +2\nSBB R1, [BASE+R2]"])
+def test_budget_is_checked_before_the_text_decides(text, inputs20):
+    with pytest.raises(ConfigError, match="budget"):
+        detect_violation(parse_program(text), inputs20, budget=0)
+
+
+def test_quiet_loop_is_rejected_by_its_contract_traces(monkeypatch):
+    # the loop ends on the first input and never on the second; its one
+    # window reruns SBB R0, R1, which touches no memory
+    p = parse_program("SBB R0, R1\nJNS -1")
+    inputs = [make_input(r0=1, r1=2), make_input(r0=5), make_input(r0=1, r1=2)]
+    assert _is_quiet(p.instrs, 8) and p.can_halt
+    assert observe(p, inputs) is REJECTED
+    calls, _ = _detect_calls(monkeypatch)
+    assert detect_violation(p, inputs) is REJECTED
+    assert calls == [("contract_trace", inputs[0]), ("contract_trace", inputs[1])]
+
+
+def test_fixture_is_measured_once(monkeypatch):
+    # the perfbench tracer's check: the fixture can halt and is not quiet
+    inputs = generate_inputs(seed=1, count=2)
+    calls, _ = _detect_calls(monkeypatch)
+    detect_violation(PLANTED, inputs)
+    assert [c for c in calls if c[0] != "hw_run"] == [("observe", inputs)]
 
 
 def test_detect_deterministic_witness(inputs20):
@@ -537,9 +697,12 @@ def _check_detection_call(p, inputs, contract, cfg, **kwargs):
     """detect_violation of `p` as the env calls it, given `kwargs`, with the
     memo as earlier calls left it, against the same call from scratch: no
     observations (it measures `p` from the reset) and no memo. Equal
-    results, equal boost_input results for every stream, and equal
+    results, equal boost_input results for every stream, and equal sibling
     simulator calls in order (a wrong sibling can still give the same
-    report). Returns the first call's result, simulator runs and boosts."""
+    report). The call from scratch also traces the base inputs itself when
+    `p` is quiet, and only then: one from-scratch contract trace per input,
+    in order, up to the first REJECTED. Returns the first call's result,
+    simulator runs and boosts."""
     resumed, resumed_boosts, resumed_runs = _detect_with_runs(p, inputs, contract, cfg, **kwargs)
     kwargs.pop("observations", None)
     fresh, fresh_boosts, fresh_runs = _detect_with_runs(p, inputs, contract, cfg, memo=False, **kwargs)
@@ -548,7 +711,15 @@ def _check_detection_call(p, inputs, contract, cfg, **kwargs):
     if fresh is None or fresh is REJECTED:
         assert resumed is fresh
     assert resumed_boosts == fresh_boosts, text
-    assert resumed_runs == fresh_runs, text
+    base_runs = []
+    if _is_quiet(p.instrs, cfg.window):
+        budget = kwargs.get("budget", DEFAULT_STEP_BUDGET)
+        for inp in inputs:
+            base_runs.append(("trace", inp, contract_trace(p, inp, contract, budget)))
+            if base_runs[-1][2] is REJECTED:
+                break
+    assert fresh_runs[: len(base_runs)] == base_runs, text
+    assert resumed_runs == fresh_runs[len(base_runs) :], text
     return resumed, resumed_runs, resumed_boosts
 
 

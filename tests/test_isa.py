@@ -117,6 +117,24 @@ def test_parse_case_and_whitespace_insensitive():
     assert p[0] == Instruction(Opcode.SBB, dst=R0, src=Mem(R1))
 
 
+# Each parsed as ASCII before: `\d` matches any decimal digit, and `upper()`
+# and IGNORECASE fold the long s to S.
+NON_ASCII = ["JNS \u0663", "JNS \uff13", "\u017fbb R0, R0", "SBB R1, [ba\u017fe+R1]", "SBB\u3000R0, R0",
+             "SBB R0, R0\n\xa0JMP +2"]
+
+
+@pytest.mark.parametrize("text", NON_ASCII, ids=ascii)
+def test_parse_rejects_non_ascii_code(text):
+    with pytest.raises(ParseError, match="non-ASCII character") as exc:
+        parse_program(text)
+    assert exc.value.line == text.count("\n") + 1
+
+
+def test_parse_keeps_non_ascii_comments():
+    text = "SBB R0, R0 ; \u017f \uff13\n; \u0663\nJNS +2 ;\u00e9"
+    assert parse_program(text) == parse_program("SBB R0, R0\nJNS +2")
+
+
 def test_render_empty_program():
     assert render_program(Program()) == ""
 
