@@ -5,7 +5,7 @@ the transient cache footprint and performance counters, and then lets the
 relational detector produce (and re-validate) a violation report.
 """
 
-from leaklab import ContractMode, ContractSpec, SpecConfig, detect_violation, generate_inputs
+from leaklab import ContractMode, ContractSpec, detect_violation, generate_inputs
 from leaklab.harness import planted_fixture
 from leaklab.uarch import htrace_hex, hw_run
 
@@ -22,7 +22,7 @@ inputs = generate_inputs(env_cfg.input_seed, env_cfg.num_inputs)
 # the cache keeps the footprint.
 print("\nper-input hardware runs (first 5 inputs):")
 for i, inp in enumerate(inputs[:5]):
-    r = hw_run(program, inp, SpecConfig())
+    r = hw_run(program, inp)
     c = r.counters
     print(
         f"  input {i}: probe={htrace_hex(r.htrace)} committed={htrace_hex(r.committed_htrace)}"
@@ -40,7 +40,7 @@ print(f"  report re-validates: {report.revalidate()}")
 # Two control experiments. With the speculation window at zero nothing ever
 # issues transiently, and a contract that exposes the speculated load makes
 # equal-trace inputs share its address; both kill the witness.
-no_spec = detect_violation(program, inputs, cfg=SpecConfig(window=0))
+no_spec = detect_violation(program, inputs, window=0)
 print(f"\nwindow=0 -> {no_spec}")
 covering = detect_violation(
     program, inputs, contract=ContractSpec(ContractMode.CT_COND, spec_depth=8)

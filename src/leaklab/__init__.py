@@ -39,7 +39,6 @@ from .uarch import (
     REJECTED,
     HwResult,
     PerfCounters,
-    SpecConfig,
     hw_run,
     observe,
 )

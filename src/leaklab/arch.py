@@ -36,6 +36,7 @@ __all__ = [
     "SANDBOX_SIZE",
     "MASK64",
     "DEFAULT_STEP_BUDGET",
+    "DEFAULT_WINDOW",
     "REJECTED",
     "Rejected",
     "ContractMode",
@@ -59,6 +60,7 @@ _ADDR_MASK = (SANDBOX_SIZE - 1) & ~7
 _WORD = struct.Struct("<Q")
 _load_word = _WORD.unpack_from
 DEFAULT_STEP_BUDGET = 10_000
+DEFAULT_WINDOW = 8  # instructions `uarch.hw_run` issues past a misprediction
 
 # Contract observation tags. A trace is a tuple of
 # ("L", addr) | ("S", addr) | ("P", raw_target, taken_bit) tuples.

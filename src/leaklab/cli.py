@@ -33,7 +33,7 @@ from .harness import (
     scaling_study,
 )
 from .isa import ActionSpaceConfig, DEFAULT_ACTION_CONFIG, parse_program
-from .uarch import SpecConfig, htrace_hex, hw_run
+from .uarch import htrace_hex, hw_run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,7 +125,6 @@ def _build(cls, section, where: str):
 _JSON_KEYS = {
     EnvConfig: {
         "contract": ("contract", lambda v, where: ContractSpec.from_name(v)),
-        "window": ("spec_config", lambda v, where: SpecConfig(_typed(int, v, where))),
         "rewards": ("reward", functools.partial(_build, RewardSpec)),
         "actions": ("action_config", _actions_from_json),
     },
@@ -238,7 +237,7 @@ def _cmd_detect(cfg: ExperimentConfig, program_path: str) -> int:
         program,
         inputs,
         env_cfg.contract,
-        env_cfg.spec_config,
+        env_cfg.window,
         boosts_per_input=env_cfg.boosts_per_input,
         seed=cfg.seed,
         budget=env_cfg.step_budget,
@@ -266,7 +265,7 @@ def _cmd_simulate(cfg: ExperimentConfig, program_path: str, input_files: list[st
     else:
         inputs = generate_inputs(env_cfg.input_seed, env_cfg.num_inputs)
     for i, inp in enumerate(inputs):
-        hw = hw_run(program, inp, env_cfg.spec_config, env_cfg.step_budget)
+        hw = hw_run(program, inp, env_cfg.window, env_cfg.step_budget)
         if hw is REJECTED:
             print(json.dumps({"input": i, "seed": inp.seed, "non_terminating": True}))
             continue

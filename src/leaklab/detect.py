@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from .arch import (
     DEFAULT_STEP_BUDGET,
+    DEFAULT_WINDOW,
     OBS_LOAD,
     REJECTED,
     ContractSpec,
@@ -30,7 +31,6 @@ from .isa import Program, parse_program, render_program
 from .uarch import (
     CACHE_SETS,
     InputObservation,
-    SpecConfig,
     _is_quiet,
     htrace_hex,
     hw_run,
@@ -60,10 +60,14 @@ class ViolationReport:
 
     program: Program
     contract: ContractSpec
-    spec_config: SpecConfig
+    window: int
     witness: tuple[Input, Input]
     htraces: tuple[int, int]
     diverging_sets: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.window < 0:
+            raise ConfigError("speculation window must be >= 0")
 
     def revalidate(self, budget: int = DEFAULT_STEP_BUDGET) -> bool:
         """Re-simulate both witnesses from scratch and confirm the claim."""
@@ -72,8 +76,8 @@ class ViolationReport:
         ct_b = contract_trace(self.program, b, self.contract, budget)
         if ct_a is REJECTED or ct_b is REJECTED or ct_a != ct_b:
             return False
-        hw_a = hw_run(self.program, a, self.spec_config, budget)
-        hw_b = hw_run(self.program, b, self.spec_config, budget)
+        hw_a = hw_run(self.program, a, self.window, budget)
+        hw_b = hw_run(self.program, b, self.window, budget)
         if hw_a is REJECTED or hw_b is REJECTED:
             return False
         if (hw_a.htrace, hw_b.htrace) != self.htraces:
@@ -96,7 +100,7 @@ class ViolationReport:
             {
                 "program": render_program(self.program),
                 "contract": self.contract.name,
-                "window": self.spec_config.window,
+                "window": self.window,
                 "input_seeds": [a.seed, b.seed],
                 "inputs": [enc(a), enc(b)],
                 "htraces": [htrace_hex(self.htraces[0]), htrace_hex(self.htraces[1])],
@@ -115,7 +119,7 @@ class ViolationReport:
         return cls(
             program=parse_program(d["program"]),
             contract=ContractSpec.from_name(d["contract"]),
-            spec_config=SpecConfig(window=d["window"]),
+            window=d["window"],
             witness=witness,  # type: ignore[arg-type]
             htraces=tuple(int(h, 16) for h in d["htraces"]),  # type: ignore[arg-type]
             diverging_sets=tuple(d["diverging_sets"]),
@@ -173,7 +177,7 @@ def detect_violation(
     p: Program,
     inputs: list[Input],
     contract: ContractSpec = ContractSpec(),
-    cfg: SpecConfig = SpecConfig(),
+    window: int = DEFAULT_WINDOW,
     boosts_per_input: int = 2,
     seed: int = 0,
     budget: int = DEFAULT_STEP_BUDGET,
@@ -190,7 +194,7 @@ def detect_violation(
     budget on any base input.
 
     `observations`, when given, must be what `observe(p, inputs, contract,
-    cfg, budget)` returns for an accepted program, one per input: boosting
+    window, budget)` returns for an accepted program, one per input: boosting
     takes the base inputs' contract traces and chain points from it.
     REJECTED or a list of another length raises ConfigError.
 
@@ -236,17 +240,19 @@ def detect_violation(
         raise ConfigError("detect_violation needs at least one input")
     if not 1 <= boosts_per_input <= MAX_BOOSTS_PER_INPUT:
         raise ConfigError(f"boosts_per_input must be in 1..{MAX_BOOSTS_PER_INPUT}")
+    if window < 0:
+        raise ConfigError("speculation window must be >= 0")
     if observations is None:
         if budget < 1:
             raise ConfigError("budget must be >= 1")
         if not p.can_halt:
             return REJECTED
-        if _is_quiet(p.instrs, cfg.window):
+        if _is_quiet(p.instrs, window):
             for inp in inputs:
                 if contract_trace(p, inp, contract, budget) is REJECTED:
                     return REJECTED
             return None
-        observations = observe(p, inputs, contract, cfg, budget)
+        observations = observe(p, inputs, contract, window, budget)
         if observations is REJECTED:
             return REJECTED
     elif observations is REJECTED or len(observations) != len(inputs):
@@ -267,7 +273,7 @@ def detect_violation(
         return ViolationReport(
             program=p,
             contract=contract,
-            spec_config=cfg,
+            window=window,
             witness=(a, b),
             htraces=(ha, hb),
             diverging_sets=tuple(s for s in range(CACHE_SETS) if diff >> s & 1),
@@ -292,7 +298,7 @@ def detect_violation(
             if base_obs.chain is None:
                 htrace = base_obs.htrace
             else:
-                htrace = hw_run(p, sibling, cfg, budget, base_obs.chain).htrace
+                htrace = hw_run(p, sibling, window, budget, base_obs.chain).htrace
             if htrace != first[1]:
                 return report_from(first, (sibling, htrace))
     return None

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import ContractSpec, DEFAULT_STEP_BUDGET, Input, generate_inputs, mix64
+from .arch import ContractSpec, DEFAULT_STEP_BUDGET, DEFAULT_WINDOW, Input, generate_inputs, mix64
 from .detect import MAX_BOOSTS_PER_INPUT, ViolationReport, _filter_tier, detect_violation
 from .errors import ConfigError
 from .isa import (
@@ -30,7 +30,7 @@ from .isa import (
     append_action,
     build_action_space,
 )
-from .uarch import REJECTED, InputObservation, ResumePoints, SpecConfig, observe
+from .uarch import REJECTED, InputObservation, ResumePoints, observe
 
 __all__ = [
     "RewardSpec",
@@ -67,7 +67,7 @@ class EnvConfig:
     num_inputs: int = 20
     input_seed: int = 0
     contract: ContractSpec = ContractSpec()
-    spec_config: SpecConfig = SpecConfig()
+    window: int = DEFAULT_WINDOW
     reward: RewardSpec = RewardSpec()
     action_config: ActionSpaceConfig = DEFAULT_ACTION_CONFIG
     step_budget: int = DEFAULT_STEP_BUDGET
@@ -81,6 +81,8 @@ class EnvConfig:
             raise ConfigError("max_len must be >= 1")
         if self.num_inputs < 2:
             raise ConfigError("num_inputs must be >= 2")
+        if self.window < 0:
+            raise ConfigError("speculation window must be >= 0")
         if self.step_budget < 1:
             raise ConfigError("step_budget must be >= 1")
         if not 1 <= self.boosts_per_input <= MAX_BOOSTS_PER_INPUT:
@@ -134,17 +136,16 @@ class LeakEnv:
         """Start a fresh episode. `seed` is ignored, and is kept only for
         Gym-style callers: the inputs are fixed by EnvConfig, so the
         observation from reset is the same for every seed, and the agent
-        samples from its own generator."""
+        samples from its own generator. Nothing is simulated: the empty
+        program's record is all zero on every input, and the first
+        candidate's runs start from the reset."""
         del seed  # inputs are fixed per config; nothing here is stochastic
         self.program = Program()
         self._done = False
         self._steps = 0
-        records = observe(
-            self.program, self.inputs, self.config.contract, self.config.spec_config,
-            self.config.step_budget, resume=self._resume,
-        )
-        assert records is not REJECTED  # the empty program always terminates
-        self._last_obs = Observation(records=tuple(records), last_action=NO_ACTION)
+        self._resume.keep(self.program, None, {})
+        records = (InputObservation(0, (), 0, 0, 0),) * len(self.inputs)
+        self._last_obs = Observation(records=records, last_action=NO_ACTION)
         return self._last_obs
 
     def step(self, action_id: int) -> StepResult:
@@ -154,7 +155,7 @@ class LeakEnv:
         # raises IndexError for an id off the menu, before the step counts
         candidate = append_action(self.program, action_id, self.action_space)
         self._steps += 1
-        records = observe(candidate, self.inputs, cfg.contract, cfg.spec_config, cfg.step_budget,
+        records = observe(candidate, self.inputs, cfg.contract, cfg.window, cfg.step_budget,
                           resume=self._resume)
         if records is REJECTED:
             # the instruction is thrown away; the program does not grow
@@ -178,7 +179,7 @@ class LeakEnv:
             candidate,
             self.inputs,
             cfg.contract,
-            cfg.spec_config,
+            cfg.window,
             boosts_per_input=cfg.boosts_per_input,
             seed=self._detect_seed,
             budget=cfg.step_budget,
@@ -213,12 +214,7 @@ class LeakEnv:
     # -- encoding ------------------------------------------------------------
 
     def encode(self, obs: Observation) -> np.ndarray:
-        return encode_observation(
-            obs,
-            self.action_space.size,
-            self.config.max_len,
-            self.config.spec_config.window,
-        )
+        return encode_observation(obs, self.action_space.size, self.config.max_len, self.config.window)
 
     @property
     def encoded_length(self) -> int:

@@ -237,7 +237,7 @@ def fuzz_campaign(cfg: ExperimentConfig) -> tuple[list[FuzzStats], list[ScalingR
                     p,
                     inputs,
                     env_cfg.contract,
-                    env_cfg.spec_config,
+                    env_cfg.window,
                     boosts_per_input=env_cfg.boosts_per_input,
                     seed=detect_seed,
                     budget=env_cfg.step_budget,

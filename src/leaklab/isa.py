@@ -252,7 +252,8 @@ def parse_program(text: str) -> Program:
     displacements, or writes to BASE.
     """
     instrs: list[Instruction] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # CR, LF or CRLF only: str.splitlines also splits at \v, \f, \x1c-\x1e, U+0085, U+2028, U+2029
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         code = raw.split(";", 1)[0]
         # `\d`, `upper()` and IGNORECASE match more than ASCII: `JNS ３`
         # would read as `JNS +3`, `ſbb` as `SBB`

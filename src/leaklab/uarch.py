@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from .arch import (
     DEFAULT_STEP_BUDGET,
+    DEFAULT_WINDOW,
     OBS_PC,
     REJECTED,
     ArchState,
@@ -47,7 +48,6 @@ __all__ = [
     "LINE_BYTES",
     "REJECTED",
     "Rejected",
-    "SpecConfig",
     "PerfCounters",
     "HwResult",
     "InputObservation",
@@ -61,19 +61,6 @@ __all__ = [
 PHT_SIZE = 64
 CACHE_SETS = 64
 LINE_BYTES = 64
-
-
-@dataclass(frozen=True)
-class SpecConfig:
-    """Speculation parameters: `window` is the number of instructions issued
-    past an unresolved branch (0 disables speculation). One branch is in
-    flight at a time."""
-
-    window: int = 8
-
-    def __post_init__(self):
-        if self.window < 0:
-            raise ConfigError("speculation window must be >= 0")
 
 
 @dataclass
@@ -190,7 +177,7 @@ def _is_quiet(instrs, window: int) -> bool:
 def hw_run(
     p: Program,
     inp: Input,
-    cfg: SpecConfig = SpecConfig(),
+    window: int = DEFAULT_WINDOW,
     budget: int = DEFAULT_STEP_BUDGET,
     resume: HwPoint | None = None,
     capture: list | None = None,
@@ -257,6 +244,8 @@ def hw_run(
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
+    if window < 0:
+        raise ConfigError("speculation window must be >= 0")
     instrs = p.instrs
     n = len(instrs)
     if resume is None:
@@ -276,7 +265,7 @@ def hw_run(
         # instructions (none under CT_SEQ); a chain needs a tainting load
         # and a later access
         covered = contract.spec_depth
-        search = cfg.window > covered + 1
+        search = window > covered + 1
     point = instr = None
 
     while state.pc < n:
@@ -294,7 +283,7 @@ def hw_run(
             if mispredicted:
                 squashed = []
                 opened = pc + 1 if taken else target
-                issued, reached = excursion(instrs, state, opened, cfg.window, n, KIND_JNS, squashed)
+                issued, reached = excursion(instrs, state, opened, window, n, KIND_JNS, squashed)
             if capture is not None and point is None and (nxt >= n or mispredicted and reached):
                 point = HwPoint(state.copy(None), pht[:], committed_victim, transient_victim,
                                 committed - 1, transient, br_misses, chain)
@@ -376,7 +365,7 @@ def observe(
     p: Program,
     inputs: list[Input],
     contract: ContractSpec = ContractSpec(),
-    cfg: SpecConfig = SpecConfig(),
+    window: int = DEFAULT_WINDOW,
     budget: int = DEFAULT_STEP_BUDGET,
     resume: ResumePoints | None = None,
 ):
@@ -401,10 +390,12 @@ def observe(
     """
     if not inputs:
         raise ConfigError("observe needs at least one input")
+    if window < 0:
+        raise ConfigError("speculation window must be >= 0")
     points = {}
     arch_points = hw_points = None
     if resume is not None:
-        setting = (list(inputs), contract, cfg, budget)
+        setting = (list(inputs), contract, window, budget)
         points = resume.usable(p, setting)
         arch_points, hw_points = [], []
     out: list[InputObservation] = []
@@ -413,7 +404,7 @@ def observe(
         ct = contract_trace(p, inp, contract, budget, arch_from, arch_points)
         if ct is REJECTED:
             return REJECTED
-        hw = hw_run(p, inp, cfg, budget, hw_from, hw_points, contract)
+        hw = hw_run(p, inp, window, budget, hw_from, hw_points, contract)
         if hw is REJECTED:
             return REJECTED
         counters = hw.counters

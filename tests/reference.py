@@ -14,6 +14,7 @@ and run them over the full input width, zero columns included.
 
 from leaklab.arch import (
     DEFAULT_STEP_BUDGET,
+    DEFAULT_WINDOW,
     ContractSpec,
     Input,
     Xorshift64Star,
@@ -24,7 +25,7 @@ import numpy as np
 
 from leaklab.agent import loss_and_grads, policy_logits, value_forward
 from leaklab.detect import ViolationReport
-from leaklab.uarch import CACHE_SETS, REJECTED, SpecConfig, hw_run
+from leaklab.uarch import CACHE_SETS, REJECTED, hw_run
 
 
 def reference_sibling(base: Input, base_trace: tuple, seed: int, index: int) -> Input:
@@ -41,7 +42,7 @@ def reference_violation(
     p,
     inputs,
     contract=ContractSpec(),
-    cfg=SpecConfig(),
+    window=DEFAULT_WINDOW,
     boosts_per_input=2,
     seed=0,
     budget=DEFAULT_STEP_BUDGET,
@@ -55,7 +56,7 @@ def reference_violation(
     members = []  # (input, contract trace, probe vector) of each base input
     for inp in inputs:
         trace = contract_trace(p, inp, contract, budget)
-        run = hw_run(p, inp, cfg, budget)
+        run = hw_run(p, inp, window, budget)
         if trace is REJECTED or run is REJECTED:
             return REJECTED
         members.append((inp, trace, run.htrace))
@@ -66,26 +67,26 @@ def reference_violation(
     for head, *rest in classes.values():
         for member in rest:
             if member[2] != head[2]:
-                return _report(p, contract, cfg, head, member)
+                return _report(p, contract, window, head, member)
 
     for i, (base, base_trace, _) in enumerate(members):
         for j in range(1, boosts_per_input + 1):
             sibling = reference_sibling(base, base_trace, seed, (i << 8) | j)
             trace = contract_trace(p, sibling, contract, budget)
-            run = hw_run(p, sibling, cfg, budget)
+            run = hw_run(p, sibling, window, budget)
             assert trace is not REJECTED and run is not REJECTED, "a sibling's run did not terminate"
             head = classes.setdefault(trace, [(sibling, trace, run.htrace)])[0]
             if run.htrace != head[2]:
-                return _report(p, contract, cfg, head, (sibling, trace, run.htrace))
+                return _report(p, contract, window, head, (sibling, trace, run.htrace))
     return None
 
 
-def _report(p, contract, cfg, a, b) -> ViolationReport:
+def _report(p, contract, window, a, b) -> ViolationReport:
     diff = a[2] ^ b[2]
     return ViolationReport(
         program=p,
         contract=contract,
-        spec_config=cfg,
+        window=window,
         witness=(a[0], b[0]),
         htraces=(a[2], b[2]),
         diverging_sets=tuple(s for s in range(CACHE_SETS) if diff >> s & 1),

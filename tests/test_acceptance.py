@@ -36,7 +36,7 @@ from leaklab.harness import (
     scaling_action_config,
 )
 from leaklab.isa import Program, build_action_space
-from leaklab.uarch import REJECTED, SpecConfig, hw_run
+from leaklab.uarch import REJECTED, hw_run
 
 from dataclasses import replace
 
@@ -63,7 +63,7 @@ def test_criterion_1_planted_leak_oracle():
     assert report.diverging_sets
     ALL_REPORTS.append(report)
 
-    assert detect_violation(program, inputs, cfg=SpecConfig(window=0)) is None
+    assert detect_violation(program, inputs, window=0) is None
     covering = ContractSpec(ContractMode.CT_COND, spec_depth=8)
     assert detect_violation(program, inputs, contract=covering) is None
     print("\nACCEPTANCE 1 PASS: planted fixture leaks under CT-SEQ, not at "
@@ -81,7 +81,7 @@ def invisibility_runs():
         n = rng.randrange(1, 13)
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(n)))
         inp = input_from_seed(rng.randrange(1 << 48))
-        hw = hw_run(p, inp, SpecConfig(), 300)
+        hw = hw_run(p, inp, budget=300)
         if hw is REJECTED:
             continue
         checked.append((p, inp, hw))
@@ -108,7 +108,7 @@ def test_criterion_3_counter_identity(invisibility_runs):
         assert c.tran_uops >= 0
     zero_window = 0
     for p, inp, _ in invisibility_runs:
-        off = hw_run(p, inp, SpecConfig(window=0), 300)
+        off = hw_run(p, inp, 0, 300)
         assert off is not REJECTED
         assert off.counters.tran_uops == 0
         zero_window += 1
@@ -126,7 +126,7 @@ def test_criterion_4_no_false_positives_with_speculation_off():
         n = rng.randrange(1, 9)
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(n)))
         for find in (detect_violation, reference_violation):
-            r = find(p, inputs, cfg=SpecConfig(window=0), budget=300, seed=i)
+            r = find(p, inputs, window=0, budget=300, seed=i)
             if isinstance(r, ViolationReport):
                 reports += 1
     assert reports == 0

@@ -225,6 +225,7 @@ MALFORMED = [
     (("env", "max_episode_steps"), 0, "max_episode_steps"),
     (("env", "boosts_per_input"), 256, "boosts_per_input"),
     (("env", "window"), 1.5, "window"),
+    (("env", "window"), -1, "window"),
     (("env", "contract"), "ct-cond:0", "spec_depth"),
     (("program_sizes",), [], "program_sizes"),
     (("program_sizes",), [3, 0], "program_sizes"),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from leaklab.arch import (
     DEFAULT_STEP_BUDGET,
+    DEFAULT_WINDOW,
     SANDBOX_SIZE,
     ContractMode,
     ContractSpec,
@@ -37,7 +38,7 @@ from leaklab.isa import (
     parse_program,
     render_program,
 )
-from leaklab.uarch import REJECTED, ResumePoints, SpecConfig, _is_quiet, hw_run, observe
+from leaklab.uarch import REJECTED, ResumePoints, _is_quiet, hw_run, observe
 
 from conftest import make_input
 from reference import reference_sibling, reference_violation
@@ -205,7 +206,7 @@ def test_detect_planted_fixture(inputs20):
 def test_detect_planted_no_speculation(inputs20, monkeypatch):
     # at window 0 every program is quiet: only the contract traces run
     calls, _ = _detect_calls(monkeypatch)
-    assert detect_violation(PLANTED, inputs20, cfg=SpecConfig(window=0)) is None
+    assert detect_violation(PLANTED, inputs20, window=0) is None
     assert calls == [("contract_trace", inp) for inp in inputs20]
 
 
@@ -240,7 +241,7 @@ SBB [BASE+R2], R1
 """).instrs))
 
 
-def _window_access(p, inp, cfg, contract=CT_SEQ, budget=300):
+def _window_access(p, inp, window, contract=CT_SEQ, budget=300):
     """`hw_run` of `p` on `inp`, and whether one of its mispredicted
     windows (`excursion` with stop=KIND_JNS) issued a memory access."""
     accessed = []
@@ -254,7 +255,7 @@ def _window_access(p, inp, cfg, contract=CT_SEQ, budget=300):
 
     uarch.excursion = recording
     try:
-        run = hw_run(p, inp, cfg, budget, contract=contract)
+        run = hw_run(p, inp, window, budget, contract=contract)
     finally:
         uarch.excursion = excursion
     return run, any(accessed)
@@ -276,19 +277,18 @@ def test_quiet_programs_open_no_window_that_touches_memory(menu, picks, window, 
     # their committed parts, it has no chain, and detecting it from its
     # contract traces alone gives what measuring it does
     p = Program(tuple(menu[k % menu.size] for k in picks))
-    cfg = SpecConfig(window=window)
     quiet = _is_quiet(p.instrs, window)
     inputs = [make_input(*regs), input_from_seed(seed)]
     for inp in inputs:
-        run, accessed = _window_access(p, inp, cfg, contract)
+        run, accessed = _window_access(p, inp, window, contract)
         if accessed:
             assert not quiet, render_program(p)
         if quiet and run is not REJECTED:
             assert run.htrace == run.committed_htrace and run.chain is None, render_program(p)
     if quiet:
-        measured = observe(p, inputs, contract, cfg, 300)
+        measured = observe(p, inputs, contract, window, 300)
         expected = REJECTED if measured is REJECTED else None
-        assert detect_violation(p, inputs, contract, cfg, budget=300) is expected, render_program(p)
+        assert detect_violation(p, inputs, contract, window, budget=300) is expected, render_program(p)
 
 
 # JNS +2 is taken to the end; its window runs JMP -3, then the load
@@ -317,7 +317,7 @@ def test_window_walk_examples(name):
     text, window, inp, quiet = WALKS[name]
     p = parse_program(text)
     assert _is_quiet(p.instrs, window) is quiet
-    run, accessed = _window_access(p, inp, SpecConfig(window=window))
+    run, accessed = _window_access(p, inp, window)
     assert accessed is not quiet
     assert (run.htrace == run.committed_htrace) is quiet
 
@@ -429,13 +429,12 @@ def test_filter_monotone_with_detection(inputs20):
 def test_no_false_positives_with_speculation_off(inputs20):
     rng = random.Random(33)
     space = build_action_space()
-    cfg = SpecConfig(window=0)
     inputs = inputs20[:5]
     for _ in range(150):
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(rng.randrange(1, 8))))
-        r = detect_violation(p, inputs, cfg=cfg, budget=300, seed=5)
+        r = detect_violation(p, inputs, window=0, budget=300, seed=5)
         assert r is None or r is REJECTED
-        assert reference_violation(p, inputs, cfg=cfg, budget=300, seed=5) is r
+        assert reference_violation(p, inputs, window=0, budget=300, seed=5) is r
 
 
 def _contract_classes(p, inputs):
@@ -493,26 +492,26 @@ def test_gate_gap_gated_equals_reference():
 # --- the detector against the from-scratch reference -------------------------
 
 
-def _check_against_reference(p, inputs, contract, cfg, seed):
+def _check_against_reference(p, inputs, contract, window, seed):
     """detect_violation of `p` from scratch, against the reference: equal
     results on an observable call, and None on any other accepted call."""
-    result = detect_violation(p, inputs, contract, cfg, seed=seed, budget=300)
-    observations = observe(p, inputs, contract, cfg, 300)
+    result = detect_violation(p, inputs, contract, window, seed=seed, budget=300)
+    observations = observe(p, inputs, contract, window, 300)
     if observations is REJECTED:
         assert result is REJECTED
     elif _filter_tier(observations) == "observable":
-        assert result == reference_violation(p, inputs, contract, cfg, seed=seed, budget=300), render_program(p)
+        assert result == reference_violation(p, inputs, contract, window, seed=seed, budget=300), render_program(p)
     else:
         assert result is None, render_program(p)
 
 
 def _ct_seq(rng):
-    return CT_SEQ, SpecConfig()
+    return CT_SEQ, DEFAULT_WINDOW
 
 
 def _ct_cond_below_window(rng):
     depth = rng.randrange(1, 8)
-    return ContractSpec(ContractMode.CT_COND, depth), SpecConfig(window=rng.randrange(depth + 1, 9))
+    return ContractSpec(ContractMode.CT_COND, depth), rng.randrange(depth + 1, 9)
 
 
 # name: (menu, contract and speculation settings, base inputs of a seed).
@@ -575,7 +574,7 @@ def test_report_json_round_trip(inputs20):
         contract = ContractSpec.from_name(name)
         depth = contract.spec_depth
         program = parse_program(f"SBB R0, R0\nJNS +{depth + 2}\n" + "IMUL R0, R0\n" * depth + "SBB R1, [BASE+R2]")
-        report = detect_violation(program, inputs20, contract, SpecConfig(window=depth + 1))
+        report = detect_violation(program, inputs20, contract, depth + 1)
         assert report.contract == contract
         back = ViolationReport.from_json(report.to_json())
         assert back == report
@@ -693,7 +692,7 @@ def _detect_with_runs(*args, memo=True, **kwargs):
         detect.boost_input, detect.contract_trace, detect.hw_run = saved
 
 
-def _check_detection_call(p, inputs, contract, cfg, **kwargs):
+def _check_detection_call(p, inputs, contract, window, **kwargs):
     """detect_violation of `p` as the env calls it, given `kwargs`, with the
     memo as earlier calls left it, against the same call from scratch: no
     observations (it measures `p` from the reset) and no memo. Equal
@@ -703,16 +702,16 @@ def _check_detection_call(p, inputs, contract, cfg, **kwargs):
     `p` is quiet, and only then: one from-scratch contract trace per input,
     in order, up to the first REJECTED. Returns the first call's result,
     simulator runs and boosts."""
-    resumed, resumed_boosts, resumed_runs = _detect_with_runs(p, inputs, contract, cfg, **kwargs)
+    resumed, resumed_boosts, resumed_runs = _detect_with_runs(p, inputs, contract, window, **kwargs)
     kwargs.pop("observations", None)
-    fresh, fresh_boosts, fresh_runs = _detect_with_runs(p, inputs, contract, cfg, memo=False, **kwargs)
+    fresh, fresh_boosts, fresh_runs = _detect_with_runs(p, inputs, contract, window, memo=False, **kwargs)
     text = render_program(p)
     assert resumed == fresh, text
     if fresh is None or fresh is REJECTED:
         assert resumed is fresh
     assert resumed_boosts == fresh_boosts, text
     base_runs = []
-    if _is_quiet(p.instrs, cfg.window):
+    if _is_quiet(p.instrs, window):
         budget = kwargs.get("budget", DEFAULT_STEP_BUDGET)
         for inp in inputs:
             base_runs.append(("trace", inp, contract_trace(p, inp, contract, budget)))
@@ -723,7 +722,7 @@ def _check_detection_call(p, inputs, contract, cfg, **kwargs):
     return resumed, resumed_runs, resumed_boosts
 
 
-def _check_resumed_detection(steps, inputs, contract, cfg, budget, seed, boosts, check_from=0):
+def _check_resumed_detection(steps, inputs, contract, window, budget, seed, boosts, check_from=0):
     """Drive detection as LeakEnv does: grow a program one instruction at a
     time (RESET starts it over), measure each candidate with the current
     program's resume points, and run detect_violation on every accepted one
@@ -731,7 +730,7 @@ def _check_resumed_detection(steps, inputs, contract, cfg, budget, seed, boosts,
     instructions must pass _check_detection_call, and on an observable one
     equal the reference's result. Returns how many checked calls boosted."""
     resume = ResumePoints()
-    args = (contract, cfg, budget)
+    args = (contract, window, budget)
     p = Program()
     boosted = 0
     for step in [RESET] + steps:
@@ -746,12 +745,12 @@ def _check_resumed_detection(steps, inputs, contract, cfg, budget, seed, boosts,
         p = candidate
         kwargs = dict(boosts_per_input=boosts, seed=seed, budget=budget, observations=records)
         if len(p) >= check_from:
-            result, _, held = _check_detection_call(p, inputs, contract, cfg, **kwargs)
+            result, _, held = _check_detection_call(p, inputs, contract, window, **kwargs)
             boosted += bool(held)
             if _filter_tier(records) == "observable":
-                assert result == reference_violation(p, inputs, contract, cfg, boosts, seed, budget)
+                assert result == reference_violation(p, inputs, contract, window, boosts, seed, budget)
         else:
-            detect_violation(p, inputs, contract, cfg, **kwargs)
+            detect_violation(p, inputs, contract, window, **kwargs)
     return boosted
 
 
@@ -780,23 +779,22 @@ def test_sibling_runs_follow_the_chain_rule(instrs, contract, window, regs, seed
     # their branches are taken and mispredicted, and their siblings read
     # random words wherever the base's trace loads nothing.
     inputs = [make_input(*regs[k : k + 3]) for k in (0, 3)] + [input_from_seed(seed)]
-    cfg = SpecConfig(window=window)
     resume, p = ResumePoints(), Program()
-    assert observe(p, inputs, contract, cfg, 300, resume=resume) is not REJECTED
+    assert observe(p, inputs, contract, window, 300, resume=resume) is not REJECTED
     for instr in instrs:
         p = p.append(instr)
-        resumed = observe(p, inputs, contract, cfg, 300, resume=resume)
-        fresh = observe(p, inputs, contract, cfg, 300)
+        resumed = observe(p, inputs, contract, window, 300, resume=resume)
+        fresh = observe(p, inputs, contract, window, 300)
         assert resumed == fresh
         for records in (fresh, resumed):
             for i, (base, o) in enumerate(zip(inputs, records)):
                 for j in (1, 2):
                     sibling = boost_input(base, _loads(o.ctrace), seed, (i << 8) | j)
-                    run = hw_run(p, sibling, cfg, 300)
+                    run = hw_run(p, sibling, window, 300)
                     if o.chain is None:
                         assert run.htrace == o.htrace, render_program(p)
                     else:
-                        assert hw_run(p, sibling, cfg, 300, o.chain) == run, render_program(p)
+                        assert hw_run(p, sibling, window, 300, o.chain) == run, render_program(p)
 
 
 # Instructions that load nothing (ALU without a memory operand, branches)
@@ -829,7 +827,7 @@ def test_resumed_siblings_match_from_scratch(menu, picks, contract, window, budg
     # one pick in eight resets the episode; budgets 1 and 2 reject most
     # steps, and budgets 5, 9 and 40 put carried results near the budget
     steps = [RESET if k % 8 == 7 else menu[k % menu.size] for k in picks]
-    _check_resumed_detection(steps, generate_inputs(seed, 3), contract, SpecConfig(window=window), budget,
+    _check_resumed_detection(steps, generate_inputs(seed, 3), contract, window, budget,
                              seed, boosts)
 
 
@@ -845,7 +843,7 @@ def test_resumed_siblings_match_from_scratch_past_the_predictor(picks, contract,
     # from 65 instructions on, a branch appended to the program shares a
     # predictor entry (pc mod 64) with a branch of the program it extends
     steps = [MIXED_MENU[k] for k in picks]
-    _check_resumed_detection(steps, generate_inputs(seed, 3), contract, SpecConfig(window=window), budget,
+    _check_resumed_detection(steps, generate_inputs(seed, 3), contract, window, budget,
                              seed, 1, check_from=65)
 
 
@@ -855,7 +853,7 @@ def test_resumed_siblings_cover_gated_rejected_and_boosted_steps():
     rng = random.Random(8)
     space = MENUS[0]
     steps = [RESET if rng.random() < 0.05 else space[rng.randrange(space.size)] for _ in range(120)]
-    boosted = _check_resumed_detection(steps, generate_inputs(11, 6), CT_SEQ, SpecConfig(), 300, 5, 2)
+    boosted = _check_resumed_detection(steps, generate_inputs(11, 6), CT_SEQ, DEFAULT_WINDOW, 300, 5, 2)
     assert boosted >= 10
     assert detect.boost_input.cache_info().hits > 0
 
@@ -871,7 +869,7 @@ def test_sibling_points_do_not_outlive_their_episode():
     text = "SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]\nSBB R1, [BASE+R2]\n"
     episodes = [Program(PLANTED.instrs + parse_program(body).instrs) for body in (text, "SBB R1, R2\n" + text)]
     steps = [*episodes[0].instrs, RESET, *episodes[1].instrs]
-    boosted = _check_resumed_detection(steps, generate_inputs(23, 2)[:1], CT_SEQ, SpecConfig(), 300, 9, 2,
+    boosted = _check_resumed_detection(steps, generate_inputs(23, 2)[:1], CT_SEQ, DEFAULT_WINDOW, 300, 9, 2,
                                        check_from=len(PLANTED))
     assert boosted == sum(len(p) - len(PLANTED) + 1 for p in episodes)
 
@@ -901,9 +899,9 @@ def test_results_not_carried_past_the_budget_or_a_new_load(prefix, budget, suffi
     for seed in range(200):
         for i, base in enumerate(EDGE_INPUTS):
             boost_input(base, _loads(contract_trace(q, base, CT_SEQ, budget)), seed, (i << 8) | 1)
-        result, boosts, _ = _detect_with_runs(p, EDGE_INPUTS, CT_SEQ, SpecConfig(), boosts_per_input=1,
+        result, boosts, _ = _detect_with_runs(p, EDGE_INPUTS, CT_SEQ, DEFAULT_WINDOW, boosts_per_input=1,
                                               seed=seed, budget=budget)
-        assert result == reference_violation(p, EDGE_INPUTS, CT_SEQ, SpecConfig(), 1, seed, budget), seed
+        assert result == reference_violation(p, EDGE_INPUTS, CT_SEQ, DEFAULT_WINDOW, 1, seed, budget), seed
         if result is REJECTED:
             assert boosts == [], seed
         else:
@@ -917,7 +915,7 @@ def test_results_not_carried_past_the_budget_or_a_new_load(prefix, budget, suffi
 # explored path loads nothing, so its load sets are CT-SEQ's.
 OPEN = parse_program("SBB R0, R0\nJNS +3\nSBB R1, R1\nSBB [BASE+R2], R1")
 OPEN_CHAIN = Program(OPEN.instrs + parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]").instrs)
-WINDOW_2 = SpecConfig(window=2)
+WINDOW_2 = 2
 
 
 def test_unchanged_load_sets_carry_results():
@@ -947,14 +945,14 @@ def test_siblings_are_keyed_on_base_seed_index_and_load_set():
     longer = OPEN_CHAIN.append(parse_program("SBB R1, R2").instrs[0])
     inputs = generate_inputs(19, 3)
     assert len({inp.mem[:8] for inp in inputs}) == 3
-    base = dict(contract=CT_SEQ, cfg=WINDOW_2, budget=300, seed=7)
+    base = dict(contract=CT_SEQ, window=WINDOW_2, budget=300, seed=7)
     cases = [
         (Program(OPEN.instrs + parse_program("SBB R0, [BASE+R1]\nSBB R2, [BASE+R1]\nSBB R1, R2").instrs),
          inputs, {}, False),
         (longer, inputs[1:] + inputs[:1], {}, False),
         (longer, inputs, dict(seed=8), False),
         (longer, inputs, dict(contract=ContractSpec(ContractMode.CT_COND, 1)), True),
-        (longer, inputs, dict(cfg=SpecConfig(window=3)), True),
+        (longer, inputs, dict(window=3), True),
         (longer, inputs, dict(budget=17), True),
     ]
     for p, case_inputs, change, shared in cases:
@@ -1023,17 +1021,17 @@ def test_held_hw_points_serve_later_boosted_calls(monkeypatch):
     chains = from_held = 0
     for step in steps:
         candidate = p.append(step)
-        records = observe(candidate, inputs, CT_SEQ, SpecConfig(), 300, resume=resume)
+        records = observe(candidate, inputs, CT_SEQ, DEFAULT_WINDOW, 300, resume=resume)
         if records is REJECTED:
             continue
         p = candidate
         used.clear()
-        detect_violation(p, inputs, CT_SEQ, SpecConfig(), observations=records, **kwargs)
+        detect_violation(p, inputs, CT_SEQ, DEFAULT_WINDOW, observations=records, **kwargs)
         assert all(any(point is o.chain for o in records) for point in used)
         chains += len(used)
         from_held += sum(any(point is h for h in held) for point in used)
         held = [o.chain for o in records if o.chain is not None]
-        _check_detection_call(p, inputs, CT_SEQ, SpecConfig(), observations=records, **kwargs)
+        _check_detection_call(p, inputs, CT_SEQ, DEFAULT_WINDOW, observations=records, **kwargs)
     assert from_held > 0 and chains > from_held
 
 
@@ -1050,7 +1048,7 @@ def test_carried_siblings_run_from_the_chain_point():
     # call, and detection still runs each from its base's chain point on the
     # longer program.
     inputs = generate_inputs(19, 3)
-    kwargs = dict(contract=CT_SEQ, cfg=SpecConfig(), budget=300, seed=7)
+    kwargs = dict(contract=CT_SEQ, window=DEFAULT_WINDOW, budget=300, seed=7)
     assert all(o.chain is not None for o in observe(ZEROED_CHAIN, inputs))
     for line in ("SBB R1, R2", "SBB R2, [BASE+R1]"):
         result, held, _ = _detect_with_runs(ZEROED_CHAIN, inputs, **kwargs)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaklab import detect
-from leaklab.arch import ContractMode, ContractSpec, Xorshift64Star
+from leaklab.arch import ContractMode, ContractSpec, Xorshift64Star, generate_inputs
 from leaklab.env import (
     NO_ACTION,
     EnvConfig,
@@ -25,7 +25,7 @@ from leaklab.isa import (
     append_action,
     parse_program,
 )
-from leaklab.uarch import InputObservation, SpecConfig, hw_run, observe
+from leaklab.uarch import InputObservation, hw_run, observe
 
 # action ids in the default 40-action space
 SBB_R0_R0 = 0
@@ -47,6 +47,24 @@ def test_reset_observation_is_all_zero(env):
     assert all(r.htrace == 0 and r.br_misses == 0 and r.tran_uops == 0 for r in obs.records)
     assert all(r.ctrace == () for r in obs.records)
     assert obs.last_action == NO_ACTION
+
+
+@pytest.mark.parametrize("contract", [ContractSpec(ContractMode.CT_SEQ), ContractSpec(ContractMode.CT_COND),
+                                      ContractSpec(ContractMode.CT_COND, 2)], ids=lambda c: c.name)
+@pytest.mark.parametrize("window", [0, 8])
+def test_reset_records_equal_measuring_the_empty_program(contract, window, monkeypatch):
+    # reset builds its records without simulating; after it, a step still
+    # measures its candidate as a run from the reset would
+    cfg = EnvConfig(max_len=4, num_inputs=3, input_seed=9, contract=contract, window=window)
+    fresh = tuple(observe(Program(), generate_inputs(9, 3), contract, window, cfg.step_budget))
+    env = LeakEnv(cfg)
+    env.reset()
+    env.step(SBB_R1_MEM_R2)
+    with monkeypatch.context() as m:
+        m.setattr("leaklab.env.observe", None)
+        assert env.reset().records == fresh
+    p = append_action(Program(), JNS_P2, env.action_space)
+    assert env.step(JNS_P2).obs.records == tuple(observe(p, env.inputs, contract, window, cfg.step_budget))
 
 
 def test_reset_is_deterministic_and_seed_independent(env):
@@ -230,7 +248,7 @@ def test_prefix_observation_fidelity():
     # every accepted step's observation equals a from-scratch measurement of
     # the grown program; a rejected step repeats the last observation
     cfg = EnvConfig(max_len=16, input_seed=42, contract=ContractSpec(ContractMode.CT_COND, 4),
-                    spec_config=SpecConfig(window=3))
+                    window=3)
     env = LeakEnv(cfg)
     last = env.reset(0)
     p = Program()
@@ -243,7 +261,7 @@ def test_prefix_observation_fidelity():
             assert sr.obs is last
         else:
             p = append_action(p, a, env.action_space)
-            fresh = observe(p, env.inputs, cfg.contract, cfg.spec_config, cfg.step_budget)
+            fresh = observe(p, env.inputs, cfg.contract, cfg.window, cfg.step_budget)
             assert sr.obs.records == tuple(fresh)
             assert sr.obs.last_action == a
         assert env.program == p

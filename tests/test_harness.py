@@ -22,7 +22,6 @@ from leaklab.harness import (
     scaling_action_config,
 )
 from leaklab.isa import build_action_space
-from leaklab.uarch import SpecConfig
 from leaklab.arch import ContractMode, ContractSpec
 
 
@@ -43,7 +42,7 @@ def test_fixture_three_outcomes():
     report = detect_violation(program, inputs)
     assert isinstance(report, ViolationReport)
     assert report.revalidate()
-    assert detect_violation(program, inputs, cfg=SpecConfig(window=0)) is None
+    assert detect_violation(program, inputs, window=0) is None
     covering = ContractSpec(ContractMode.CT_COND, spec_depth=8)
     assert detect_violation(program, inputs, contract=covering) is None
 

@@ -135,6 +135,29 @@ def test_parse_keeps_non_ascii_comments():
     assert parse_program(text) == parse_program("SBB R0, R0\nJNS +2")
 
 
+# str.splitlines ends a line at each of these too; a comment holds them
+OTHER_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", OTHER_BREAKS, ids=ascii)
+def test_parse_ends_lines_at_cr_and_lf_only(sep):
+    assert parse_program(f"SBB R0, R0 ; note{sep}JMP -1") == parse_program("SBB R0, R0")
+    assert parse_program(f"SBB R0, R0 ; note{sep}JNS +2\nJMP -1") == parse_program("SBB R0, R0\nJMP -1")
+    if sep.isascii():  # code holding one of the others is non-ASCII
+        with pytest.raises(ParseError, match="malformed operand") as exc:
+            parse_program(f"JMP -1\nSBB R0, R0{sep}JMP -1")
+        assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=ascii)
+def test_parse_crlf_and_cr_text(newline):
+    text = newline.join(["; head", "SBB R0, R0", "", "JNS +2 ; note", "JMP -1", ""])
+    assert parse_program(text) == parse_program("SBB R0, R0\nJNS +2\nJMP -1")
+    with pytest.raises(ParseError) as exc:
+        parse_program(newline.join(["SBB R0, R0", "", "FOO R0, R1"]))
+    assert exc.value.line == 3
+
+
 def test_render_empty_program():
     assert render_program(Program()) == ""
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from leaklab.arch import (
     DEFAULT_STEP_BUDGET,
+    DEFAULT_WINDOW,
     ContractMode,
     ContractSpec,
     ArchState,
@@ -15,7 +17,8 @@ from leaklab.arch import (
     input_from_seed,
     step_instruction,
 )
-from leaklab.detect import detect_violation
+from leaklab.detect import ViolationReport, detect_violation
+from leaklab.env import EnvConfig
 from leaklab.errors import ConfigError
 from leaklab.harness import fixture_action_config, scaling_action_config
 from leaklab.isa import KIND_JNS, Program, build_action_space, parse_program
@@ -27,7 +30,6 @@ from leaklab.uarch import (
     InputObservation,
     PerfCounters,
     ResumePoints,
-    SpecConfig,
     hw_run,
     htrace_hex,
     observe,
@@ -78,7 +80,7 @@ def test_planted_counter_values():
 
 
 def test_window_zero_means_no_transients():
-    r = hw_run(PLANTED, make_input(r2=130), SpecConfig(window=0))
+    r = hw_run(PLANTED, make_input(r2=130), 0)
     assert r.counters.br_misses == 1
     assert r.counters.tran_uops == 0
     assert r.htrace == 0
@@ -154,7 +156,7 @@ def test_budget_parity_with_arch():
             inp = input_from_seed(rng.randrange(1 << 32))
             for budget in (7, 50, 300):
                 a = contract_trace(p, inp, CT_SEQ, budget)
-                h = hw_run(p, inp, SpecConfig(), budget)
+                h = hw_run(p, inp, DEFAULT_WINDOW, budget)
                 assert (a is REJECTED) == (h is REJECTED)
 
 
@@ -165,7 +167,7 @@ def test_transient_invisibility_random():
     for _ in range(500):
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(rng.randrange(1, 12))))
         inp = input_from_seed(rng.randrange(1 << 32))
-        h = hw_run(p, inp, SpecConfig(), 300)
+        h = hw_run(p, inp, DEFAULT_WINDOW, 300)
         if h is REJECTED:
             continue
         # replay architecturally
@@ -230,8 +232,8 @@ def test_observe_needs_inputs():
 def test_ctrace_independent_of_spec_config(inputs20):
     p = parse_program("SBB R0, R0\nJNS +2\nSBB R1, [BASE+R2]\nIMUL R0, R1")
     for w in (0, 1, 8):
-        obs = observe(p, inputs20[:4], CT_SEQ, SpecConfig(window=w))
-        base = observe(p, inputs20[:4], CT_SEQ, SpecConfig(window=8))
+        obs = observe(p, inputs20[:4], CT_SEQ, w)
+        base = observe(p, inputs20[:4], CT_SEQ, 8)
         assert [o.ctrace for o in obs] == [o.ctrace for o in base]
 
 
@@ -244,8 +246,8 @@ def test_window_zero_htrace_equals_committed_everywhere():
     for _ in range(200):
         p = Program(tuple(space[rng.randrange(space.size)] for _ in range(rng.randrange(1, 10))))
         inp = input_from_seed(rng.randrange(1 << 32))
-        full = hw_run(p, inp, SpecConfig(window=8), 300)
-        off = hw_run(p, inp, SpecConfig(window=0), 300)
+        full = hw_run(p, inp, 8, 300)
+        off = hw_run(p, inp, 0, 300)
         assert (full is REJECTED) == (off is REJECTED)
         if full is REJECTED:
             continue
@@ -263,8 +265,23 @@ def test_determinism():
 
 
 def test_negative_window_rejected():
-    with pytest.raises(ConfigError):
-        SpecConfig(window=-1)
+    # every entry point that takes a window checks it, detect_violation in
+    # both modes; ViolationReport on its own and as loaded from JSON
+    inputs = [make_input(r2=130)]
+    records = observe(PLANTED, inputs)
+    report = detect_violation(PLANTED, generate_inputs(1337, 20))
+    text = report.to_json().replace('"window": 8', '"window": -1')
+    for call in (
+        lambda: hw_run(PLANTED, inputs[0], -1),
+        lambda: observe(PLANTED, inputs, CT_SEQ, -1),
+        lambda: detect_violation(PLANTED, inputs, CT_SEQ, -1),
+        lambda: detect_violation(PLANTED, inputs, CT_SEQ, -1, observations=records),
+        lambda: EnvConfig(window=-1),
+        lambda: replace(report, window=-1),
+        lambda: ViolationReport.from_json(text),
+    ):
+        with pytest.raises(ConfigError, match="window"):
+            call()
 
 
 # The frame-based hw_run that the excursion loop replaced, kept verbatim
@@ -312,7 +329,7 @@ def _access_bits(obs) -> int:
 def frame_hw_run(
     p: Program,
     inp: Input,
-    cfg: SpecConfig = SpecConfig(),
+    window: int = DEFAULT_WINDOW,
     budget: int = DEFAULT_STEP_BUDGET,
 ):
     """Run `p` on the speculative hardware model.
@@ -329,7 +346,6 @@ def frame_hw_run(
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     pht = [1] * PHT_SIZE
-    window = cfg.window
     instrs = p.instrs
     n = len(instrs)
     state = ArchState.from_input(inp)
@@ -437,9 +453,8 @@ MENUS = [
 def test_hw_run_matches_frame_oracle(menu, picks, window, budget, seed):
     p = Program(tuple(menu[i % menu.size] for i in picks))
     inp = input_from_seed(seed)
-    cfg = SpecConfig(window=window)
-    new = hw_run(p, inp, cfg, budget)
-    old = frame_hw_run(p, inp, cfg, budget)
+    new = hw_run(p, inp, window, budget)
+    old = frame_hw_run(p, inp, window, budget)
     assert (new is REJECTED) == (old is REJECTED)
     if old is REJECTED:
         return
@@ -449,19 +464,19 @@ def test_hw_run_matches_frame_oracle(menu, picks, window, budget, seed):
     assert new.final_state == old.final_state
 
 
-def _check_resumed_episode(instrs, inputs, contract, cfg, budget):
+def _check_resumed_episode(instrs, inputs, contract, window, budget):
     """Grow a program one instruction at a time as LeakEnv does, measuring
     each candidate with the current program's ResumePoints, and check every
     result against a from-scratch observe. Returns the ResumePoints and each
     candidate's result."""
     resume = ResumePoints()
     p = Program()
-    assert observe(p, inputs, contract, cfg, budget, resume=resume) == observe(p, inputs, contract, cfg, budget)
+    assert observe(p, inputs, contract, window, budget, resume=resume) == observe(p, inputs, contract, window, budget)
     results = []
     for instr in instrs:
         candidate = p.append(instr)
-        resumed = observe(candidate, inputs, contract, cfg, budget, resume=resume)
-        fresh = observe(candidate, inputs, contract, cfg, budget)
+        resumed = observe(candidate, inputs, contract, window, budget, resume=resume)
+        fresh = observe(candidate, inputs, contract, window, budget)
         assert (resumed is REJECTED) == (fresh is REJECTED)
         assert resumed == fresh
         results.append(fresh)
@@ -481,7 +496,34 @@ def _check_resumed_episode(instrs, inputs, contract, cfg, budget):
 )
 def test_resumed_observe_matches_from_scratch(menu, picks, contract, window, budget, seed):
     instrs = [menu[i % menu.size] for i in picks]
-    _check_resumed_episode(instrs, generate_inputs(seed, 3), contract, SpecConfig(window=window), budget)
+    _check_resumed_episode(instrs, generate_inputs(seed, 3), contract, window, budget)
+
+
+@settings(max_examples=200, deadline=None)
+# SBB R2, R2 / JNS +2 / SBB R1, [BASE+R0] / SBB R2, [BASE+R1]: on zeroed
+# registers the window's second access uses the first one's result, which
+# CT-COND:1's explored path loaded
+@example(menu=MENUS[0], picks=[8, 37, 12, 16], depth=1, window=2, regs=[0, 0, 0], seed=0)
+@given(
+    menu=st.sampled_from(MENUS[:2]),
+    picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=24),
+    depth=st.integers(1, 8),
+    window=st.integers(0, 9),
+    regs=st.lists(st.integers(0, 4095), min_size=3, max_size=3),
+    seed=st.integers(0, (1 << 64) - 1),
+)
+def test_no_chain_when_the_window_fits_the_explored_path(menu, picks, depth, window, regs, seed):
+    # under CT-COND:d no window of at most d + 1 instructions is a chain:
+    # a tainting load sits at offset d or later, and nothing follows it, so
+    # no run, from the reset or resumed, records a chain point. Boosting
+    # then takes every sibling's probe vector from its base (the
+    # random-ctcond workload is CT-COND:8 with window 8).
+    window = min(window, depth + 1)
+    instrs = [menu[i % menu.size] for i in picks]
+    inputs = [make_input(*regs), input_from_seed(seed)]
+    _, results = _check_resumed_episode(instrs, inputs, ContractSpec(ContractMode.CT_COND, depth), window, 300)
+    for records in results:
+        assert records is REJECTED or all(o.chain is None for o in records)
 
 
 # One episode per kind of resume point. On the first input (R0=5, R1=1) the
@@ -515,11 +557,11 @@ LOOP = "SBB R0, R1\nJNS -1\n"
 )
 def test_resume_point_kinds(text, contract, window, budget, expect, last_rejected):
     instrs = parse_program(text).instrs
-    resume, results = _check_resumed_episode(instrs[:-1], RESUME_INPUTS, contract, SpecConfig(window), budget)
+    resume, results = _check_resumed_episode(instrs[:-1], RESUME_INPUTS, contract, window, budget)
     assert REJECTED not in results
     arch, hw = resume.entries[0]
     assert (arch.state.pc, arch.steps, hw.state.pc, hw.committed) == expect
-    _, results = _check_resumed_episode(instrs, RESUME_INPUTS, contract, SpecConfig(window), budget)
+    _, results = _check_resumed_episode(instrs, RESUME_INPUTS, contract, window, budget)
     assert (results[-1] is REJECTED) == last_rejected
 
 
@@ -543,7 +585,7 @@ def test_resumed_periodic_run_exits_early(text, budget, monkeypatch):
     from leaklab import arch
 
     instrs = parse_program(text).instrs
-    setting = (RESUME_INPUTS, CT_SEQ, SpecConfig(0), budget)
+    setting = (RESUME_INPUTS, CT_SEQ, 0, budget)
     assert observe(Program(instrs), *setting) is REJECTED
     resume = ResumePoints()
     for i in range(len(instrs)):
@@ -568,15 +610,15 @@ def test_resume_points_of_other_programs_or_settings_are_not_used():
     # serve none of these calls
     longer = parse_program(LOOP + "SBB R1, [BASE+R0]")
     cases = [
-        (longer, RESUME_INPUTS[::-1], CT_SEQ, SpecConfig(), 300),
-        (longer, RESUME_INPUTS, ContractSpec(ContractMode.CT_COND, 2), SpecConfig(), 300),
-        (longer, RESUME_INPUTS, CT_SEQ, SpecConfig(window=1), 300),
-        (longer, RESUME_INPUTS, CT_SEQ, SpecConfig(), 17),
-        (parse_program("SBB R1, R2\nJNS -1\nSBB R1, [BASE+R0]"), RESUME_INPUTS, CT_SEQ, SpecConfig(), 300),
+        (longer, RESUME_INPUTS[::-1], CT_SEQ, DEFAULT_WINDOW, 300),
+        (longer, RESUME_INPUTS, ContractSpec(ContractMode.CT_COND, 2), DEFAULT_WINDOW, 300),
+        (longer, RESUME_INPUTS, CT_SEQ, 1, 300),
+        (longer, RESUME_INPUTS, CT_SEQ, DEFAULT_WINDOW, 17),
+        (parse_program("SBB R1, R2\nJNS -1\nSBB R1, [BASE+R0]"), RESUME_INPUTS, CT_SEQ, DEFAULT_WINDOW, 300),
     ]
     for args in cases:
         resume = ResumePoints()
-        assert observe(parse_program(LOOP), RESUME_INPUTS, CT_SEQ, SpecConfig(), 300, resume=resume) is not REJECTED
+        assert observe(parse_program(LOOP), RESUME_INPUTS, CT_SEQ, DEFAULT_WINDOW, 300, resume=resume) is not REJECTED
         assert observe(*args, resume=resume) == observe(*args)
 
 
@@ -589,20 +631,19 @@ def _check_inputs_untouched(instrs, contract, window, as_bytearray, seed):
     inputs = [Input(inp.r0, inp.r1, inp.r2, bytearray(inp.mem) if as_bytearray else inp.mem, inp.seed)
               for inp in generate_inputs(seed, 3)]
     before = [bytes(inp.mem) for inp in inputs]
-    cfg = SpecConfig(window=window)
     resume = ResumePoints()
     p = Program()
     for instr in instrs:
         candidate = p.append(instr)
         for inp in inputs:
             contract_trace(candidate, inp, contract, 300)
-            hw_run(candidate, inp, cfg, 300)
-        records = observe(candidate, inputs, contract, cfg, 300, resume=resume)
+            hw_run(candidate, inp, window, 300)
+        records = observe(candidate, inputs, contract, window, 300, resume=resume)
         if records is REJECTED:
             continue
         p = candidate
-        detect_violation(p, inputs, contract, cfg, budget=300, seed=seed, observations=records)
-        reference_violation(p, inputs, contract, cfg, budget=300, seed=seed)
+        detect_violation(p, inputs, contract, window, budget=300, seed=seed, observations=records)
+        reference_violation(p, inputs, contract, window, budget=300, seed=seed)
     assert [bytes(inp.mem) for inp in inputs] == before
 
 
