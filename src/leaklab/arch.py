@@ -214,7 +214,10 @@ class ArchState:
             and self.pc == other.pc
             and (
                 (self.mem == other.mem and self.written == other.written)
-                or all(self.load(addr) == other.load(addr) for addr in range(0, SANDBOX_SIZE, 8))
+                # a state without memory equals only another one, with an
+                # equal write log
+                or self.mem is not None and other.mem is not None
+                and all(self.load(addr) == other.load(addr) for addr in range(0, SANDBOX_SIZE, 8))
             )
         )
 

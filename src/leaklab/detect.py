@@ -12,6 +12,7 @@ Hardware-trace divergence inside such a class is a violation.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,9 +49,14 @@ __all__ = [
 # Sibling j of input i draws from stream (i << 8) | j, which is one stream per
 # sibling only while j fits in 8 bits.
 MAX_BOOSTS_PER_INPUT = 255
-# How many siblings `boost_input` keeps, most recently used first: more than
-# the 40 streams of a default env (20 inputs x 2 boosts), at 4 KB each.
+# How many siblings `boost_input` keeps, and how many sibling runs
+# `_sibling_htrace` holds, most recently used first: more than the 40 streams
+# of a default env (20 inputs x 2 boosts), at 4 KB each.
 SIBLING_MEMO_SIZE = 128
+
+# sibling -> (chain point, window, budget, instrs, HwPoint) of the sibling's
+# last run, least recently used first
+_sibling_runs: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,33 @@ def boost_input(base: Input, loads: frozenset, seed: int, index: int) -> Input:
     return Input(r0=base.r0, r1=base.r1, r2=base.r2, mem=bytes(mem), seed=rng.seed)
 
 
+def _sibling_htrace(p: Program, sibling: Input, window: int, budget: int, chain) -> int:
+    """The probe vector of `sibling`'s `hw_run` of `p` resumed from its
+    base's chain point `chain`.
+
+    The run starts from the point that the sibling's last run captured
+    instead, when that run started from this very chain point (`is`: equal
+    points from other runs are not looked for) with the same window and
+    budget, on a prefix of `p`. That is exact (see `hw_run`): the runs from
+    `chain` of that prefix and of `p` agree until some path first reaches
+    the prefix's end, where the captured point lies. The last
+    SIBLING_MEMO_SIZE siblings run keep their runs' points.
+    """
+    start = chain
+    held = _sibling_runs.pop(sibling, None)
+    if held is not None:
+        held_chain, held_window, held_budget, instrs, point = held
+        if (held_chain is chain and (held_window, held_budget) == (window, budget)
+                and p.instrs[: len(instrs)] == instrs):
+            start = point
+    capture = []
+    htrace = hw_run(p, sibling, window, budget, start, capture).htrace
+    _sibling_runs[sibling] = (chain, window, budget, p.instrs, capture[0])
+    if len(_sibling_runs) > SIBLING_MEMO_SIZE:
+        _sibling_runs.popitem(last=False)
+    return htrace
+
+
 def _load_set(trace: tuple) -> frozenset:
     """Every address that `trace` loads."""
     return frozenset({obs[1] for obs in trace if obs[0] == OBS_LOAD})
@@ -233,8 +266,11 @@ def detect_violation(
     (`base_obs.chain` is None) the sibling's probe vector is the base's;
     otherwise it is that of the sibling's `hw_run` resumed from the chain
     point. That run terminates, since it commits the base's path, which
-    terminates within `budget`. Each base's load set is built once per
-    call, for all its streams.
+    terminates within `budget`. It continues from where the sibling's last
+    run from the same chain point stopped, when that run was of a prefix of
+    `p` (`_sibling_htrace`): on an env step whose appended instruction kept
+    the sibling and its base's chain point, only the new end is simulated.
+    Each base's load set is built once per call, for all its streams.
     """
     if not inputs:
         raise ConfigError("detect_violation needs at least one input")
@@ -298,7 +334,7 @@ def detect_violation(
             if base_obs.chain is None:
                 htrace = base_obs.htrace
             else:
-                htrace = hw_run(p, sibling, window, budget, base_obs.chain).htrace
+                htrace = _sibling_htrace(p, sibling, window, budget, base_obs.chain)
             if htrace != first[1]:
                 return report_from(first, (sibling, htrace))
     return None

@@ -7,8 +7,10 @@ the current program's runs reached its end), throws the instruction away if
 any input fails the termination guard, and otherwise runs leak detection.
 A boosted sibling takes its base's probe vector when the base's hardware run
 has no chain window, and otherwise runs from the base's chain point (see
-`uarch.hw_run`), never from the reset. The sibling itself comes from
-`detect.boost_input`'s memo whenever its base, stream and load set repeat.
+`uarch.hw_run`), never from the reset; when the sibling and the chain point
+are those of its run on the previous step, it continues from where that run
+stopped. The sibling itself comes from `detect.boost_input`'s memo whenever
+its base, stream and load set repeat.
 Rewards are tiered: a detected leak, then observable misspeculation, then
 unobservable misspeculation, then no misspeculation at all, plus a small
 per-step cost.
@@ -115,9 +117,12 @@ class StepResult:
 
 class LeakEnv:
     """Single-threaded environment instance; many instances may run in
-    parallel. They share only two memos, of generator expansions and of boosted
-    siblings, which are pure functions of their keys. Inputs are generated
-    once from `config.input_seed` and stay fixed across episodes."""
+    parallel. They share three stores: the memos of generator expansions and
+    of boosted siblings, which are pure functions of their keys, and the
+    sibling runs `detect_violation` holds, from which a run resumes only
+    when the sibling, its base's chain point (the same object), the window,
+    the budget and a prefix of the program match. Inputs are generated once
+    from `config.input_seed` and stay fixed across episodes."""
 
     def __init__(self, config: EnvConfig = EnvConfig()):
         self.config = config

@@ -227,9 +227,13 @@ def hw_run(
     `capture`, when given, is a list to which the run's HwPoint is appended
     if the run terminates; `resume`, when given, is an HwPoint that such a
     run of a prefix of `p` captured, or a chain point, and the run continues
-    from there instead of from the reset with `inp`. Resuming is exact. The
-    runs of P and of P + Q agree step for step until some path (the
-    committed path or a mispredicted window) first moves to a pc >= len(P):
+    from there instead of from the reset with `inp`. The capturing run may
+    have been resumed itself: the point that a run of P from a chain point C
+    captured continues the run of P + Q from C, so a sibling's run goes on
+    where its run on a shorter program stopped. Resuming is exact. The runs
+    of P and of P + Q, from the reset or from one point, agree step for step
+    until some path (the committed path or a mispredicted window) first
+    moves to a pc >= len(P):
     before that every instruction fetched lies in P, and every clamped
     branch target below len(P) is the same for both lengths. The point is
     the full state at the start of that committed step, and no window is

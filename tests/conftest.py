@@ -8,9 +8,11 @@ from leaklab.isa import build_action_space
 @pytest.fixture(autouse=True)
 def empty_sibling_memo():
     """Start every test with an empty sibling memo (`boost_input`'s own
-    cache), so that assertions on which siblings are the same object or
-    draw no bytes do not depend on the tests run before."""
+    cache) and no held sibling runs, so that assertions on which siblings
+    are the same object, draw no bytes or resume from held points do not
+    depend on the tests run before."""
     detect.boost_input.cache_clear()
+    detect._sibling_runs.clear()
 
 
 @pytest.fixture(scope="session")

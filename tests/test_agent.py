@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from leaklab import agent
+from leaklab import agent, detect
 from leaklab.agent import (
     PolicyParams,
     TrainerConfig,
@@ -21,7 +21,7 @@ from leaklab.agent import (
 from leaklab.env import EnvConfig, LeakEnv
 from leaklab.errors import ConfigError, TrainingFault
 from leaklab.harness import fixture_trainer_config, planted_fixture
-from reference import reference_ppo_update, reference_select_action
+from reference import reference_ppo_update, reference_select_action, reference_violation
 
 
 def _small_params(rng, input_dim=4, hidden=(8, 7), n_actions=3) -> PolicyParams:
@@ -391,6 +391,41 @@ def test_random_search_reports_pinned_boosted_witnesses():
     assert all(ev.report.witness[0].seed in base_seeds and ev.report.revalidate() for ev in log.leaks)
     digests = {ev.step: hashlib.sha256(ev.report.to_json().encode()).hexdigest() for ev in log.leaks}
     assert digests == BOOSTED_WITNESS_SHA256
+
+
+HELD_WITNESS_SHA256 = "355c0d6453e1ce92f34037041973a4513e5e532f9e56b5fdcefc939c4f097317"
+
+
+def test_random_search_reports_a_witness_run_from_a_held_point(monkeypatch):
+    # the default env's leak at step 206 of seed 25: the reported sibling's
+    # hw_run on that step resumed from the point its run on an earlier step
+    # captured, not from its base's chain point. The report revalidates,
+    # equals the reference detector's, and its bytes are pinned.
+    env = LeakEnv(EnvConfig())
+    from_held = []  # the siblings run from a held point on the current step
+    run, step = detect.hw_run, env.step
+
+    def recorded(*args):
+        if not any(args[4] is o.chain for o in env._last_obs.records):
+            from_held.append(args[1])
+        return run(*args)
+
+    def stepped(action):
+        from_held.clear()
+        return step(action)
+
+    monkeypatch.setattr(detect, "hw_run", recorded)
+    monkeypatch.setattr(env, "step", stepped)
+    log = random_search(env, budget=206, seed=25)
+    monkeypatch.undo()
+    assert [ev.step for ev in log.leaks] == [32, 85, 165, 206]
+    report = log.leaks[-1].report
+    assert any(sibling is report.witness[1] for sibling in from_held)
+    assert report.revalidate()
+    cfg = env.config
+    assert report == reference_violation(report.program, env.inputs, cfg.contract, cfg.window,
+                                         cfg.boosts_per_input, env._detect_seed, cfg.step_budget)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == HELD_WITNESS_SHA256
 
 
 def _fixture_search():

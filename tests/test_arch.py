@@ -597,3 +597,20 @@ def test_step_instruction_matches_reference(instr, r, flags, n, data):
     assert state.mem is mem  # stores go to the write log alone
     stores = {o[1] for o in obs if o[0] == "S"}
     assert state.written.keys() == written.keys() | stores
+
+
+def test_states_without_memory_compare_by_their_write_logs():
+    # resume points hold no memory: two of them are equal iff their write
+    # logs are, and neither equals a state with memory; comparing them never
+    # reads memory
+    regs = [0, 0, 0, 0]
+    point = ArchState(regs[:], 1, 0, 0, 0, None, {0: 1})
+    assert point == ArchState(regs[:], 1, 0, 0, 0, None, {0: 1})
+    assert point != ArchState(regs[:], 1, 0, 0, 0, None, {})
+    assert ArchState(regs[:], 1, 0, 0, 0, None, {}) != point
+    assert point != ArchState(regs[:], 1, 0, 0, 0, bytes(SANDBOX_SIZE), {0: 1})
+    assert ArchState(regs[:], 1, 0, 0, 0, bytes(SANDBOX_SIZE), {0: 1}) != point
+    # states with memory still compare by the memory they read
+    zeros = bytes(SANDBOX_SIZE)
+    assert ArchState(regs[:], 1, 0, 0, 0, zeros, {0: 0}) == ArchState(regs[:], 1, 0, 0, 0, zeros, {})
+    assert ArchState(regs[:], 1, 0, 0, 0, zeros, {0: 1}) != ArchState(regs[:], 1, 0, 0, 0, zeros, {})

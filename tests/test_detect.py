@@ -1,5 +1,6 @@
 import json
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import example, given, settings
@@ -663,11 +664,14 @@ MENUS = [build_action_space(), build_action_space(scaling_action_config())]
 RESET = -1  # an episode step that starts the program over
 
 
-def _detect_with_runs(*args, memo=True, **kwargs):
+def _detect_with_runs(*args, memo=True, starts=None, **kwargs):
     """detect_violation's result, the result of every boost_input call it
     made, and (function, input, result) for every contract_trace and hw_run
     call it made, in order. With `memo` False every sibling is derived
-    afresh, and the memo is neither read nor written."""
+    afresh and every sibling run starts from its base's chain point: neither
+    boost_input's memo nor the held sibling runs are read or written. With
+    `starts` a list, the point each hw_run call resumes from is appended to
+    it."""
     boosts, runs = [], []
 
     def recorded(fn, name):
@@ -677,19 +681,25 @@ def _detect_with_runs(*args, memo=True, **kwargs):
                 boosts.append(result)
             else:
                 runs.append((name, a[1], result))
+                if name == "hw" and starts is not None:
+                    starts.append(a[4])
             return result
 
         return wrapper
 
     saved = detect.boost_input, detect.contract_trace, detect.hw_run
+    held = detect._sibling_runs
     boost = saved[0] if memo else saved[0].__wrapped__
     detect.boost_input, detect.contract_trace, detect.hw_run = map(
         recorded, (boost, *saved[1:]), (None, "trace", "hw")
     )
+    if not memo:
+        detect._sibling_runs = OrderedDict()
     try:
         return detect_violation(*args, **kwargs), boosts, runs
     finally:
         detect.boost_input, detect.contract_trace, detect.hw_run = saved
+        detect._sibling_runs = held
 
 
 def _check_detection_call(p, inputs, contract, window, **kwargs):
@@ -701,8 +711,11 @@ def _check_detection_call(p, inputs, contract, window, **kwargs):
     report). The call from scratch also traces the base inputs itself when
     `p` is quiet, and only then: one from-scratch contract trace per input,
     in order, up to the first REJECTED. Returns the first call's result,
-    simulator runs and boosts."""
-    resumed, resumed_boosts, resumed_runs = _detect_with_runs(p, inputs, contract, window, **kwargs)
+    simulator runs and boosts, and how many of its sibling runs resumed from
+    a point held since an earlier call."""
+    held, starts = [entry[-1] for entry in detect._sibling_runs.values()], []
+    resumed, resumed_boosts, resumed_runs = _detect_with_runs(p, inputs, contract, window, starts=starts,
+                                                              **kwargs)
     kwargs.pop("observations", None)
     fresh, fresh_boosts, fresh_runs = _detect_with_runs(p, inputs, contract, window, memo=False, **kwargs)
     text = render_program(p)
@@ -719,7 +732,7 @@ def _check_detection_call(p, inputs, contract, window, **kwargs):
                 break
     assert fresh_runs[: len(base_runs)] == base_runs, text
     assert resumed_runs == fresh_runs[len(base_runs) :], text
-    return resumed, resumed_runs, resumed_boosts
+    return resumed, resumed_runs, resumed_boosts, sum(any(s is h for h in held) for s in starts)
 
 
 def _check_resumed_detection(steps, inputs, contract, window, budget, seed, boosts, check_from=0):
@@ -728,11 +741,13 @@ def _check_resumed_detection(steps, inputs, contract, window, budget, seed, boos
     program's resume points, and run detect_violation on every accepted one
     with those records. Every call on a program of at least `check_from`
     instructions must pass _check_detection_call, and on an observable one
-    equal the reference's result. Returns how many checked calls boosted."""
+    equal the reference's result. Returns how many checked calls boosted,
+    and how many of their sibling runs resumed from a point held since an
+    earlier call."""
     resume = ResumePoints()
     args = (contract, window, budget)
     p = Program()
-    boosted = 0
+    boosted = from_held = 0
     for step in [RESET] + steps:
         if step is RESET:
             p = Program()
@@ -745,13 +760,14 @@ def _check_resumed_detection(steps, inputs, contract, window, budget, seed, boos
         p = candidate
         kwargs = dict(boosts_per_input=boosts, seed=seed, budget=budget, observations=records)
         if len(p) >= check_from:
-            result, _, held = _check_detection_call(p, inputs, contract, window, **kwargs)
+            result, _, held, resumed = _check_detection_call(p, inputs, contract, window, **kwargs)
             boosted += bool(held)
+            from_held += resumed
             if _filter_tier(records) == "observable":
                 assert result == reference_violation(p, inputs, contract, window, boosts, seed, budget)
         else:
             detect_violation(p, inputs, contract, window, **kwargs)
-    return boosted
+    return boosted, from_held
 
 
 # A chain window whose first tainting load sits at offset 1: counted from
@@ -814,6 +830,10 @@ JNS -2
 
 
 @settings(max_examples=150, deadline=None)
+# a CHAIN_MENU episode in which siblings resume from the points their runs
+# on earlier steps held
+@example(menu=CHAIN_MENU, picks=[5, 15, 25, 50, 44, 37, 18, 33, 13, 33, 52, 41, 34, 13, 41, 39, 2, 25, 9, 25, 14,
+                                 58], contract=CT_SEQ, window=8, budget=300, seed=397, boosts=2)
 @given(
     menu=st.sampled_from(MENUS + [CHAIN_MENU, MIXED_MENU]),
     picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=30),
@@ -849,12 +869,14 @@ def test_resumed_siblings_match_from_scratch_past_the_predictor(picks, contract,
 
 def test_resumed_siblings_cover_gated_rejected_and_boosted_steps():
     # a fixed default-menu episode: gated, rejected and reset steps between
-    # boosted ones, and memo hits among the boosted steps' siblings
+    # boosted ones, memo hits among the boosted steps' siblings, and sibling
+    # runs resumed from the points that their runs on earlier steps held
     rng = random.Random(8)
     space = MENUS[0]
     steps = [RESET if rng.random() < 0.05 else space[rng.randrange(space.size)] for _ in range(120)]
-    boosted = _check_resumed_detection(steps, generate_inputs(11, 6), CT_SEQ, DEFAULT_WINDOW, 300, 5, 2)
-    assert boosted >= 10
+    boosted, from_held = _check_resumed_detection(steps, generate_inputs(11, 6), CT_SEQ, DEFAULT_WINDOW, 300,
+                                                  5, 2)
+    assert boosted >= 10 and from_held > 0
     assert detect.boost_input.cache_info().hits > 0
 
 
@@ -869,8 +891,8 @@ def test_sibling_points_do_not_outlive_their_episode():
     text = "SBB R0, [BASE+R1]\nSBB R2, [BASE+R0]\nSBB R1, [BASE+R2]\n"
     episodes = [Program(PLANTED.instrs + parse_program(body).instrs) for body in (text, "SBB R1, R2\n" + text)]
     steps = [*episodes[0].instrs, RESET, *episodes[1].instrs]
-    boosted = _check_resumed_detection(steps, generate_inputs(23, 2)[:1], CT_SEQ, DEFAULT_WINDOW, 300, 9, 2,
-                                       check_from=len(PLANTED))
+    boosted, _ = _check_resumed_detection(steps, generate_inputs(23, 2)[:1], CT_SEQ, DEFAULT_WINDOW, 300, 9, 2,
+                                          check_from=len(PLANTED))
     assert boosted == sum(len(p) - len(PLANTED) + 1 for p in episodes)
 
 
@@ -931,7 +953,7 @@ def test_unchanged_load_sets_carry_results():
     p = OPEN_CHAIN
     for line in ("SBB R1, [BASE+R0]", "SBB R1, R2", "JNS +2", "IMUL R0, R2", "JMP +1"):
         p = p.append(parse_program(line).instrs[0])
-        _, runs, boosts = _check_detection_call(p, inputs, CT_SEQ, WINDOW_2, **kwargs)
+        _, runs, boosts, _ = _check_detection_call(p, inputs, CT_SEQ, WINDOW_2, **kwargs)
         assert runs == [], line
         assert all(b is h for b, h in zip(boosts, held, strict=True)), line
 
@@ -1000,10 +1022,12 @@ def test_memo_holds_a_default_env_s_streams():
 
 def test_held_hw_points_serve_later_boosted_calls(monkeypatch):
     # a fixed CHAIN_MENU episode: every sibling hw_run detection makes
-    # resumes from its base observation's chain point, none from the reset;
-    # some of those points were found on an earlier step and held since in
-    # observe's HwPoints; and every call still equals the call from scratch,
-    # sibling runs included
+    # resumes, none from the reset, either from its base observation's chain
+    # point or from the point its own run on an earlier step captured, when
+    # that run started from this same chain point; some chain points were
+    # found on an earlier step and held since in observe's HwPoints, and
+    # some runs resume from their stream's held point; and every call still
+    # equals the call from scratch, sibling runs included
     rng = random.Random(8)
     steps = [CHAIN_MENU[rng.randrange(CHAIN_MENU.size)] for _ in range(30)]
     inputs = generate_inputs(11, 6)
@@ -1012,33 +1036,43 @@ def test_held_hw_points_serve_later_boosted_calls(monkeypatch):
     run = detect.hw_run
 
     def recorded(*args):
-        used.append(args[4] if len(args) > 4 else None)
+        used.append((args[1], args[4] if len(args) > 4 else None))
         return run(*args)
 
     monkeypatch.setattr(detect, "hw_run", recorded)
     resume, p = ResumePoints(), Program()
     held = []
-    chains = from_held = 0
+    from_chain = from_held = from_stream = 0
     for step in steps:
         candidate = p.append(step)
         records = observe(candidate, inputs, CT_SEQ, DEFAULT_WINDOW, 300, resume=resume)
         if records is REJECTED:
             continue
         p = candidate
+        streams = dict(detect._sibling_runs)
         used.clear()
         detect_violation(p, inputs, CT_SEQ, DEFAULT_WINDOW, observations=records, **kwargs)
-        assert all(any(point is o.chain for o in records) for point in used)
-        chains += len(used)
-        from_held += sum(any(point is h for h in held) for point in used)
-        held = [o.chain for o in records if o.chain is not None]
+        chains = [o.chain for o in records if o.chain is not None]
+        for sibling, point in used:
+            if any(point is chain for chain in chains):
+                from_chain += 1
+                from_held += any(point is h for h in held)
+            else:
+                chain, *_, captured = streams[sibling]
+                assert point is captured and any(chain is c for c in chains)
+                from_stream += 1
+        held = chains
         _check_detection_call(p, inputs, CT_SEQ, DEFAULT_WINDOW, observations=records, **kwargs)
-    assert from_held > 0 and chains > from_held
+    assert from_held > 0 and from_chain > from_held and from_stream > 0
 
 
 # GATE_GAP's shape with the loaded value multiplied by R2 = 0 before it
 # addresses: the window is a chain by the taint rule, yet always loads 0, so
 # no sibling diverges.
 ZEROED_CHAIN = parse_program("SBB R2, R2\nJNS +3\nSBB R1, [BASE+R0]\nIMUL R1, R2\nSBB R0, [BASE+R1]")
+# a load whose address is the value an earlier load read, looped by a JNS
+# whose taken target clamps to 0
+LOOP_BACK = parse_program("SBB R2, [BASE+R1]\nSBB R0, [BASE+R2]\nJNS -3")
 
 
 def test_carried_siblings_run_from_the_chain_point():
@@ -1058,6 +1092,53 @@ def test_carried_siblings_run_from_the_chain_point():
         assert result is None is detect_violation(p, inputs, **kwargs), line
         assert all(b is h for b, h in zip(boosts, held, strict=True)), line
         assert [(name, inp) for name, inp, _ in runs] == [("hw", b) for b in boosts], line
+
+
+def test_held_sibling_runs_serve_only_their_chain_point_settings_and_extensions():
+    # a JNS ends ZEROED_CHAIN's chain window before the program's end, so
+    # the resume points carry the chain points into the records of its
+    # extension by an ALU op: both programs' records hold the same chain
+    # point objects. After the extension's call holds its sibling runs, the
+    # shorter program's call (whose end those points lie past) runs every
+    # sibling from its chain point and equals the call from scratch; the
+    # extension's call then resumes every sibling from the points that call
+    # held, and a call with another window or budget resumes none
+    inputs = generate_inputs(19, 3)
+    q = ZEROED_CHAIN.append(parse_program("JNS +1").instrs[0])
+    p = q.append(parse_program("SBB R1, R2").instrs[0])
+    resume = ResumePoints()
+    short = observe(q, inputs, resume=resume)
+    records = observe(p, inputs, resume=resume)
+    assert all(a.chain is b.chain is not None for a, b in zip(short, records))
+    kwargs = dict(contract=CT_SEQ, boosts_per_input=2, seed=7)
+    *_, from_held = _check_detection_call(p, inputs, window=DEFAULT_WINDOW, observations=records, **kwargs)
+    assert from_held == 0
+    *_, from_held = _check_detection_call(q, inputs, window=DEFAULT_WINDOW, observations=short, **kwargs)
+    assert from_held == 0
+    *_, from_held = _check_detection_call(p, inputs, window=DEFAULT_WINDOW, observations=records, **kwargs)
+    assert from_held == 6
+    for window, budget in ((DEFAULT_WINDOW - 1, DEFAULT_STEP_BUDGET), (DEFAULT_WINDOW, 300)):
+        starts = []
+        _detect_with_runs(p, inputs, window=window, budget=budget, observations=records, starts=starts, **kwargs)
+        assert len(starts) == 6 and all(any(s is o.chain for o in records) for s in starts), (window, budget)
+
+
+def test_held_sibling_runs_serve_only_their_own_chain_point():
+    # on LOOP_BACK the mispredicted window of its last instruction, JNS -3,
+    # opens at the program's end and issues nothing; an appended SBB R0, R0
+    # gives it one instruction. So two bases find their chain point at the
+    # same step of both programs, but the extension's counts one more
+    # squashed instruction, and a sibling run resumed from a point held
+    # since the shorter program's call would count one too few. Detection
+    # on the extension equals the call from scratch.
+    inputs = generate_inputs(446442056, 3)
+    p = LOOP_BACK.append(parse_program("SBB R0, R0").instrs[0])
+    resume = ResumePoints()
+    short = observe(LOOP_BACK, inputs, CT_SEQ, 4, 300, resume=resume)
+    records = observe(p, inputs, CT_SEQ, 4, 300, resume=resume)
+    moved = [(a.chain.transient, b.chain.transient) for a, b in zip(short, records) if a.chain != b.chain]
+    assert moved == [(0, 1)] * 2
+    _check_resumed_detection(list(p.instrs), inputs, CT_SEQ, 4, 300, 446442056, 2)
 
 
 def test_sibling_runs_from_the_chain_point_meet_the_budget(monkeypatch):
