@@ -3,20 +3,21 @@
 Usage: python3 .github/check_bench.py SEED SECONDS TRACE
 
 Runs `perfbench/run.py --workload W --seed SEED --seconds SECONDS --trace
-TRACE` for each workload in turn, from the repository root, and exits
-non-zero at the first run that exits non-zero, whose result is not
-`"correct": true`, or that prints a null metric.
+TRACE` for each workload W that `BENCHMARK.json` names, in its order, from
+the repository root, and exits non-zero at the first run that exits
+non-zero, whose result is not `"correct": true`, or that prints a null
+metric.
 """
 
 import json
 import subprocess
 import sys
 
-WORKLOADS = ("fuzz-scaling", "random-default", "random-ctcond", "rl-study")
-
 
 def main(seed: str, seconds: str, trace: str) -> None:
-    for workload in WORKLOADS:
+    with open("BENCHMARK.json") as f:
+        workloads = [w["name"] for w in json.load(f)["workloads"]]
+    for workload in workloads:
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", seed,
                "--seconds", seconds, "--trace", trace]
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)

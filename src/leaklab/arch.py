@@ -43,6 +43,7 @@ __all__ = [
     "ContractSpec",
     "Input",
     "ArchState",
+    "OpenPath",
     "TracePoint",
     "Xorshift64Star",
     "mix64",
@@ -295,17 +296,32 @@ def step_instruction(state, instr, n):
     return _RMW_OBS[addr >> 3]
 
 
+class OpenPath(NamedTuple):
+    """An excursion (a CT_COND explored path or a mispredicted window) that
+    moved to a pc >= len(P) with depth left, where a run of a program P ends
+    it and a run of any program that extends P goes on: its registers,
+    flags and write log, `left` instructions still to run, and as its pc the
+    raw one (a branch's unclamped target when the path left by a taken
+    branch, since a longer program clamps that elsewhere). Its state holds
+    no memory (see `ArchState`)."""
+
+    state: ArchState
+    left: int
+
+
 class TracePoint(NamedTuple):
     """Where a terminating `contract_trace` run of a program P can be resumed
-    for any program that extends P: the run's state, trace and step count at
-    the start of the first committed step in which some path moved to a pc
-    >= len(P) (see `contract_trace`). Its state holds no memory (see
-    `ArchState`). It holds nothing of the cycle check, which a resumed run
-    starts afresh."""
+    for any program that extends P: the state, trace and step count at the
+    end of its committed path, or before the committed branch that left P,
+    and `paths`, each explored path still open there as (OpenPath, the
+    length of the trace up to the end of its block), in run order (see
+    `contract_trace`). Its states hold no memory (see `ArchState`). It holds
+    nothing of the cycle check, which a resumed run starts afresh."""
 
     state: ArchState
     trace: tuple
     steps: int
+    paths: tuple = ()
 
 
 # No instruction has this kind: a CT_COND explored path stops only at its
@@ -348,20 +364,26 @@ def contract_trace(
     decides how soon REJECTED comes, never whether.
 
     `capture`, when given, is a list to which the run's TracePoint is
-    appended if the run terminates;
-    `resume`, when given, is a TracePoint that such a run of a prefix of `p`
-    captured, and the run starts there instead of at the reset state of
-    `inp`. Resuming is exact. The runs of P and of P + Q agree step for
-    step until some path (the committed path or a CT_COND explored path)
-    first moves to a pc >= len(P): before that every instruction fetched
-    lies in P, and every clamped branch target below len(P) is the same for
-    both lengths. The point is the state, trace
-    and step count at the start of that committed step. It is taken
-    afterwards: a branch changes only the pc (and its exploration rolls
-    back), so rewinding the pc and the trace recovers the state before it;
-    an ALU instruction at len(P) - 1 gives the state after it, which P + Q
-    reaches too. A branch whose raw target exceeds len(P) is resumed from
-    before it, because P + Q clamps that target differently.
+    appended if the run terminates; `resume`, when given, is a TracePoint
+    that such a run of a prefix of `p` captured, and the run starts there
+    instead of at the reset state of `inp`. Resuming is exact. The
+    committed paths of the runs of P and of P + Q agree step for step until
+    P's leaves P: every instruction fetched before lies in P, and every
+    clamped branch target below len(P) is the same for both lengths. An ALU
+    instruction that leaves P gives the state after it, which P + Q reaches
+    too. A branch that leaves P is rewound, because P + Q clamps its target
+    elsewhere and explores its other direction further; a branch changes
+    only the pc (its exploration rolls back), so rewinding the pc and the
+    trace recovers the state before it. That state, the trace up to it and
+    the step count are the point. The explored path of each committed branch
+    before the point agrees likewise until it moves to a pc >= len(P). One
+    that does so with depth left is open: on P + Q it goes on from its own
+    state at its raw pc for the rest of its depth, and its observations
+    follow its own block of the trace. No explored path changes the
+    committed state, so a resumed run first continues each open path in run
+    order, then the committed path from the point, and so simulates only
+    what P + Q adds. A path that reaches len(P) with no depth left is
+    closed: P + Q runs no more of it.
 
     A resumed run starts the cycle check afresh at the point, and still
     returns what the run from the reset returns. The check reports only a
@@ -370,26 +392,35 @@ def contract_trace(
     property of the whole program, and the resumed run's states are states
     of the run from the reset, so the static check holds there too. A
     snapshot taken after the point is a state of the same run, and
-    comparing write logs is sound from any start. The step count, which the budget reads, still
-    counts from the reset.
+    comparing write logs is sound from any start. The step count, which the
+    budget reads, still counts from the reset.
     """
     if step_budget < 1:
         raise ConfigError("step_budget must be >= 1")
     instrs = p.instrs
     n = len(instrs)
     depth = contract.spec_depth
+    paths = []  # (OpenPath, end of its block) for each explored path open at n
     if resume is None:
         state = ArchState.from_input(inp)
         trace: list = []
         steps = 0
     else:
-        state, trace, steps = resume
+        state, held_trace, steps, held = resume
         state = state.copy(inp.mem)
-        trace = list(trace)
+        trace = []
+        done = 0
+        for path, end in held:
+            trace += held_trace[done:end]
+            done = end
+            _, path = excursion(instrs, path.state.copy(inp.mem), path.state.pc, path.left, n, _NO_STOP, trace)
+            if path is not None:
+                paths.append((path, len(trace)))
+        trace += held_trace[done:]
     snapshot = None
     moves = 0  # non-forward moves since the snapshot
     period = 1  # the snapshot is retaken after this many; doubles each time
-    point = instr = None
+    instr = None
     while state.pc < n:
         if steps >= step_budget:
             return REJECTED
@@ -399,13 +430,11 @@ def contract_trace(
         trace.extend(obs)
         if depth and instr.decoded[0] == KIND_JNS:
             taken = obs[0][2]
-            other = branch_pc + 1 if taken else min(max(branch_pc + instr.disp, 0), n)
+            other = branch_pc + 1 if taken else max(branch_pc + instr.disp, 0)
             before = len(trace) - 1
-            _, reached = excursion(instrs, state, other, depth, n, _NO_STOP, trace)
-            if capture is not None and point is None and (reached or state.pc >= n):
-                start = state.copy(None)
-                start.pc = branch_pc
-                point = (start, tuple(trace[:before]), steps)
+            _, path = excursion(instrs, state, other, depth, n, _NO_STOP, trace)
+            if path is not None:
+                paths.append((path, len(trace)))
         steps += 1
         if state.pc <= branch_pc:
             if snapshot is not None and (
@@ -420,14 +449,17 @@ def contract_trace(
                 period *= 2
     trace = tuple(trace)
     if capture is not None:
-        if point is None:
-            # The committed path left the program in the last step.
-            rewind = instr is not None and instr.decoded[0] <= KIND_JNS
-            if rewind:
-                state.pc = branch_pc
-            state.mem = None
-            point = (state, trace[: len(trace) - rewind], steps - rewind)
-        capture.append(TracePoint(*point))
+        end = len(trace)
+        if instr is not None and instr.decoded[0] <= KIND_JNS:
+            # the committed path left the program by a branch: rewind it,
+            # and drop its own explored path
+            state.pc = branch_pc
+            steps -= 1
+            end = before if depth and instr.decoded[0] == KIND_JNS else end - 1
+            if paths and paths[-1][1] > end:
+                paths.pop()
+        state.mem = None
+        capture.append(TracePoint(state, trace[:end], steps, tuple(paths)))
     return trace
 
 
@@ -437,18 +469,30 @@ def excursion(instrs, state, pc, depth, n, stop, out):
     end or before an instruction of kind `stop`; then restore the registers,
     flags, pc and write log. A mispredicted window stops at the next
     conditional branch (`stop` is KIND_JNS); a CT_COND explored path runs
-    through branches without exploring them (`stop` is no kind). Returns
-    (instructions run, whether the path moved to a pc >= n)."""
+    through branches without exploring them (`stop` is no kind). `pc` may
+    lie past the end: a branch's unclamped target, from which nothing runs.
+
+    Returns (instructions run, open path): the path's OpenPath if it moved
+    to a pc >= n with depth left, else None. A run of a program that
+    extends this one continues an open path with `excursion(instrs,
+    path.state.copy(mem), path.state.pc, path.left, n, stop, out)`, which
+    runs what the path runs there past the shorter program's end."""
     saved = (state.regs[:], state.sf, state.cf, state.zf, state.pc, state.written)
     state.written = dict(state.written)
     state.pc = pc
     ran = 0
-    while ran < depth and state.pc < n and instrs[state.pc].decoded[0] != stop:
-        out.extend(step_instruction(state, instrs[state.pc], n))
+    while ran < depth and state.pc < n and (instr := instrs[state.pc]).decoded[0] != stop:
+        out.extend(step_instruction(state, instr, n))
         ran += 1
-    reached = state.pc >= n
+    path = None
+    if state.pc >= n and ran < depth:
+        raw = state.pc
+        if ran and instr.decoded[0] <= KIND_JNS and out[-1][2]:
+            raw = out[-1][1]  # a taken branch's target, before clamping
+        # the path's own registers and write log, which the restore drops
+        path = OpenPath(ArchState(state.regs, state.sf, state.cf, state.zf, raw, None, state.written), depth - ran)
     state.regs, state.sf, state.cf, state.zf, state.pc, state.written = saved
-    return ran, reached
+    return ran, path
 
 
 # --- deterministic input generation ---------------------------------------

@@ -170,10 +170,10 @@ def _sibling_htrace(p: Program, sibling: Input, window: int, budget: int, chain)
     The run starts from the point that the sibling's last run captured
     instead, when that run started from this very chain point (`is`: equal
     points from other runs are not looked for) with the same window and
-    budget, on a prefix of `p`. That is exact (see `hw_run`): the runs from
-    `chain` of that prefix and of `p` agree until some path first reaches
-    the prefix's end, where the captured point lies. The last
-    SIBLING_MEMO_SIZE siblings run keep their runs' points.
+    budget, on a prefix of `p`. That is exact (see `hw_run`): the point is
+    where the run from `chain` of that prefix ended, with the windows still
+    open there, and the run of `p` continues them and then its committed
+    path. The last SIBLING_MEMO_SIZE siblings run keep their runs' points.
     """
     start = chain
     held = _sibling_runs.pop(sibling, None)
@@ -270,7 +270,10 @@ def detect_violation(
     run from the same chain point stopped, when that run was of a prefix of
     `p` (`_sibling_htrace`): on an env step whose appended instruction kept
     the sibling and its base's chain point, only the new end is simulated.
-    Each base's load set is built once per call, for all its streams.
+    Only a call given `observations` holds its sibling runs: a call that
+    observes `p` itself finds new chain points, so no later call could
+    resume from what it held. Each base's load set is built once per call,
+    for all its streams.
     """
     if not inputs:
         raise ConfigError("detect_violation needs at least one input")
@@ -278,6 +281,9 @@ def detect_violation(
         raise ConfigError(f"boosts_per_input must be in 1..{MAX_BOOSTS_PER_INPUT}")
     if window < 0:
         raise ConfigError("speculation window must be >= 0")
+    # only an env step's siblings can meet their held runs again: a call
+    # that observes `p` itself finds new chain points
+    hold = observations is not None
     if observations is None:
         if budget < 1:
             raise ConfigError("budget must be >= 1")
@@ -333,8 +339,10 @@ def detect_violation(
             sibling = boost_input(base, loads, seed, (i << 8) | j)
             if base_obs.chain is None:
                 htrace = base_obs.htrace
-            else:
+            elif hold:
                 htrace = _sibling_htrace(p, sibling, window, budget, base_obs.chain)
+            else:
+                htrace = hw_run(p, sibling, window, budget, base_obs.chain).htrace
             if htrace != first[1]:
                 return report_from(first, (sibling, htrace))
     return None

@@ -3,7 +3,8 @@
 One episode grows an attack program instruction by instruction. Each step
 appends the chosen action, measures the candidate on a fixed input set (both
 simulators, from a microarchitectural reset per input, resumed from where
-the current program's runs reached its end), throws the instruction away if
+the current program's runs ended, with the explored paths and windows still
+open there), throws the instruction away if
 any input fails the termination guard, and otherwise runs leak detection.
 A boosted sibling takes its base's probe vector when the base's hardware run
 has no chain window, and otherwise runs from the base's chain point (see

@@ -101,10 +101,13 @@ def _access_bits(obs) -> int:
 class HwPoint(NamedTuple):
     """The full state of an `hw_run` at the start of a committed step: where
     a terminating run of a program P can be resumed for any program that
-    extends P (the first committed step in which some path moved to a pc >=
-    len(P)), or where its first chain window opens (see `hw_run`). `chain`
-    is the chain point of the run before this point, or None. Its state
-    holds no memory (see `ArchState`)."""
+    extends P (the end of its committed path, or before the committed branch
+    that left P), or where its first chain window opens (see `hw_run`).
+    `chain` is the chain point of the run before this point, or None.
+    `windows` holds each mispredicted window still open at a resume point,
+    in run order, as (OpenPath, the pc it opened at, instructions issued,
+    its branch's HwPoint while no chain point precedes it, else None); a
+    chain point holds none. Its states hold no memory (see `ArchState`)."""
 
     state: ArchState
     pht: list
@@ -114,6 +117,7 @@ class HwPoint(NamedTuple):
     transient: int
     br_misses: int
     chain: HwPoint | None = None
+    windows: tuple = ()
 
 
 def _is_chain(instrs, pc: int, ran: int, covered: int, n: int) -> bool:
@@ -230,21 +234,28 @@ def hw_run(
     from there instead of from the reset with `inp`. The capturing run may
     have been resumed itself: the point that a run of P from a chain point C
     captured continues the run of P + Q from C, so a sibling's run goes on
-    where its run on a shorter program stopped. Resuming is exact. The runs
-    of P and of P + Q, from the reset or from one point, agree step for step
-    until some path (the committed path or a mispredicted window) first
-    moves to a pc >= len(P):
-    before that every instruction fetched lies in P, and every clamped
-    branch target below len(P) is the same for both lengths. The point is
-    the full state at the start of that committed step, and no window is
-    open there. A conditional branch's point is taken before it runs, as
-    its window is known only afterwards; a JMP's is recovered afterwards,
-    since it changes only the pc; an ALU instruction at len(P) - 1 gives the
-    state after it, which P + Q reaches too. A branch whose raw target
-    exceeds len(P) is resumed from before it, because P + Q clamps that
-    target differently. The point keeps the chain point found before it; a
-    window from the point's step on, one that reaches len(P) included, is
-    checked again by the resumed run.
+    where its run on a shorter program stopped. Resuming is exact. The
+    committed paths of the runs of P and of P + Q, from the reset or from
+    one point, agree step for step until P's leaves P: every instruction
+    fetched before lies in P, and every clamped branch target below len(P)
+    is the same for both lengths. An ALU instruction that leaves P gives the
+    state after it, which P + Q reaches too; a JMP that leaves P is rewound,
+    since it changes only the pc and P + Q clamps its target elsewhere; a
+    conditional branch's point is taken before it runs, as its window is
+    known only afterwards. The mispredicted window of each committed branch
+    before the point agrees likewise until it moves to a pc >= len(P). One
+    that does so with window left is open: on P + Q it goes on from its own
+    state at its raw pc, issuing more transient instructions whose accesses
+    add victim bits. No window changes the committed state, the predictor
+    or the budget, so a resumed run first continues each open window in run
+    order, then the committed path from the point. A continued window's
+    additions count toward every HwPoint recorded after it: a later open
+    window's branch point and a chain point after it take them. A window
+    open before the chain point (or with no chain) is checked again over its
+    whole length, and if it is now a chain, its branch point takes the
+    chain's place. A window from the point on is checked by the resumed
+    run. A chain point stays the same object unless an open window before it
+    issues more on P + Q.
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
@@ -252,6 +263,7 @@ def hw_run(
         raise ConfigError("speculation window must be >= 0")
     instrs = p.instrs
     n = len(instrs)
+    windows = []  # the open windows a captured point holds
     if resume is None:
         state = ArchState.from_input(inp)
         pht = [1] * PHT_SIZE
@@ -259,17 +271,41 @@ def hw_run(
         committed_victim = transient_victim = 0
         committed = transient = br_misses = 0  # instructions retired / squashed, mispredictions
         chain = None
+        held = ()
     else:
-        state, pht, committed_victim, transient_victim, committed, transient, br_misses, chain = resume
+        state, pht, committed_victim, transient_victim, committed, transient, br_misses, chain, held = resume
         state = state.copy(inp.mem)
         pht = pht[:]
-    search = False
-    if contract is not None and chain is None:
-        # the contract's explored path runs a window's first spec_depth
-        # instructions (none under CT_SEQ); a chain needs a tainting load
-        # and a later access
-        covered = contract.spec_depth
-        search = window > covered + 1
+    # the contract's explored path runs a window's first spec_depth
+    # instructions (none under CT_SEQ); a chain needs a tainting load and a
+    # later access
+    covered = contract.spec_depth if contract is not None else 0
+    if held:
+        carried = chain
+        added = added_victim = 0  # what windows before the chain point add
+        for path, opened, issued, branch in held:
+            squashed = []
+            ran, path = excursion(instrs, path.state.copy(inp.mem), path.state.pc, path.left, n, KIND_JNS, squashed)
+            issued += ran
+            victim = _access_bits(squashed)
+            transient += ran
+            transient_victim |= victim
+            if chain is not carried:
+                branch = None  # an earlier window is the chain now
+            elif branch is not None:
+                if added:
+                    branch = branch._replace(transient=branch.transient + added,
+                                             transient_victim=branch.transient_victim | added_victim)
+                added += ran
+                added_victim |= victim
+                if ran and issued > covered + 1 and _is_chain(instrs, opened, issued, covered, n):
+                    chain, branch = branch, None
+            if path is not None and capture is not None:
+                windows.append((path, opened, issued, branch))
+        if added and chain is carried is not None:
+            chain = chain._replace(transient=chain.transient + added,
+                                   transient_victim=chain.transient_victim | added_victim)
+    search = contract is not None and chain is None and window > covered + 1
     point = instr = None
 
     while state.pc < n:
@@ -280,22 +316,26 @@ def hw_run(
         instr = instrs[pc]
         if instr.decoded[0] == KIND_JNS:
             taken = state.sf == 0
-            target = min(max(pc + instr.disp, 0), n)
-            nxt = target if taken else pc + 1
+            raw = pc + instr.disp
+            nxt = min(max(raw, 0), n) if taken else pc + 1
             idx = pc % PHT_SIZE
-            mispredicted = (pht[idx] >= 2) != taken
-            if mispredicted:
+            if capture is not None and nxt >= n:
+                point = HwPoint(state.copy(None), pht[:], committed_victim, transient_victim, committed - 1,
+                                transient, br_misses, chain, tuple(windows))
+            if (pht[idx] >= 2) != taken:
                 squashed = []
-                opened = pc + 1 if taken else target
-                issued, reached = excursion(instrs, state, opened, window, n, KIND_JNS, squashed)
-            if capture is not None and point is None and (nxt >= n or mispredicted and reached):
-                point = HwPoint(state.copy(None), pht[:], committed_victim, transient_victim,
-                                committed - 1, transient, br_misses, chain)
-            if mispredicted:
+                opened = pc + 1 if taken else max(raw, 0)
+                issued, path = excursion(instrs, state, opened, window, n, KIND_JNS, squashed)
                 if search and issued > covered + 1 and _is_chain(instrs, opened, issued, covered, n):
                     chain = HwPoint(state.copy(None), pht[:], committed_victim, transient_victim,
                                     committed - 1, transient, br_misses)
                     search = False
+                if path is not None and capture is not None:
+                    branch = None
+                    if search:
+                        branch = HwPoint(state.copy(None), pht[:], committed_victim, transient_victim,
+                                         committed - 1, transient, br_misses)
+                    windows.append((path, opened, issued, branch))
                 br_misses += 1
                 transient += issued
                 transient_victim |= _access_bits(squashed)
@@ -306,13 +346,14 @@ def hw_run(
 
     if capture is not None:
         if point is None:
-            # The committed path left the program in the last step.
+            # The committed path left the program by an ALU instruction or a
+            # JMP, or not at all on this run.
             start = state.copy(None)
             rewind = instr is not None and instr.decoded[0] == KIND_JMP
             if rewind:
                 start.pc = pc
             point = HwPoint(start, pht, committed_victim, transient_victim, committed - rewind, transient,
-                            br_misses, chain)
+                            br_misses, chain, tuple(windows))
         capture.append(point)
     return HwResult(
         htrace=committed_victim | transient_victim,
@@ -384,13 +425,16 @@ def observe(
     HwPoint). If they were captured on a prefix of `p` with the same inputs
     and settings, both of an input's runs resume from its entry instead of
     starting from the reset; when no input is rejected, the store then
-    holds `p`'s own entries. The results are the same either way: the runs
-    of a program P and of P + Q agree until some path first moves to a pc
-    >= len(P), and each point is the state of both simulators at the start
-    of that committed step, less the contract cycle check's, which a
-    resumed run starts afresh (see `contract_trace` and `hw_run`). An
-    environment that grows a program one instruction at a time therefore
-    simulates each step only from where its parent's runs reached the end.
+    holds `p`'s own entries. The results are the same either way: each
+    point is the state of both simulators where the committed path of P
+    ended (before the branch that left P, if one did), less the contract
+    cycle check's, which a resumed run starts afresh, with every CT-COND
+    explored path and mispredicted window that moved to a pc >= len(P)
+    with depth left. A run of P + Q continues those paths, then the
+    committed path, as its run from the reset would (see `contract_trace`
+    and `hw_run`). An environment that grows a program one instruction at a
+    time therefore simulates on each step only what the appended
+    instruction adds.
     """
     if not inputs:
         raise ConfigError("observe needs at least one input")

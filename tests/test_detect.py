@@ -1141,6 +1141,97 @@ def test_held_sibling_runs_serve_only_their_own_chain_point():
     _check_resumed_detection(list(p.instrs), inputs, CT_SEQ, 4, 300, 446442056, 2)
 
 
+# Zero-memory bases on which `SBB R2, R2` clears SF, so each JNS is taken and
+# mispredicted. JNS +2's window runs JMP to the program's end and stays open
+# there. In OPEN_BEFORE_CHAIN, JNS +4's window is a chain that always loads
+# address 0 (ZEROED_CHAIN's shape); the appended instructions make the first
+# window load at R1 (cache set 16 on CHAIN_RULE_INPUTS), then through a loaded
+# value, which makes it a chain. In OPEN_BEFORE_OPEN there is no chain: JNS
+# +2's second window loads and stays open, and the last instruction makes it
+# a chain.
+OPEN_BEFORE_CHAIN = parse_program("SBB R2, R2\nJNS +2\nJMP +6\nJNS +4\nSBB R1, [BASE+R0]\nIMUL R1, R2\n"
+                                  "SBB R0, [BASE+R1]\nIMUL R2, R2\n"
+                                  "SBB R2, [BASE+R1]\nSBB R1, [BASE+R0]\nSBB R0, [BASE+R1]")
+OPEN_BEFORE_OPEN = parse_program("SBB R2, R2\nJNS +2\nJMP +4\nJNS +2\nSBB R1, [BASE+R0]\nIMUL R2, R2\n"
+                                 "SBB R0, [BASE+R2]\nSBB R2, [BASE+R1]")
+CHAIN_RULE_INPUTS = [make_input(r0=512, r1=1024)]
+
+
+@pytest.mark.parametrize(
+    "program, chains",
+    [
+        # (chain pc, squashed instructions before it) on each prefix
+        (OPEN_BEFORE_CHAIN, [None] * 6 + [(3, 1), (3, 1), (3, 2), (3, 3), (1, 0)]),
+        (OPEN_BEFORE_OPEN, [None] * 7 + [(3, 3)]),
+    ],
+    ids=["open-before-chain", "open-before-open"],
+)
+def test_windows_open_before_the_chain_point_count_toward_it(program, chains, monkeypatch):
+    # grown as LeakEnv grows it, the first window issues one more
+    # instruction on each step. What it adds counts toward every point
+    # after it: the chain point, and a later open window's branch point, which
+    # becomes the chain point once that window is a chain. A window that
+    # becomes a chain takes the chain point's place. A chain point that kept
+    # the shorter program's counts would miss set 16, and its siblings would
+    # report a leak that does not revalidate. Each step's detection equals
+    # the call from scratch and the reference's, and every sibling's probe
+    # vector is that of its hw_run from the reset.
+    runs = []
+    run = detect.hw_run
+
+    def recorded(*args):
+        result = run(*args)
+        runs.append((args[0], args[1], result.htrace))
+        return result
+
+    monkeypatch.setattr(detect, "hw_run", recorded)
+    boosted, _ = _check_resumed_detection(list(program.instrs), CHAIN_RULE_INPUTS, CT_SEQ, DEFAULT_WINDOW, 300,
+                                          7, 2)
+    assert boosted > 0 and runs
+    for p, sibling, htrace in runs:
+        assert htrace == run(p, sibling, DEFAULT_WINDOW, 300).htrace, render_program(p)
+    seen = []
+    for k in range(1, len(program) + 1):
+        chain = observe(Program(program.instrs[:k]), CHAIN_RULE_INPUTS, CT_SEQ, DEFAULT_WINDOW, 300)[0].chain
+        seen.append(None if chain is None else (chain.state.pc, chain.transient))
+    assert seen == chains
+
+
+def test_a_chain_point_before_the_end_is_carried_and_its_siblings_resume():
+    # ZEROED_CHAIN's chain window reaches the program's end and stays open
+    # there, but no window is open before its chain point, so an appended
+    # ALU op extends that window alone: the extension's records carry the
+    # same chain point objects, and every sibling run resumes from the point
+    # that its run on ZEROED_CHAIN held. Both calls equal the calls from
+    # scratch.
+    inputs = generate_inputs(19, 3)
+    p = ZEROED_CHAIN.append(parse_program("SBB R1, R2").instrs[0])
+    resume = ResumePoints()
+    short = observe(ZEROED_CHAIN, inputs, resume=resume)
+    records = observe(p, inputs, resume=resume)
+    assert all(hw.windows for _, hw in resume.entries.values())
+    assert all(a.chain is b.chain is not None for a, b in zip(short, records))
+    kwargs = dict(contract=CT_SEQ, window=DEFAULT_WINDOW, boosts_per_input=2, seed=7)
+    *_, from_held = _check_detection_call(ZEROED_CHAIN, inputs, observations=short, **kwargs)
+    assert from_held == 0
+    *_, from_held = _check_detection_call(p, inputs, observations=records, **kwargs)
+    assert from_held == 6
+
+
+def test_calls_that_observe_the_program_hold_no_sibling_runs():
+    # the fuzzer's and the CLI's calls observe the program themselves, so
+    # their chain points are new objects on every call, and no later call
+    # could resume a sibling run they held: they hold none. The same call
+    # given observe's records holds each sibling it ran.
+    result, _, runs = _detect_with_runs(GATE_GAP, GATE_GAP_SEEN, seed=3)
+    siblings = {inp for name, inp, _ in runs if name == "hw"}
+    assert isinstance(result, ViolationReport) and siblings
+    assert len(detect._sibling_runs) == 0
+    records = observe(GATE_GAP, GATE_GAP_SEEN)
+    assert detect_violation(GATE_GAP, GATE_GAP_SEEN, seed=3, observations=records) == result
+    assert set(detect._sibling_runs) == siblings
+
+
 def test_sibling_runs_from_the_chain_point_meet_the_budget(monkeypatch):
     # GATE_GAP commits 3 instructions, the whole budget here: a sibling run
     # resumed from the chain point commits the base's path and counts its

@@ -182,13 +182,20 @@ def test_guarded_growth():
 
 def _points(env):
     """Every resume point `env` holds, with the name of its store: observe's
-    entries are an input's (TracePoint, HwPoint), and each HwPoint and each
-    record of the last observation may hold its run's chain point."""
+    entries are an input's (TracePoint, HwPoint), each of which may hold
+    open paths, and each HwPoint, each open window and each record of the
+    last observation may hold a chain point or a branch's point."""
     for arch, hw in env._resume.entries.values():
         yield "observe", arch
         yield "observe", hw
         if hw.chain is not None:
             yield "chain", hw.chain
+        for path, _ in arch.paths:
+            yield "open", path
+        for path, _, _, branch in hw.windows:
+            yield "open", path
+            if branch is not None:
+                yield "chain", branch
     for record in env._last_obs.records:
         if record.chain is not None:
             yield "chain", record.chain
@@ -198,7 +205,7 @@ def test_resume_points_hold_no_memory():
     # a point holds the write log alone; a resumed run attaches its input
     env = LeakEnv(EnvConfig(max_len=16, input_seed=5))
     rng = np.random.default_rng(4)
-    seen = {"observe": 0, "chain": 0}
+    seen = {"observe": 0, "chain": 0, "open": 0}
     for _ in range(6):
         env.reset(0)
         done = False
@@ -208,7 +215,7 @@ def test_resume_points_hold_no_memory():
             for name, point in _points(env):
                 assert point.state.mem is None
                 seen[name] += 1
-    assert seen["observe"] > 0 and seen["chain"] > 0
+    assert seen["observe"] > 0 and seen["chain"] > 0 and seen["open"] > 0
 
 
 def test_envs_with_equal_configs_share_siblings(monkeypatch):

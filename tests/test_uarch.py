@@ -528,39 +528,56 @@ def test_no_chain_when_the_window_fits_the_explored_path(menu, picks, depth, win
 
 # One episode per kind of resume point. On the first input (R0=5, R1=1) the
 # loop `SBB R0, R1 / JNS -1` runs six times; `expect` is where the points of
-# the program without its last instruction lie on that input: (arch pc,
-# steps, hw pc, committed instructions).
+# the program without its last instruction lie on that input, and the paths
+# they hold open: (arch pc, steps, [(raw pc, depth left)] of the open
+# explored paths, hw pc, committed instructions, [(raw pc, window left)] of
+# the open windows).
 RESUME_INPUTS = [make_input(r0=5, r1=1), make_input(r0=3, r1=2, r2=64, mem_byte=7)]
 LOOP = "SBB R0, R1\nJNS -1\n"
+CT_COND_4 = ContractSpec(ContractMode.CT_COND, 4)
+# SBB R0, R0 clears SF, so JNS +2 is taken; its explored fall-through and its
+# mispredicted window run JMP +5, whose target lies past the end
+PAST_THE_END = "SBB R0, R0\nJNS +2\nJMP +5\nSBB R1, R1\nSBB R2, R2\nSBB R2, [BASE+R1]\nSBB R1, [BASE+R0]"
 
 
 @pytest.mark.parametrize(
     "text, contract, window, budget, expect, last_rejected",
     [
         # an ALU instruction at the end: the state after it
-        ("SBB R0, R1\nSBB R1, [BASE+R0]", CT_SEQ, 8, 300, (1, 1, 1, 1), False),
+        ("SBB R0, R1\nSBB R1, [BASE+R0]", CT_SEQ, 8, 300, (1, 1, [], 1, 1, []), False),
         # a branch past the end: before it, since a longer program clamps
         # its target elsewhere and skips the load
-        ("SBB R0, R1\nJMP +2\nSBB R1, [BASE+R0]", CT_SEQ, 8, 300, (1, 1, 1, 1), False),
-        # the first JNS's explored fall-through reaches the end
-        (LOOP + "SBB R1, [BASE+R0]", ContractSpec(ContractMode.CT_COND, 4), 0, 300, (1, 1, 1, 1), False),
-        # the first JNS's mispredicted window reaches the end; the contract
-        # trace resumes before the last JNS
-        (LOOP + "SBB R1, [BASE+R0]", CT_SEQ, 8, 300, (1, 11, 1, 1), False),
+        ("SBB R0, R1\nJMP +2\nSBB R1, [BASE+R0]", CT_SEQ, 8, 300, (1, 1, [], 1, 1, []), False),
+        # each taken JNS's explored fall-through is open at the end; both
+        # points lie before the last JNS, which left the program
+        (LOOP + "SBB R1, [BASE+R0]", CT_COND_4, 0, 300, (1, 11, [(2, 4)] * 5, 1, 11, []), False),
+        # the first JNS's mispredicted window is open at the end
+        (LOOP + "SBB R1, [BASE+R0]", CT_SEQ, 8, 300, (1, 11, [], 1, 11, [(2, 8)]), False),
+        # an explored path and a window that leave by a JMP keep its raw
+        # target, past the end, where a longer program goes on
+        (PAST_THE_END, CT_COND_4, 8, 300, (6, 5, [(7, 3)], 6, 5, [(7, 7)]), False),
+        # under CT-COND:1 with window 1, each taken JNS's explored path and
+        # the first one's window run SBB R2, R2 and reach the end with no
+        # depth left: they are closed
+        (LOOP + "SBB R2, R2\nSBB R1, [BASE+R0]", ContractSpec(ContractMode.CT_COND, 1), 1, 300,
+         (3, 13, [], 3, 13, []), False),
         # Brent's check, started afresh at the point, finds
         # `SBB R2, R2 / JMP -1` after it
-        (LOOP + "SBB R2, R2\nJMP -1", CT_SEQ, 0, 300, (3, 13, 3, 13), True),
+        (LOOP + "SBB R2, R2\nJMP -1", CT_SEQ, 0, 300, (3, 13, [], 3, 13, []), True),
         # the budget runs out exactly at the point
-        (LOOP + "SBB R2, R2\nSBB R0, R0", CT_SEQ, 0, 13, (3, 13, 3, 13), True),
+        (LOOP + "SBB R2, R2\nSBB R0, R0", CT_SEQ, 0, 13, (3, 13, [], 3, 13, []), True),
     ],
-    ids=["alu-at-end", "jmp-past-end", "explored-path", "window", "brent", "budget"],
+    ids=["alu-at-end", "jmp-past-end", "explored-path", "window", "path-jmp-past-end", "closed-at-depth", "brent",
+         "budget"],
 )
 def test_resume_point_kinds(text, contract, window, budget, expect, last_rejected):
     instrs = parse_program(text).instrs
     resume, results = _check_resumed_episode(instrs[:-1], RESUME_INPUTS, contract, window, budget)
     assert REJECTED not in results
     arch, hw = resume.entries[0]
-    assert (arch.state.pc, arch.steps, hw.state.pc, hw.committed) == expect
+    paths = [(path.state.pc, path.left) for path, _ in arch.paths]
+    windows = [(path.state.pc, path.left) for path, *_ in hw.windows]
+    assert (arch.state.pc, arch.steps, paths, hw.state.pc, hw.committed, windows) == expect
     _, results = _check_resumed_episode(instrs, RESUME_INPUTS, contract, window, budget)
     assert (results[-1] is REJECTED) == last_rejected
 
